@@ -32,6 +32,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for a non-negative bound (depth, fuel, trials, events)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
+    return n
+
+
+def _probe_list(text: str) -> tuple[int, ...]:
+    """argparse type for --probes: comma separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid probe list: {text!r}")
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -105,7 +124,12 @@ def _cmd_optimize(args) -> int:
     if args.uce:
         t = uce(infer_reach(t))
     if args.dve:
-        t = dve({}, {}, infer_tlive(t))
+        ann = infer_tlive(t)
+        rej = check_tlive({}, {}, ann)
+        if rej is not None:
+            print(f"REJECTED {rej}", file=sys.stderr)
+            return 1
+        t = dve({}, {}, ann)
     print(print_program(t))
     return 0
 
@@ -115,7 +139,7 @@ def _cmd_check(args) -> int:
     right = _parse_file(args.right)
     env = _parse_env(args.env)
     if args.probes:
-        probes = make_probes(int(x) for x in args.probes.split(","))
+        probes = make_probes(args.probes)
     else:
         probes = default_probes(left, right)
     game = check_sim if args.sim else check_bisim
@@ -159,9 +183,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("run", help="run a program with a seeded oracle")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_non_negative, default=10_000)
     p.add_argument("--oracle-seed", type=int, default=0)
-    p.add_argument("--max-events", type=int, default=256)
+    p.add_argument("--max-events", type=_non_negative, default=256)
     p.add_argument("--env", help="comma separated name=value bindings")
     p.set_defaults(func=_cmd_run)
 
@@ -182,9 +206,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--bisim", action="store_true", default=True)
     mode.add_argument("--sim", action="store_true")
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--fuel", type=int, default=10_000)
-    p.add_argument("--probes", help="comma separated oracle results to branch on")
+    p.add_argument("--depth", type=_non_negative, default=8)
+    p.add_argument("--fuel", type=_non_negative, default=10_000)
+    p.add_argument("--probes", type=_probe_list, help="comma separated oracle results to branch on")
     p.add_argument("--env", help="comma separated name=value bindings shared by both sides")
     p.add_argument("left")
     p.add_argument("right")
@@ -192,10 +216,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("difftest", help="random differential testing of a pass")
     p.add_argument("--pass", dest="pass_name", choices=("uce", "dve"), required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_non_negative, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--depth", type=_non_negative, default=8)
+    p.add_argument("--fuel", type=_non_negative, default=10_000)
     p.set_defaults(func=_cmd_difftest)
 
     try:

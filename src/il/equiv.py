@@ -10,6 +10,17 @@ A ready pair at depth 0 is cut off before the pending call is compared
 and counts as equivalent to depth 0; enumerate_traces truncates at the
 same point, which keeps game verdicts and trace-set equality aligned.
 
+Silent divergence is decided, not cut off: run_to_anchor returns a
+Diverges anchor when a silent run repeats a configuration (see
+il.semantics for why comparing post-application configurations is
+enough).  A silent infinite loop is one observable behaviour, so two
+diverging sides are equivalent, and a side that diverges while the
+other terminates or waits at a system call is distinguished.  Only a
+run that exhausts its fuel, such as a loop that never repeats a
+configuration, leaves the game inconclusive.  enumerate_traces ends a
+diverging run with Diverged and a fuel-exhausted one with Cutoff, so
+trace-set equality keeps matching the game's verdict.
+
 The similarity variant adds one asymmetric rule: when the left side
 reaches a terminal configuration with an undefined result, the pair is
 equivalent no matter what the right side does.  That is the sense in
@@ -27,6 +38,8 @@ from typing import Iterable, Optional, Union
 
 from .semantics import (
     Config,
+    Diverged,
+    Diverges,
     Done,
     Event,
     OutOfFuel,
@@ -78,26 +91,25 @@ _FUEL = 2  # some branch ran out of fuel; inconclusive
 _DIST = 3
 
 
-def _severity(kind: int) -> int:
-    return kind
-
-
 def _env_key(env: dict) -> tuple:
     return tuple(sorted(env.items()))
 
 
 class _Keys:
     """Structural keys for memoization, with identity caches for the
-    pieces that persist across configurations."""
+    pieces that persist across configurations.  The cache holds every
+    group it has keyed, so no id() in it can be reused by a later
+    object while the cache lives."""
 
     def __init__(self) -> None:
-        self.groups: dict[int, tuple] = {}
+        self.groups: dict[int, tuple[tuple, tuple]] = {}
 
     def group(self, g: tuple) -> tuple:
-        k = self.groups.get(id(g))
-        if k is None:
-            k = tuple((name, id(clo.body), clo.params, _env_key(clo.env)) for name, clo in g)
-            self.groups[id(g)] = k
+        hit = self.groups.get(id(g))
+        if hit is not None:
+            return hit[1]
+        k = tuple((name, id(clo.body), clo.params, _env_key(clo.env)) for name, clo in g)
+        self.groups[id(g)] = (g, k)
         return k
 
     def config(self, c: Config) -> tuple:
@@ -136,6 +148,11 @@ def _game(
 
     if isinstance(a1, OutOfFuel) or isinstance(a2, OutOfFuel):
         out = _Outcome(_FUEL)
+    elif isinstance(a1, Diverges) and isinstance(a2, Diverges):
+        out = _Outcome(_EQ_FULL)
+    elif isinstance(a1, Diverges) or isinstance(a2, Diverges):
+        side = "left" if isinstance(a1, Diverges) else "right"
+        out = _Outcome(_DIST, reason=f"{side} side diverges silently while the other does not")
     elif isinstance(a1, Done) and isinstance(a2, Done):
         if a1.result == a2.result:
             out = _Outcome(_EQ_FULL)
@@ -216,6 +233,8 @@ def enumerate_traces(
         anchor = run_to_anchor(c, fuel)
         if isinstance(anchor, Done):
             return frozenset((Trace((), Terminated(anchor.result)),))
+        if isinstance(anchor, Diverges):
+            return frozenset((Trace((), Diverged()),))
         if isinstance(anchor, OutOfFuel) or d == 0:
             return frozenset((Trace((), Cutoff()),))
         out = set()

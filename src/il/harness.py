@@ -22,6 +22,8 @@ from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, che
 from .reach import check_reach, infer_reach
 from .semantics import (
     Config,
+    Cutoff,
+    Diverged,
     Oracle,
     SeededOracle,
     Stepped,
@@ -475,7 +477,10 @@ def reach_audit(t: Term, env: dict[str, int], oracle: Oracle, fuel: int, max_eve
 
 def tlive_audit(t: Term, cfg: GenConfig, seed: int, fuel: int, max_events: int = 32) -> bool:
     """Perturb the initial environment outside the root live set and
-    confirm the observable trace is byte-identical."""
+    confirm the observable trace is byte-identical.  A dead variable
+    can decide whether a silent loop repeats a configuration, so one
+    side may end Diverged where the other is cut off by fuel; both
+    mean no further event within the bounds, and they count as equal."""
     ann = infer_tlive(t)
     rng = Random(seed)
     env = initial_env(t, cfg, rng)
@@ -483,6 +488,9 @@ def tlive_audit(t: Term, cfg: GenConfig, seed: int, fuel: int, max_events: int =
     oracle = SeededOracle(seed)
     left = run_trace(Config((), env, t), oracle, fuel, max_events)
     right = run_trace(Config((), env2, t), oracle, fuel, max_events)
+    silent = (Cutoff, Diverged)
+    if isinstance(left.outcome, silent) and isinstance(right.outcome, silent):
+        return left.events == right.events
     return trace_text(left) == trace_text(right)
 
 

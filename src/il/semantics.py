@@ -11,6 +11,22 @@ transitions; their result value is supplied from outside the stepper
 
 Environments are plain dicts treated as immutable: every step builds a
 fresh one and nothing mutates an existing binding.
+
+Divergence.  Because silent stepping is a function of the configuration's
+content, a silent run that comes back to an equal configuration repeats
+forever without an observable action.  run_to_anchor decides this with
+Brent's cycle finder (one saved configuration, replaced whenever the
+distance since the last save reaches the next power of two) and
+returns a Diverges anchor.  Binding, conditionals and group definition
+each step into a strict subterm of the focus, so every silent cycle
+contains an application step; only the configurations right after an
+application are compared.  Those form a deterministic sequence of their
+own, so Brent's method applies to it unchanged.  Configurations are
+compared by content: the focused term by identity (it is a subterm of
+the program, so equal identity means equal term), then the environment
+and the function context by ==.  Fuel still bounds every run, and a
+loop that never repeats a configuration, such as a counter, still runs
+out of fuel.
 """
 from __future__ import annotations
 
@@ -162,7 +178,15 @@ class OutOfFuel:
     config: Config
 
 
-Anchor = Union[Done, Ready, OutOfFuel]
+@dataclass(frozen=True)
+class Diverges:
+    """The silent run reached config twice: it loops forever without
+    an observable action."""
+
+    config: Config
+
+
+Anchor = Union[Done, Ready, OutOfFuel, Diverges]
 
 
 def apply_extern(config: Config, result: int) -> tuple[Event, Config]:
@@ -179,21 +203,38 @@ def apply_extern(config: Config, result: int) -> tuple[Event, Config]:
 
 
 def run_to_anchor(config: Config, fuel: int) -> Anchor:
-    """Run silent steps (at most fuel of them) to the next anchor."""
+    """Run silent steps (at most fuel of them) to the next anchor, or
+    to the first repeat of a configuration (Diverges)."""
     remaining = fuel
+    # Brent's cycle finder over the post-application configurations:
+    # saved is compared with each of them and replaced by the current
+    # one when since reaches power, which then doubles.  Starting from
+    # the initial configuration is sound, since it is on the path too.
+    saved = config
+    since = 0
+    power = 1
     while True:
         step = step_silent(config)
-        if isinstance(step, Terminal):
-            return Done(result_of(config))
-        if isinstance(step, AtExtern):
-            call = config.term.value
+        if not isinstance(step, Stepped):
+            if isinstance(step, Terminal):
+                return Done(result_of(config))
+            call = config.term.value  # AtExtern
             args = eval_expr_list(call.args, config.env)
             assert args is not None
             return Ready(call.action, args, config)
         if remaining <= 0:
             return OutOfFuel(config)
         remaining -= 1
+        applied = type(config.term) is App
         config = step.config
+        if applied:
+            # env before funs: in a loop that does not repeat, the
+            # environment is what differs
+            if config.term is saved.term and config.env == saved.env and config.funs == saved.funs:
+                return Diverges(config)
+            since += 1
+            if since == power:
+                saved, since, power = config, 0, power * 2
 
 
 # -- traces
@@ -210,9 +251,14 @@ class Cutoff:
 
 
 @dataclass(frozen=True)
+class Diverged:
+    """The run ended in a silent loop (a Diverges anchor)."""
+
+
+@dataclass(frozen=True)
 class Trace:
     events: tuple[Event, ...]
-    outcome: Union[Terminated, Cutoff]
+    outcome: Union[Terminated, Cutoff, Diverged]
 
 
 Oracle = Callable[[int, str, tuple[int, ...]], int]
@@ -254,6 +300,8 @@ def run_trace(config: Config, oracle: Oracle, fuel: int, max_events: int = 256) 
             return Trace(tuple(events), Terminated(anchor.result))
         if isinstance(anchor, OutOfFuel):
             return Trace(tuple(events), Cutoff())
+        if isinstance(anchor, Diverges):
+            return Trace(tuple(events), Diverged())
         if len(events) >= max_events:
             return Trace(tuple(events), Cutoff())
         value = wrap(oracle(len(events), anchor.action, anchor.args))
@@ -266,6 +314,8 @@ def trace_text(trace: Trace) -> str:
     lines = [f"EVT {e.action}({','.join(map(str, e.args))})={e.result}" for e in trace.events]
     if isinstance(trace.outcome, Cutoff):
         lines.append("END CUTOFF")
+    elif isinstance(trace.outcome, Diverged):
+        lines.append("END DIVERGE")
     elif trace.outcome.value is None:
         lines.append("END BOT")
     else:

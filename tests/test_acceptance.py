@@ -83,10 +83,10 @@ def test_01_golden_dead_variable_elimination():
 def test_02_uce_differential_500_trials():
     start = time.monotonic()
     report = difftest_uce(GenConfig(seed=0), trials=500, depth=8, fuel=10_000)
-    ok = report.accepted == 500 and report.distinguished == 0 and report.rejected == 0
+    ok = report.accepted == 500 and report.distinguished == 0 and report.rejected == 0 and report.exhausted == 0
     elapsed = time.monotonic() - start
     _report(
-        "uce: 500 seeded trials, 500/500 checker-accepted, 0 distinguished",
+        "uce: 500 seeded trials, 500/500 checker-accepted, 0 distinguished, 0 exhausted",
         ok,
         elapsed,
         300.0,
@@ -96,10 +96,10 @@ def test_02_uce_differential_500_trials():
 def test_03_dve_differential_500_trials():
     start = time.monotonic()
     report = difftest_dve(GenConfig(seed=0), trials=500, depth=8, fuel=10_000)
-    ok = report.accepted == 500 and report.distinguished == 0 and report.rejected == 0
+    ok = report.accepted == 500 and report.distinguished == 0 and report.rejected == 0 and report.exhausted == 0
     elapsed = time.monotonic() - start
     _report(
-        "dve: 500 seeded trials with perturbed environments, 0 distinguished",
+        "dve: 500 seeded trials with perturbed environments, 0 distinguished, 0 exhausted",
         ok,
         elapsed,
         300.0,

@@ -85,10 +85,17 @@ def test_run_env_flag(files, capsys):
 
 
 def test_run_cutoff(files, capsys):
-    path = files("d.il", "fun f() = f() in f()")
+    path = files("d.il", "fun f(x) = f(x + 1) in f(0)")
     code, out, _ = run_cli(capsys, "run", path, "--fuel", "40")
     assert code == 0
     assert out == "END CUTOFF\n"
+
+
+def test_run_silent_loop_ends_diverge(files, capsys):
+    path = files("d.il", "fun f() = f() in f()")
+    code, out, _ = run_cli(capsys, "run", path)
+    assert code == 0
+    assert out == "END DIVERGE\n"
 
 
 def test_run_bad_env_exits_64(files, capsys):
@@ -154,6 +161,15 @@ def test_optimize_pipeline_matches_manual_composition(files, capsys):
     assert out == print_program(manual) + "\n"
 
 
+def test_optimize_dve_unbound_callee_rejected(files, capsys):
+    path = files("u.il", "f(1)")
+    code, out, err = run_cli(capsys, "optimize", "--dve", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("REJECTED ")
+    assert "'f'" in err
+
+
 def test_optimize_requires_a_pass(files, capsys):
     path = files("x.il", "3")
     code, _, err = run_cli(capsys, "optimize", path)
@@ -194,10 +210,24 @@ def test_check_env_applies_to_both_sides(files, capsys):
 
 
 def test_check_exhausted_exits_2(files, capsys):
-    l, r = files("a.il", "fun f() = f() in f()"), files("b.il", "3")
+    l, r = files("a.il", "fun f(x) = f(x + 1) in f(0)"), files("b.il", "3")
     code, out, _ = run_cli(capsys, "check", l, r, "--fuel", "30")
     assert code == 2
     assert out == "EXHAUSTED fuel\n"
+
+
+def test_check_both_diverging_equivalent(files, capsys):
+    l, r = files("a.il", "fun f() = f() in f()"), files("b.il", "fun g(x) = g(1 - x) in g(0)")
+    code, out, _ = run_cli(capsys, "check", l, r)
+    assert code == 0
+    assert out == "EQUIVALENT to depth 8\n"
+
+
+def test_check_one_side_diverging_exits_1(files, capsys):
+    l, r = files("a.il", "fun f() = f() in f()"), files("b.il", "3")
+    code, out, _ = run_cli(capsys, "check", "--sim", l, r)
+    assert code == 1
+    assert out == "DISTINGUISHED left side diverges silently while the other does not\n"
 
 
 # -- difftest
@@ -255,6 +285,26 @@ def test_non_integer_depth_exits_64(files, capsys):
     l, r = files("a.il", "3"), files("b.il", "3")
     code, _, _ = run_cli(capsys, "check", l, r, "--depth", "many")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--depth", "-1"),
+        ("check", "--fuel", "-1"),
+        ("check", "--probes", "a"),
+        ("run", "--fuel", "-5"),
+        ("run", "--max-events", "-1"),
+        ("difftest", "--pass", "uce", "--trials", "-3"),
+    ],
+)
+def test_bad_bound_exits_64_with_usage(files, capsys, argv):
+    path = files("x.il", "fun f(x) = let y = extern r(x) in f(x) in f(0)")
+    paths = {"check": (path, path), "run": (path,), "difftest": ()}[argv[0]]
+    code, out, err = run_cli(capsys, *argv, *paths)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage: il ")
 
 
 def test_outputs_are_deterministic_across_invocations(files, capsys):

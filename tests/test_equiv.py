@@ -16,7 +16,8 @@ from il.equiv import (
     make_probes,
 )
 from il.harness import GenConfig, derive_seed, gen_program, initial_env
-from il.semantics import Config, Cutoff, ListOracle, Terminated, run_trace
+from il.equiv import _Keys
+from il.semantics import Closure, Config, Cutoff, Diverged, ListOracle, Terminated, run_trace
 from il.syntax import parse_program
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
@@ -143,8 +144,61 @@ def test_probe_dependent_divergence_found():
 
 
 def test_fuel_exhaustion_reported():
-    v = check_bisim(conf("fun f() = f() in f()"), conf("3"), depth=4, probes=(0, 1), fuel=50)
+    v = check_bisim(conf("fun f(x) = f(x + 1) in f(0)"), conf("3"), depth=4, probes=(0, 1), fuel=50)
     assert v == Exhausted("fuel")
+
+
+# -- silent divergence
+
+LOOP = "fun f() = f() in f()"
+COUNTER = "fun f(x) = f(x + 1) in f(0)"  # never repeats: runs out of fuel
+
+
+def test_both_sides_diverging_equivalent():
+    for game in (check_bisim, check_sim):
+        v = game(conf(LOOP), conf("fun g(x) = g(1 - x) in g(a)", {"a": 4}), depth=4, probes=(0, 1), fuel=100)
+        assert v == EquivalentToDepth(4)
+
+
+@pytest.mark.parametrize("game", [check_bisim, check_sim])
+@pytest.mark.parametrize("other", ["3", "let x = extern r() in x"])
+def test_one_side_diverging_distinguished(game, other):
+    v = game(conf(LOOP), conf(other), depth=4, probes=(0, 1), fuel=100)
+    assert isinstance(v, Distinguished)
+    assert v.reason.startswith("left side diverges")
+    v = game(conf(other), conf(LOOP), depth=4, probes=(0, 1), fuel=100)
+    assert isinstance(v, Distinguished)
+    assert v.reason.startswith("right side diverges")
+
+
+def test_divergence_after_a_shared_call_distinguished():
+    l = conf("let x = extern r() in if x then 1 else fun f() = f() in f()")
+    r = conf("let x = extern r() in 1")
+    v = check_bisim(l, r, depth=4, probes=(1, 0), fuel=100)
+    assert isinstance(v, Distinguished)
+    assert v.probes == (0,)
+    assert v.reason.startswith("left side diverges")
+
+
+def test_sim_error_rule_still_covers_divergence():
+    # an undefined left result simulates a diverging right side
+    assert check_sim(conf("1 / 0"), conf(LOOP), depth=4, probes=(0, 1), fuel=100) == EquivalentToDepth(4)
+    assert isinstance(check_bisim(conf("1 / 0"), conf(LOOP), depth=4, probes=(0, 1), fuel=100), Distinguished)
+
+
+def test_diverging_against_out_of_fuel_exhausted():
+    for game in (check_bisim, check_sim):
+        assert game(conf(LOOP), conf(COUNTER), depth=4, probes=(0, 1), fuel=100) == Exhausted("fuel")
+        assert game(conf(COUNTER), conf(LOOP), depth=4, probes=(0, 1), fuel=100) == Exhausted("fuel")
+
+
+def test_group_keys_never_go_stale():
+    # each group is dropped right after it is keyed, so without the
+    # cache holding it a later group can reuse its id()
+    keys = _Keys()
+    body = parse_program("x")
+    seen = {keys.group((("f", Closure({"x": i}, (), body)),)) for i in range(1000)}
+    assert len(seen) == 1000
 
 
 def test_left_right_figures_bisimilar():
@@ -184,9 +238,15 @@ def test_enumerate_two_rounds():
 
 
 def test_enumerate_fuel_cutoff():
-    ts = enumerate_traces(conf("fun f() = f() in f()"), depth=2, probes=(0, 1), fuel=20)
+    ts = enumerate_traces(conf("fun f(x) = f(x + 1) in f(0)"), depth=2, probes=(0, 1), fuel=20)
     (tr,) = ts
     assert tr.outcome == Cutoff()
+
+
+def test_enumerate_divergence():
+    ts = enumerate_traces(conf(LOOP), depth=2, probes=(0, 1), fuel=20)
+    (tr,) = ts
+    assert tr.outcome == Diverged()
 
 
 def test_trace_sets_equal_iff_bisimilar_spotcheck():
@@ -195,6 +255,8 @@ def test_trace_sets_equal_iff_bisimilar_spotcheck():
         ("let x = extern r() in x", "let x = extern r() in x + 0", True),
         ("let x = extern r() in x", "let x = extern r() in x + 1", False),
         ("if 0 then 1 else 2", "2", True),
+        (LOOP, "fun g(x) = g(x * 0) in g(5)", True),
+        ("let x = extern r() in if x then 1 else " + LOOP, "let x = extern r() in 1", False),
     ]
     for lsrc, rsrc, same in pairs:
         l, r = conf(lsrc), conf(rsrc)

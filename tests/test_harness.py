@@ -138,6 +138,13 @@ def test_tlive_audit_left_figure():
     assert tlive_audit(parse_program(LEFT), GenConfig(seed=0), seed=0, fuel=1000)
 
 
+def test_tlive_audit_dead_variable_decides_repeat():
+    # a is dead; a in {-1, 0, 1} makes the loop repeat, other values
+    # grow y until fuel runs out
+    t = parse_program("fun f(y) = f(y * a) in f(1)")
+    assert all(tlive_audit(t, GenConfig(seed=0), seed=i, fuel=500) for i in range(40))
+
+
 def test_tlive_audit_batch():
     cfg = GenConfig(seed=0)
     ok = sum(

@@ -10,6 +10,8 @@ from il.semantics import (
     AtExtern,
     Config,
     Cutoff,
+    Diverged,
+    Diverges,
     Done,
     Event,
     ListOracle,
@@ -179,8 +181,34 @@ def test_anchor_ready_exposes_pending_call():
 
 
 def test_anchor_out_of_fuel_on_divergence():
-    a = run_to_anchor(conf("fun f() = f() in f()"), 50)
+    a = run_to_anchor(conf("fun f(x) = f(x + 1) in f(0)"), 50)
     assert isinstance(a, OutOfFuel)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "fun f() = f() in f()",
+        "fun f(x) = g(x) and g(y) = f(y) in f(1)",  # mutual recursion
+        "fun f(x) = f(1 - x) in f(0)",  # period 2
+        "fun f(x) = if x < 10 then f(x + 1) else f(x) in f(0)",  # tail, then a self loop
+        "fun f(x) = f(x) in let y = extern r() in f(y)",  # silent loop after a system call
+    ],
+)
+def test_anchor_diverges_on_repeated_configuration(src):
+    c = conf(src)
+    a = run_to_anchor(c, 1000)
+    while isinstance(a, Ready):
+        _, c = apply_extern(a.config, 0)
+        a = run_to_anchor(c, 1000)
+    assert isinstance(a, Diverges)
+
+
+def test_anchor_diverges_only_within_fuel():
+    # Fun, App, App: the repeat is seen on the third step
+    c = conf("fun f() = f() in f()")
+    assert isinstance(run_to_anchor(c, 2), OutOfFuel)
+    assert isinstance(run_to_anchor(c, 3), Diverges)
 
 
 def test_anchor_zero_fuel_still_classifies():
@@ -244,9 +272,17 @@ def test_trace_oracle_changes_results_not_shape():
 
 
 def test_trace_cutoff_on_fuel():
-    tr = run_trace(conf("fun f() = f() in f()"), ListOracle([]), fuel=50)
+    tr = run_trace(conf("fun f(x) = f(x + 1) in f(0)"), ListOracle([]), fuel=50)
     assert tr.events == ()
     assert tr.outcome == Cutoff()
+
+
+def test_trace_ends_diverged_after_events():
+    src = "let x = extern r() in fun f(y) = f(y * 0) in f(x)"
+    tr = run_trace(conf(src), ListOracle([5]), fuel=100)
+    assert tr.events == (Event("r", (), 5),)
+    assert tr.outcome == Diverged()
+    assert trace_text(tr) == "EVT r()=5\nEND DIVERGE\n"
 
 
 def test_trace_event_cap():
@@ -266,6 +302,7 @@ def test_trace_text_formats():
     assert trace_text(Trace(events, Terminated(7))) == "EVT r()=5\nEVT w(5,2)=0\nEND TERM 7\n"
     assert trace_text(Trace((), Terminated(None))) == "END BOT\n"
     assert trace_text(Trace((), Cutoff())) == "END CUTOFF\n"
+    assert trace_text(Trace((), Diverged())) == "END DIVERGE\n"
 
 
 # -- oracles
@@ -304,6 +341,37 @@ def test_generated_programs_run_without_crashing(n):
 
     env = initial_env(t, cfg, random.Random(n))
     tr = run_trace(Config((), env, t), SeededOracle(n), fuel=2000)
-    assert isinstance(tr.outcome, (Terminated, Cutoff))
+    assert isinstance(tr.outcome, (Terminated, Cutoff, Diverged))
     for ev in tr.events:
         assert all(isinstance(v, int) for v in ev.args)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 10_000))
+def test_diverges_config_repeats_silently(n):
+    # from a Diverges anchor's configuration, silent steps alone come
+    # back to an equal configuration; 20 programs per example, since
+    # about one generated program in twenty loops silently
+    import random
+
+    for k in range(20):
+        cfg = GenConfig(seed=derive_seed(12, n * 20 + k))
+        t = gen_program(cfg)
+        c = Config((), initial_env(t, cfg, random.Random(k)), t)
+        oracle = SeededOracle(n)
+        for i in range(16):
+            a = run_to_anchor(c, 2000)
+            if not isinstance(a, Ready):
+                break
+            _, c = apply_extern(a.config, oracle(i, a.action, a.args))
+        if not isinstance(a, Diverges):
+            continue
+        c = a.config
+        for _ in range(2000):
+            step = step_silent(c)
+            assert isinstance(step, Stepped)
+            c = step.config
+            if c == a.config:
+                break
+        else:
+            raise AssertionError("no repeat within 2000 silent steps")
