@@ -3,9 +3,10 @@
 Subcommands: parse, run, analyze, optimize, check, difftest.
 
 Exit codes: 0 success (for check: equivalent), 1 distinguished or
-rejected, 2 parse error or exhausted check, 64 usage error, 66 file
-not readable.  Output is plain text, byte-stable for a fixed input and
-seed.
+rejected, 2 parse error, exhausted check, or an input that nests too
+deeply for the recursive walks (one line on stderr, no traceback), 64
+usage error, 66 file not readable.  Output is plain text, byte-stable
+for a fixed input and seed.
 """
 from __future__ import annotations
 
@@ -15,11 +16,12 @@ from typing import Optional, Sequence
 
 from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim, default_probes, make_probes
 from .harness import DiffReport, GenConfig, difftest_dve, difftest_uce
-from .reach import check_reach, infer_reach
+from .reach import Rejection, check_reach, infer_reach
 from .semantics import Config, SeededOracle, run_trace, trace_text
 from .syntax import ParseError, Term, parse_program, print_program, sidecar_text
 from .tlive import check_tlive, infer_tlive
-from .transform import dve, uce
+from .transform import run_pass
+from .transform import dve, uce  # noqa: F401 - unused here; perfbench/workloads.py reads them off il.cli
 
 EX_USAGE = 64
 EX_NOINPUT = 66
@@ -121,15 +123,14 @@ def _cmd_optimize(args) -> int:
     if not args.uce and not args.dve:
         print("optimize: need --uce and/or --dve", file=sys.stderr)
         return EX_USAGE
-    if args.uce:
-        t = uce(infer_reach(t))
-    if args.dve:
-        ann = infer_tlive(t)
-        rej = check_tlive({}, {}, ann)
-        if rej is not None:
-            print(f"REJECTED {rej}", file=sys.stderr)
+    for name in ("uce", "dve"):
+        if not getattr(args, name):
+            continue
+        done = run_pass(name, t)
+        if isinstance(done, Rejection):
+            print(f"REJECTED {done}", file=sys.stderr)
             return 1
-        t = dve({}, {}, ann)
+        t = done[1]
     print(print_program(t))
     return 0
 
@@ -227,6 +228,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse and file errors carry their code
         return exc.code if isinstance(exc.code, int) else EX_USAGE
+    except RecursionError:
+        print("il: input nests too deeply for this implementation", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -1,25 +1,27 @@
 """Random-program differential testing for the optimization passes.
 
 Programs are generated from a seed (identical GenConfig, identical
-program), analyzed, checked, transformed, and then compared against
-the original with the bounded equivalence game.  The UCE protocol runs
-both sides from one random initial environment and demands
-bisimulation; the DVE protocol builds two environments that agree
-exactly on the root live set and demands similarity with the original
-on the left.  Every trial records its own seed, so any reported trial
-replays byte-for-byte; a distinguished trial is shrunk to a locally
-minimal failing program before it is reported.
+program), analyzed, checked and transformed by transform.run_pass, and
+then compared against the original with the bounded equivalence game.
+One driver, difftest, runs both protocols.  The UCE protocol runs both
+sides from one random initial environment and demands bisimulation;
+the DVE protocol builds two environments that agree exactly on the
+root live set and demands similarity with the original on the left.
+Every trial records its own seed, so any reported trial replays
+byte-for-byte; a distinguished trial is shrunk to a locally minimal
+failing program before it is reported.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from hashlib import blake2b
 from random import Random
 from typing import Callable, Optional, Sequence
 
 from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim, default_probes
-from .reach import check_reach, infer_reach
+from .reach import Rejection, infer_reach
 from .semantics import (
     Config,
     Cutoff,
@@ -34,7 +36,6 @@ from .semantics import (
     trace_text,
 )
 from .syntax import (
-    Annotated,
     App,
     Binop,
     Cond,
@@ -57,8 +58,8 @@ from .syntax import (
     well_formed,
     wrap,
 )
-from .tlive import check_tlive, infer_tlive
-from .transform import dve, uce
+from .tlive import infer_tlive
+from .transform import run_pass
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,6 @@ class TrialRecord:
     seed: int
     size: int
     accepted: bool
-    applied: bool
     verdict: Optional[str]  # 'equivalent' | 'distinguished' | 'exhausted:fuel' | None
     reason: str = ""
     shrunk: Optional[str] = None
@@ -217,7 +217,7 @@ class TrialRecord:
                 "seed": self.seed,
                 "size": self.size,
                 "accepted": self.accepted,
-                "applied": self.applied,
+                "applied": self.accepted,  # kept so records stay byte-stable
                 "verdict": self.verdict,
                 "reason": self.reason,
                 "shrunk": self.shrunk,
@@ -321,123 +321,62 @@ def shrink_term(t: Term, still_failing: Callable[[Term], bool], max_steps: int =
     return current
 
 
-def _uce_transformed(t: Term) -> Optional[tuple[Annotated, Term]]:
-    ann = infer_reach(t)
-    if check_reach({}, ann) is not None:
-        return None
-    return ann, uce(ann)
-
-
-def difftest_uce(
+def difftest(
+    pass_name: str,
     cfg: GenConfig,
     trials: int,
     depth: int = 8,
     probes: Optional[Sequence[int]] = None,
     fuel: int = 10_000,
     *,
-    analyze=None,
-    checker=None,
-    transform=None,
     stop_early: bool = False,
 ) -> DiffReport:
-    """Generate, analyze, transform with uce, and play the bisimulation
-    game from a shared random initial environment."""
-    analyze = analyze or infer_reach
-    checker = checker or check_reach
-    transform = transform or uce
-    report = DiffReport("uce")
+    """Generate trials programs, run each through the checked pipeline
+    of pass_name, and play the pass's game against the original.
+
+    The two protocols differ only in the initial environments and the
+    game.  uce: both sides start from one random environment (salt
+    0x5EED) and must be bisimilar.  dve: the right side's environment is
+    perturbed outside the root live set (salt 0xD1FF), and the original
+    on the left must be simulated by the output on the right.  A
+    distinguished trial is shrunk to a locally minimal witness."""
+    report = DiffReport(pass_name)
+    salt = 0x5EED if pass_name == "uce" else 0xD1FF
 
     def run_one(term: Term, seed: int):
-        ann = analyze(term)
-        rej = checker({}, ann)
-        if rej is not None:
-            return False, None, str(rej)
-        out = transform(ann)
-        rng = Random(seed ^ 0x5EED)
+        done = run_pass(pass_name, term)
+        if isinstance(done, Rejection):
+            return done
+        ann, out = done
+        rng = Random(seed ^ salt)
         env = initial_env(term, cfg, rng)
         pr = tuple(probes) if probes is not None else default_probes(term, out)
-        verdict = check_bisim(Config((), env, term), Config((), dict(env), out), depth, pr, fuel)
-        return True, verdict, ""
+        left = Config((), env, term)
+        if pass_name == "uce":
+            return check_bisim(left, Config((), dict(env), out), depth, pr, fuel)
+        return check_sim(left, Config((), perturbed_env(env, ann.fact, rng), out), depth, pr, fuel)
 
     for i in range(trials):
         seed = derive_seed(cfg.seed, i)
         t = gen_program(replace(cfg, seed=seed))
-        ok, verdict, why = run_one(t, seed)
-        if not ok:
-            report.records.append(TrialRecord(i, seed, term_size(t), False, False, None, why))
+        verdict = run_one(t, seed)
+        if isinstance(verdict, Rejection):
+            record = TrialRecord(i, seed, term_size(t), False, None, str(verdict))
         else:
             kind, reason = _verdict_fields(verdict)
             shrunk = None
             if kind == "distinguished":
-
-                def fails(cand: Term) -> bool:
-                    ok2, v2, _ = run_one(cand, seed)
-                    return ok2 and isinstance(v2, Distinguished)
-
-                shrunk_term = shrink_term(t, fails)
-                shrunk = print_program(shrunk_term)
-            report.records.append(TrialRecord(i, seed, term_size(t), True, True, kind, reason, shrunk))
-        if stop_early and report.records[-1].verdict == "distinguished":
-            break
-        if stop_early and not report.records[-1].accepted:
+                witness = shrink_term(t, lambda cand: isinstance(run_one(cand, seed), Distinguished))
+                shrunk = print_program(witness)
+            record = TrialRecord(i, seed, term_size(t), True, kind, reason, shrunk)
+        report.records.append(record)
+        if stop_early and (record.verdict == "distinguished" or not record.accepted):
             break
     return report
 
 
-def difftest_dve(
-    cfg: GenConfig,
-    trials: int,
-    depth: int = 8,
-    probes: Optional[Sequence[int]] = None,
-    fuel: int = 10_000,
-    *,
-    analyze=None,
-    checker=None,
-    transform=None,
-    stop_early: bool = False,
-) -> DiffReport:
-    """Generate, analyze, transform with dve, and play the similarity
-    game: the original on the left, the two initial environments
-    agreeing exactly on the root live set."""
-    analyze = analyze or infer_tlive
-    checker = checker or check_tlive
-    transform = transform or dve
-    report = DiffReport("dve")
-
-    def run_one(term: Term, seed: int):
-        ann = analyze(term)
-        rej = checker({}, {}, ann)
-        if rej is not None:
-            return False, None, str(rej)
-        out = transform({}, {}, ann)
-        rng = Random(seed ^ 0xD1FF)
-        env = initial_env(term, cfg, rng)
-        env2 = perturbed_env(env, ann.fact, rng)
-        pr = tuple(probes) if probes is not None else default_probes(term, out)
-        verdict = check_sim(Config((), env, term), Config((), env2, out), depth, pr, fuel)
-        return True, verdict, ""
-
-    for i in range(trials):
-        seed = derive_seed(cfg.seed, i)
-        t = gen_program(replace(cfg, seed=seed))
-        ok, verdict, why = run_one(t, seed)
-        if not ok:
-            report.records.append(TrialRecord(i, seed, term_size(t), False, False, None, why))
-        else:
-            kind, reason = _verdict_fields(verdict)
-            shrunk = None
-            if kind == "distinguished":
-
-                def fails(cand: Term) -> bool:
-                    ok2, v2, _ = run_one(cand, seed)
-                    return ok2 and isinstance(v2, Distinguished)
-
-                shrunk_term = shrink_term(t, fails)
-                shrunk = print_program(shrunk_term)
-            report.records.append(TrialRecord(i, seed, term_size(t), True, True, kind, reason, shrunk))
-        if stop_early and (report.records[-1].verdict == "distinguished" or not report.records[-1].accepted):
-            break
-    return report
+difftest_uce = partial(difftest, "uce")
+difftest_dve = partial(difftest, "dve")
 
 
 # ---------------------------------------------------------------------------

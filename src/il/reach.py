@@ -5,9 +5,10 @@ condition evaluates in the empty environment propagate reachability
 only into the branch that can actually be taken; a function body is
 reachable only if some application of it sits in reachable code.  The
 checker verifies an annotation against the judgment rules and reports
-the first violated premise in pre-order; the inference computes the
-annotation the checker accepts, marking excluded branches and unused
-function bodies false throughout.
+the first violated premise in pre-order (rule "Shape" when a node's
+annotated children do not match its term's subterms); the inference
+computes the annotation the checker accepts, marking excluded branches
+and unused function bodies false throughout.
 """
 from __future__ import annotations
 
@@ -50,6 +51,14 @@ class Rejection:
     def __str__(self) -> str:
         where = ".".join(map(str, self.path)) if self.path else "<root>"
         return f"at {where}: {self.rule}: {self.detail}"
+
+
+def shape_rejection(node: Annotated, path: tuple) -> Optional[Rejection]:
+    """Reject a node whose child count does not match its term's."""
+    want = len(term_children(node.term))
+    if len(node.children) != want:
+        return Rejection(path, "Shape", f"{len(node.children)} annotated children for a term with {want}")
+    return None
 
 
 def infer_reach(t: Term) -> Annotated:
@@ -121,6 +130,9 @@ def check_reach(ctx: ReachCtx, at: Annotated) -> Optional[Rejection]:
     def walk(node: Annotated, ctx: Mapping[str, bool], path: tuple) -> Optional[Rejection]:
         term = node.term
         bit = node.fact
+        bad = shape_rejection(node, path)
+        if bad is not None:
+            return bad
         if isinstance(term, Let):
             child = node.children[0]
             if child.fact != bit:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .syntax import (
     App,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .reach import Rejection, static_branch
+from .reach import Rejection, shape_rejection, static_branch
 from .syntax import (
     Annotated,
     App,
@@ -117,6 +117,9 @@ def check_tlive(zeta: ParamCtx, lam: LiveCtx, at: Annotated) -> Optional[Rejecti
     def walk(node: Annotated, zeta: Mapping, lam: Mapping, path: tuple) -> Optional[Rejection]:
         term = node.term
         live: frozenset[str] = node.fact
+        bad = shape_rejection(node, path)
+        if bad is not None:
+            return bad
         if isinstance(term, Let):
             body = node.children[0]
             after: frozenset[str] = body.fact

@@ -6,24 +6,26 @@ drops group members whose body bit is false, and elides a group that
 loses all members.  dve removes pure lets whose variable is dead after
 the binding (system-call lets always stay), folds decided conditionals
 the same way, and filters parameter lists and the matching argument
-positions through the callee's live set.
+positions through the callee's live set.  run_pass is the one checked
+pipeline: it infers the pass's annotation, has the independent checker
+accept or reject it, and transforms only an accepted annotation.
 """
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
-from .reach import static_branch
+from .reach import Rejection, check_reach, infer_reach, static_branch
 from .syntax import (
     Annotated,
     App,
     Cond,
-    Exp,
     Fun,
     FunDef,
     Let,
     SysCall,
     Term,
 )
+from .tlive import check_tlive, infer_tlive
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -102,3 +104,19 @@ def dve(zeta: Mapping[str, tuple[str, ...]], lam: Mapping[str, frozenset[str]], 
         )
         return Fun(defs, dve(zeta2, lam2, at.children[len(term.defs)]))
     return term  # expressions unchanged
+
+
+def run_pass(name: str, t: Term) -> Union[tuple[Annotated, Term], Rejection]:
+    """Analyze, check and transform t with pass "uce" (reachability) or
+    "dve" (true liveness).  Returns the accepted annotation with the
+    output term, or the checker's rejection; nothing is transformed
+    unless the checker accepts."""
+    if name == "uce":
+        ann = infer_reach(t)
+        rej = check_reach({}, ann)
+        return rej if rej is not None else (ann, uce(ann))
+    if name == "dve":
+        ann = infer_tlive(t)
+        rej = check_tlive({}, {}, ann)
+        return rej if rej is not None else (ann, dve({}, {}, ann))
+    raise ValueError(f"unknown pass {name!r}")

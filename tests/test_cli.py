@@ -1,6 +1,7 @@
 """Command-line interface: exit codes and byte-stable output."""
 
 import json
+from hashlib import blake2b
 
 import pytest
 
@@ -168,6 +169,13 @@ def test_optimize_dve_unbound_callee_rejected(files, capsys):
     assert out == ""
     assert err.startswith("REJECTED ")
     assert "'f'" in err
+    # uce checks its reachability annotation too, and runs first
+    for flags in (("--uce",), ("--uce", "--dve")):
+        code, out, err = run_cli(capsys, "optimize", *flags, path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("REJECTED at <root>: Reach-App: ")
+        assert "'f'" in err
 
 
 def test_optimize_requires_a_pass(files, capsys):
@@ -257,6 +265,17 @@ def test_difftest_output_is_byte_stable(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "pass_name, digest",
+    [("uce", "331acd3951c0e0662a7ef30535ae93cc"), ("dve", "8b204bc725e0cae420672ff49a36b994")],
+)
+def test_difftest_output_digest_is_pinned(capsys, pass_name, digest):
+    # pins both protocols' record bytes, recorded from the two separate drivers difftest replaced
+    code, out, _ = run_cli(capsys, "difftest", "--pass", pass_name, "--trials", "200", "--seed", "0")
+    assert code == 0
+    assert blake2b(out.encode(), digest_size=16).hexdigest() == digest
+
+
 def test_difftest_requires_pass(capsys):
     code, _, err = run_cli(capsys, "difftest", "--trials", "5")
     assert code == 64
@@ -312,3 +331,24 @@ def test_outputs_are_deterministic_across_invocations(files, capsys):
     _, a, _ = run_cli(capsys, "analyze", "--reach", path)
     _, b, _ = run_cli(capsys, "analyze", "--reach", path)
     assert a == b
+
+
+# -- inputs deeper than the recursive walks allow
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("parse",), "(" * 200 + "1" + ")" * 200),
+        (("optimize", "--uce", "--dve"), "".join(f"let x{i} = {i} in " for i in range(600)) + "x0"),
+        (("check", "--probes", "0", "--depth", "3000"), "fun f() = let x = extern r() in f() in f()"),
+    ],
+    ids=["parse-parens", "optimize-lets", "check-deep-game"],
+)
+def test_too_deep_input_exits_2_without_traceback(files, capsys, argv, text):
+    path = files("deep.il", text)
+    paths = (path, path) if argv[0] == "check" else (path,)
+    code, out, err = run_cli(capsys, *argv, *paths)
+    assert code == 2
+    assert out == ""
+    assert err == "il: input nests too deeply for this implementation\n"

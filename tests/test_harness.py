@@ -1,5 +1,6 @@
 """Random program generation and the differential-testing loop."""
 
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from il.harness import (
     GenConfig,
+    TrialRecord,
     derive_seed,
     difftest_dve,
     difftest_uce,
@@ -129,6 +131,15 @@ def test_record_json_is_sorted_and_parseable():
         obj = json.loads(rec.to_json())
         assert list(obj) == sorted(obj)
         assert obj["verdict"] == "equivalent"
+
+
+def test_record_json_keeps_applied_key_equal_to_accepted():
+    # the record has no applied field; the key stays for byte-stable output
+    assert "applied" not in {f.name for f in dataclasses.fields(TrialRecord)}
+    for accepted in (True, False):
+        obj = json.loads(TrialRecord(0, 1, 3, accepted, None).to_json())
+        assert obj["applied"] is accepted
+        assert list(obj) == ["accepted", "applied", "reason", "seed", "shrunk", "size", "trial", "verdict"]
 
 
 # -- audits

@@ -1,10 +1,13 @@
 """Seeded-bug detection: each planted defect must be caught quickly."""
 
+import pytest
+
 import il.tlive
 import il.transform
 from il.harness import GenConfig, difftest_dve, difftest_uce
-from il.reach import check_reach, infer_reach
+from il.reach import Rejection, check_reach, infer_reach
 from il.syntax import Annotated, Fun, parse_program
+from il.tlive import check_tlive
 
 BUDGET = 500
 
@@ -73,3 +76,20 @@ def test_corrupted_reach_bit_is_rejected():
     kids = list(at.children)
     kids[0] = Annotated(kids[0].term, False, kids[0].children)
     assert check_reach({}, Annotated(at.term, at.fact, tuple(kids))) is not None
+
+
+@pytest.mark.parametrize("checker", ["reach", "tlive"])
+@pytest.mark.parametrize(
+    "src",
+    ["let x = 1 in x", "fun f() = 1 in f()", "if a then 1 else 2"],
+    ids=["let", "fun", "cond"],
+)
+def test_childless_annotation_is_rejected_not_raised(checker, src):
+    t = parse_program(src)
+    if checker == "reach":
+        rej = check_reach({}, Annotated(t, True, ()))
+    else:
+        rej = check_tlive({}, {}, Annotated(t, frozenset({"a"}), ()))
+    assert isinstance(rej, Rejection)
+    assert rej.rule == "Shape"
+    assert rej.path == ()

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from il.harness import GenConfig, derive_seed, gen_program
-from il.reach import infer_reach
+from il.reach import Rejection, infer_reach
 from il.syntax import Term, parse_program, print_program, term_children
 from il.tlive import infer_tlive
-from il.transform import dve, filter_list, filterby, uce
+from il.transform import dve, filter_list, filterby, run_pass, uce
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -200,3 +200,28 @@ def test_transforms_are_idempotent(n):
     assert uce(infer_reach(once)) == once
     once = dve({}, {}, infer_tlive(t))
     assert dve({}, {}, infer_tlive(once)) == once
+
+
+# -- the checked pipeline
+
+
+def test_run_pass_returns_annotation_and_output():
+    t = parse_program(LEFT)
+    ann, out = run_pass("dve", t)
+    assert ann == infer_tlive(t)
+    assert out == parse_program(RIGHT)
+    ann, out = run_pass("uce", t)
+    assert ann == infer_reach(t)
+    assert out == uce(ann)
+
+
+@pytest.mark.parametrize("name, rule", [("uce", "Reach-App"), ("dve", "TLive-App")])
+def test_run_pass_returns_the_checker_rejection(name, rule):
+    rej = run_pass(name, parse_program("f(1)"))
+    assert isinstance(rej, Rejection)
+    assert rej.rule == rule
+
+
+def test_run_pass_unknown_name_raises():
+    with pytest.raises(ValueError):
+        run_pass("cse", parse_program("1"))
