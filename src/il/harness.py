@@ -389,7 +389,9 @@ def reach_audit(t: Term, env: dict[str, int], oracle: Oracle, fuel: int, max_eve
     ann = infer_reach(t)
     bits: dict[int, bool] = {}
     for node in ann_walk(ann):
-        bits[id(node.term)] = bool(node.fact)
+        # A shared subterm object is reachable when any occurrence is.
+        k = id(node.term)
+        bits[k] = bits.get(k, False) or bool(node.fact)
     config = Config((), env, t)
     events = 0
     steps = 0

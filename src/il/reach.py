@@ -65,63 +65,60 @@ def infer_reach(t: Term) -> Annotated:
     """Annotate t with reachability bits, root true.
 
     Function-body bits are the least fixed point of "applied from some
-    reachable position", computed by re-sweeping until no new body is
-    marked.  Scope keys are node paths, so shadowed names resolve to
-    their most recent definition.
+    reachable position", computed with a worklist of reachable regions:
+    the root, and each group body once an application in reachable code
+    first marks it.  Each region is swept once, and unreachable code is
+    never swept.  Scope keys are node paths, so shadowed names resolve
+    to their most recent definition.
     """
     reachable: set[tuple] = set()
+    members: dict[tuple, tuple[Term, dict[str, tuple], tuple]] = {}
+    regions: list[tuple[Term, dict[str, tuple], tuple]] = [(t, {}, ())]
 
-    def sweep(term: Term, bit: bool, scope: dict[str, tuple], path: tuple) -> bool:
-        changed = False
+    def sweep(term: Term, scope: dict[str, tuple], path: tuple) -> None:
         if isinstance(term, Let):
-            return sweep(term.body, bit, scope, path + (0,))
-        if isinstance(term, Cond):
+            sweep(term.body, scope, path + (0,))
+        elif isinstance(term, Cond):
             sb = static_branch(term.cond)
-            changed |= sweep(term.then, bit if sb is not False else False, scope, path + (0,))
-            changed |= sweep(term.orelse, bit if sb is not True else False, scope, path + (1,))
-            return changed
-        if isinstance(term, App):
-            if bit:
-                key = scope.get(term.fun)
-                if key is not None and key not in reachable:
-                    reachable.add(key)
-                    return True
-            return False
-        if isinstance(term, Fun):
+            if sb is not False:
+                sweep(term.then, scope, path + (0,))
+            if sb is not True:
+                sweep(term.orelse, scope, path + (1,))
+        elif isinstance(term, App):
+            key = scope.get(term.fun)
+            if key is not None and key not in reachable:
+                reachable.add(key)
+                regions.append(members[key])
+        elif isinstance(term, Fun):
             inner = dict(scope)
             for g, d in enumerate(term.defs):
                 inner[d.name] = path + (g,)
             for g, d in enumerate(term.defs):
-                changed |= sweep(d.body, path + (g,) in reachable, inner, path + (g,))
-            changed |= sweep(term.cont, bit, inner, path + (len(term.defs),))
-            return changed
-        return False
+                members[path + (g,)] = (d.body, inner, path + (g,))
+            sweep(term.cont, inner, path + (len(term.defs),))
 
-    while sweep(t, True, {}, ()):
-        pass
+    while regions:
+        sweep(*regions.pop())
 
-    def build(term: Term, bit: bool, scope: dict[str, tuple], path: tuple) -> Annotated:
+    def build(term: Term, bit: bool, path: tuple) -> Annotated:
         if isinstance(term, Let):
-            return Annotated(term, bit, (build(term.body, bit, scope, path + (0,)),))
+            return Annotated(term, bit, (build(term.body, bit, path + (0,)),))
         if isinstance(term, Cond):
             sb = static_branch(term.cond)
             kids = (
-                build(term.then, bit if sb is not False else False, scope, path + (0,)),
-                build(term.orelse, bit if sb is not True else False, scope, path + (1,)),
+                build(term.then, bit if sb is not False else False, path + (0,)),
+                build(term.orelse, bit if sb is not True else False, path + (1,)),
             )
             return Annotated(term, bit, kids)
         if isinstance(term, Fun):
-            inner = dict(scope)
-            for g, d in enumerate(term.defs):
-                inner[d.name] = path + (g,)
             kids = tuple(
-                build(d.body, path + (g,) in reachable, inner, path + (g,))
+                build(d.body, path + (g,) in reachable, path + (g,))
                 for g, d in enumerate(term.defs)
-            ) + (build(term.cont, bit, inner, path + (len(term.defs),)),)
+            ) + (build(term.cont, bit, path + (len(term.defs),)),)
             return Annotated(term, bit, kids)
         return Annotated(term, bit, ())
 
-    return build(t, True, {}, ())
+    return build(t, True, ())
 
 
 def check_reach(ctx: ReachCtx, at: Annotated) -> Optional[Rejection]:

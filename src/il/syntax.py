@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Values
 
-INT_MIN = -(1 << 63)
 INT_MAX = (1 << 63) - 1
 _MASK = (1 << 64) - 1
 
@@ -299,8 +298,6 @@ def constants_of(*terms: Term) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Annotated terms
 
-FactTree = tuple  # (fact, (child FactTree, ...))
-
 
 @dataclass(frozen=True)
 class Annotated:
@@ -319,8 +316,8 @@ def strip(at: Annotated) -> Term:
     return at.term
 
 
-def zip_ann(t: Term, facts: FactTree) -> Annotated:
-    """Attach a structurally isomorphic fact tree to t."""
+def zip_ann(t: Term, facts: tuple) -> Annotated:
+    """Attach a structurally isomorphic fact tree, (fact, (subtree, ...)), to t."""
     if not (isinstance(facts, tuple) and len(facts) == 2 and isinstance(facts[1], tuple)):
         raise ValueError("fact tree nodes must be (fact, children) pairs")
     fact, subfacts = facts
@@ -400,131 +397,117 @@ class ParseError(Exception):
 
 _KEYWORDS = frozenset({"let", "in", "if", "then", "else", "fun", "and", "extern"})
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<int>[0-9]+)
-      | (?P<sym><=|[=+*/<!(),-])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident' | 'int' | 'sym' | 'eof'
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
+# Group 1 is a token; group 2 is a character no token can start with.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|[0-9]+|<=|[=+*/<!(),-])|(\S)")
 
 _BIN_PREC = {"=": 1, "<": 1, "<=": 1, "+": 2, "-": 2, "*": 3, "/": 3}
 
 
+def _error_at(src: str, off: int, message: str) -> ParseError:
+    """Only errors need a line and column, so only errors compute them."""
+    return ParseError(message, src.count("\n", 0, off) + 1, off - src.rfind("\n", 0, off))
+
+
+def _is_var(tok: str) -> bool:
+    """A name that is not a keyword; every token is ASCII."""
+    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in _KEYWORDS
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Tokens are their texts, "" ends the input; a token's kind
+    follows from its first character.  Offsets serve error positions."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.toks: list[str] = []
+        self.offs: list[int] = []
+        # All of src is tokenized first, so a bad character is reported
+        # before any syntax error that precedes it.
+        for m in _TOKEN_RE.finditer(src):
+            tok = m.group(1)
+            if tok is None:
+                raise _error_at(src, m.start(), f"unexpected character {m.group(2)!r}")
+            self.toks.append(tok)
+            self.offs.append(m.start())
+        self.toks.append("")
+        self.offs.append(len(src))
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> str:
+        return self.toks[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def advance(self) -> str:
+        tok = self.toks[self.pos]
+        if tok:
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Optional[_Token] = None) -> "ParseError":
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        return _error_at(self.src, self.offs[self.pos if at is None else at], message)
 
-    def at_kw(self, kw: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == kw
-
-    def expect_kw(self, kw: str) -> None:
-        if not self.at_kw(kw):
-            raise self.error(f"expected {kw!r}")
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise self.error(f"expected {tok!r}")
         self.advance()
 
-    def expect_sym(self, sym: str) -> None:
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
-            raise self.error(f"expected {sym!r}")
-        self.advance()
-
-    def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in _KEYWORDS:
+    def expect_name(self, what: str) -> str:
+        if not _is_var(self.peek()):
             raise self.error(f"expected {what}")
         return self.advance()
+
+    def comma_list(self, item: Callable[[], Any]) -> tuple:
+        self.expect("(")
+        out = []
+        if self.peek() != ")":
+            out.append(item())
+            while self.peek() == ",":
+                self.advance()
+                out.append(item())
+        self.expect(")")
+        return tuple(out)
 
     # -- terms
 
     def term(self) -> Term:
         tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text == "let":
-                return self.let_term()
-            if tok.text == "if":
-                return self.cond_term()
-            if tok.text == "fun":
-                return self.fun_term()
-            nxt = self.peek(1)
-            if tok.text not in _KEYWORDS and nxt.kind == "sym" and nxt.text == "(":
-                return self.app_term()
+        if tok == "let":
+            return self.let_term()
+        if tok == "if":
+            return self.cond_term()
+        if tok == "fun":
+            return self.fun_term()
+        # a name is never the last token, so pos + 1 is in range
+        if _is_var(tok) and self.toks[self.pos + 1] == "(":
+            self.advance()
+            return App(tok, self.comma_list(self.expr))
         return Exp(self.expr())
 
     def let_term(self) -> Term:
-        self.expect_kw("let")
-        var = self.expect_name("a variable name").text
-        self.expect_sym("=")
+        self.advance()
+        var = self.expect_name("a variable name")
+        self.expect("=")
         value: Union[Expr, SysCall]
-        if self.at_kw("extern"):
+        if self.peek() == "extern":
             self.advance()
-            action = self.expect_name("an action name").text
-            value = SysCall(action, self.expr_args())
+            action = self.expect_name("an action name")
+            value = SysCall(action, self.comma_list(self.expr))
         else:
             value = self.expr()
-        self.expect_kw("in")
+        self.expect("in")
         return Let(var, value, self.term())
 
     def cond_term(self) -> Term:
-        self.expect_kw("if")
+        self.advance()
         cond = self.expr()
-        self.expect_kw("then")
+        self.expect("then")
         then = self.term()
-        self.expect_kw("else")
+        self.expect("else")
         return Cond(cond, then, self.term())
 
     def fun_term(self) -> Term:
-        self.expect_kw("fun")
+        self.advance()
         defs = [self.fundef()]
-        while self.at_kw("and"):
+        while self.peek() == "and":
             self.advance()
             defs.append(self.fundef())
         seen: set[str] = set()
@@ -532,96 +515,70 @@ class _Parser:
             if d.name in seen:
                 raise self.error(f"duplicate function name {d.name!r} in group")
             seen.add(d.name)
-        self.expect_kw("in")
+        self.expect("in")
         return Fun(tuple(defs), self.term())
 
     def fundef(self) -> FunDef:
-        name = self.expect_name("a function name").text
-        self.expect_sym("(")
-        params: list[str] = []
-        if not (self.peek().kind == "sym" and self.peek().text == ")"):
-            while True:
-                ptok = self.expect_name("a parameter name")
-                if ptok.text in params:
-                    raise self.error(f"duplicate parameter {ptok.text!r}", ptok)
-                params.append(ptok.text)
-                if self.peek().kind == "sym" and self.peek().text == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect_sym(")")
-        self.expect_sym("=")
-        return FunDef(name, tuple(params), self.term())
+        name = self.expect_name("a function name")
+        seen: set[str] = set()
 
-    def app_term(self) -> Term:
-        name = self.expect_name("a function name").text
-        return App(name, self.expr_args())
+        def param() -> str:
+            at = self.pos
+            p = self.expect_name("a parameter name")
+            if p in seen:
+                raise self.error(f"duplicate parameter {p!r}", at)
+            seen.add(p)
+            return p
 
-    def expr_args(self) -> tuple[Expr, ...]:
-        self.expect_sym("(")
-        args: list[Expr] = []
-        if not (self.peek().kind == "sym" and self.peek().text == ")"):
-            while True:
-                args.append(self.expr())
-                if self.peek().kind == "sym" and self.peek().text == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect_sym(")")
-        return tuple(args)
+        params = self.comma_list(param)
+        self.expect("=")
+        return FunDef(name, params, self.term())
 
     # -- expressions (precedence climbing, all binops left-associative)
 
-    def expr(self) -> Expr:
-        return self.binop_chain(1)
-
-    def binop_chain(self, prec: int) -> Expr:
-        if prec > 3:
-            return self.unary()
-        e = self.binop_chain(prec + 1)
+    def expr(self, min_prec: int = 1) -> Expr:
+        e = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "sym" and _BIN_PREC.get(tok.text) == prec:
-                self.advance()
-                e = Binop(tok.text, e, self.binop_chain(prec + 1))
-            else:
+            op = self.peek()
+            prec = _BIN_PREC.get(op)
+            if prec is None or prec < min_prec:
                 return e
+            self.advance()
+            e = Binop(op, e, self.expr(prec + 1))
 
     def unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
+        if tok == "-":
             self.advance()
-            nxt = self.peek()
-            if nxt.kind == "int":
-                self.advance()
-                return Const(wrap(-int(nxt.text)))
+            if self.peek().isdigit():
+                return Const(wrap(-int(self.advance())))
             return Unop("neg", self.unary())
-        if tok.kind == "sym" and tok.text == "!":
+        if tok == "!":
             self.advance()
             return Unop("not", self.unary())
         return self.atom()
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok.isdigit():
             self.advance()
-            return Const(wrap(int(tok.text)))
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
+            return Const(wrap(int(tok)))
+        if _is_var(tok):
             self.advance()
-            return Var(tok.text)
-        if tok.kind == "sym" and tok.text == "(":
+            return Var(tok)
+        if tok == "(":
             self.advance()
             e = self.expr()
-            self.expect_sym(")")
+            self.expect(")")
             return e
         raise self.error("expected an expression")
 
 
 def parse_program(src: str) -> Term:
     """Parse a program; raises ParseError with line/column on failure."""
-    p = _Parser(_tokenize(src))
+    p = _Parser(src)
     t = p.term()
-    if p.peek().kind != "eof":
+    if p.peek():
         raise p.error("expected end of input")
     return t
 

@@ -6,9 +6,12 @@ drops group members whose body bit is false, and elides a group that
 loses all members.  dve removes pure lets whose variable is dead after
 the binding (system-call lets always stay), folds decided conditionals
 the same way, and filters parameter lists and the matching argument
-positions through the callee's live set.  run_pass is the one checked
-pipeline: it infers the pass's annotation, has the independent checker
-accept or reject it, and transforms only an accepted annotation.
+positions through the callee's live set.  dve needs its own fold:
+check_tlive skips a statically excluded branch, which may apply a
+function bound nowhere, so dve must never descend into one.  run_pass
+is the one checked pipeline: it infers the pass's annotation, has the
+independent checker accept or reject it, and transforms only an
+accepted annotation.
 """
 from __future__ import annotations
 

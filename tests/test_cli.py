@@ -178,6 +178,14 @@ def test_optimize_dve_unbound_callee_rejected(files, capsys):
         assert "'f'" in err
 
 
+@pytest.mark.parametrize("flags", [("--dve",), ("--uce", "--dve")])
+def test_optimize_folds_excluded_branch_with_unbound_callee(files, capsys, flags):
+    # check_tlive skips the excluded branch, so dve must not descend into it
+    path = files("e.il", "if 0 then f(1) else 2")
+    code, out, err = run_cli(capsys, "optimize", *flags, path)
+    assert (code, out, err) == (0, "2\n", "")
+
+
 def test_optimize_requires_a_pass(files, capsys):
     path = files("x.il", "3")
     code, _, err = run_cli(capsys, "optimize", path)
@@ -339,7 +347,7 @@ def test_outputs_are_deterministic_across_invocations(files, capsys):
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (("parse",), "(" * 200 + "1" + ")" * 200),
+        (("parse",), "(" * 1000 + "1" + ")" * 1000),
         (("optimize", "--uce", "--dve"), "".join(f"let x{i} = {i} in " for i in range(600)) + "x0"),
         (("check", "--probes", "0", "--depth", "3000"), "fun f() = let x = extern r() in f() in f()"),
     ],

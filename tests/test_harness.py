@@ -21,7 +21,7 @@ from il.harness import (
     reach_audit,
 )
 from il.semantics import SeededOracle
-from il.syntax import Exp, parse_program, term_size, well_formed
+from il.syntax import Cond, Const, Exp, parse_program, term_size, well_formed
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 
@@ -167,6 +167,12 @@ def test_tlive_audit_batch():
 
 def test_reach_audit_left_figure():
     assert reach_audit(parse_program(LEFT), {}, SeededOracle(0), fuel=1000)
+
+
+def test_reach_audit_shared_subterm_counts_any_reachable_occurrence():
+    shared = Exp(Const(7))
+    assert reach_audit(Cond(Const(1), shared, shared), {}, SeededOracle(0), fuel=100)
+    assert reach_audit(Cond(Const(1), Exp(Const(7)), Exp(Const(7))), {}, SeededOracle(0), fuel=100)
 
 
 def test_reach_audit_batch():

@@ -208,6 +208,29 @@ def test_parse_error_carries_position():
     assert "expected" in err.value.message
 
 
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("let x =\n  in x", "2:3: expected an expression"),
+        ("x @ y", "1:3: unexpected character '@'"),
+        ("1 +\n\n  'y", "3:3: unexpected character \"'\""),
+        ("12'", "1:3: unexpected character \"'\""),
+        ("fun f(x, x) = 1 in 2", "1:10: duplicate parameter 'x'"),
+        ("fun f() = 1 and f() = 2 in 3", "1:25: duplicate function name 'f' in group"),
+        ("let x = 1 in\n", "2:1: expected an expression"),
+        ("3 4", "1:3: expected end of input"),
+        ("let in = 3 in in", "1:5: expected a variable name"),
+        ("f(1,\n\t)", "2:2: expected an expression"),
+        ("if 1 then 2", "1:12: expected 'else'"),
+        ("x é", "1:3: unexpected character 'é'"),
+    ],
+)
+def test_parse_error_positions(src, expected):
+    with pytest.raises(ParseError) as err:
+        parse_program(src)
+    assert str(err.value) == expected
+
+
 def test_parse_rejects_duplicate_group_names():
     with pytest.raises(ParseError):
         parse_program("fun f() = 1 and f() = 2 in 3")
