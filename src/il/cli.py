@@ -5,8 +5,8 @@ Subcommands: parse, run, analyze, optimize, check, difftest.
 Exit codes: 0 success (for check: equivalent), 1 distinguished or
 rejected, 2 parse error, exhausted check, or an input that nests too
 deeply for the recursive walks (one line on stderr, no traceback), 64
-usage error, 66 file not readable.  Output is plain text, byte-stable
-for a fixed input and seed.
+usage error, 66 file not readable or not valid UTF-8.  Output is plain
+text, byte-stable for a fixed input and seed.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, che
 from .harness import DiffReport, GenConfig, difftest_dve, difftest_uce
 from .reach import Rejection, check_reach, infer_reach
 from .semantics import Config, SeededOracle, run_trace, trace_text
-from .syntax import ParseError, Term, parse_program, print_program, sidecar_text
+from .syntax import ParseError, Term, is_var_name, parse_program, print_program, sidecar_text, wrap
 from .tlive import check_tlive, infer_tlive
 from .transform import run_pass
 from .transform import dve, uce  # noqa: F401 - unused here; perfbench/workloads.py reads them off il.cli
@@ -60,6 +60,9 @@ def _read(path: str) -> str:
     except OSError as exc:
         print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(EX_NOINPUT)
+    except UnicodeDecodeError:
+        print(f"cannot read {path}: not valid UTF-8 text", file=sys.stderr)
+        raise SystemExit(EX_NOINPUT)
 
 
 def _parse_file(path: str) -> Term:
@@ -79,11 +82,15 @@ def _parse_env(spec: Optional[str]) -> dict[str, int]:
         if not item:
             continue
         name, _, value = item.partition("=")
+        name = name.strip()
         try:
-            env[name.strip()] = int(value)
+            number = int(value)
         except ValueError:
+            number = None
+        if number is None or not is_var_name(name):
             print(f"bad --env entry: {item!r}", file=sys.stderr)
             raise SystemExit(EX_USAGE)
+        env[name] = wrap(number)  # 64-bit, as the parser wraps literals
     return env
 
 

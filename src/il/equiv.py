@@ -50,12 +50,13 @@ from .semantics import (
     apply_extern,
     run_to_anchor,
 )
-from .syntax import Term, constants_of
+from .syntax import Term, constants_of, wrap
 
 
 def make_probes(values: Iterable[int]) -> tuple[int, ...]:
-    """Deduplicate, keep deterministic order; must be non-empty."""
-    out = tuple(dict.fromkeys(values))
+    """Wrap to signed 64 bits like every other value, then deduplicate in
+    deterministic order; must be non-empty."""
+    out = tuple(dict.fromkeys(wrap(v) for v in values))
     if not out:
         raise ValueError("probe set must be non-empty")
     return out

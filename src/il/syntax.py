@@ -413,6 +413,12 @@ def _is_var(tok: str) -> bool:
     return (tok[:1].isalpha() or tok[:1] == "_") and tok not in _KEYWORDS
 
 
+def is_var_name(text: str) -> bool:
+    """Whether text is exactly one variable name token."""
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.group(1) is not None and _is_var(text)
+
+
 class _Parser:
     """Tokens are their texts, "" ends the input; a token's kind
     follows from its first character.  Offsets serve error positions."""

@@ -6,17 +6,19 @@ analysis tracks use through calls: an argument is only live if the
 corresponding parameter is live in the callee, which is what lets dead
 parameters and their argument expressions disappear together.
 
-infer_tlive runs a backward pass per node inside a round-based outer
-fixed point on the per-function live sets (all sets start empty and
-only grow, so the result is the least solution).  check_tlive verifies
-an annotation against the judgment rules; a statically excluded branch
-of a conditional needs no derivation at all and is skipped, while the
-inference still annotates it with its own least solution, which
-contributes nothing to the node's set.
+infer_tlive solves the member-body sets with a worklist (Kildall): a
+body is swept when its group is first reached and again, FIFO, when a
+set it read grows; the root, whose set nothing reads, is swept once.
+Sets only grow from empty, so the result is the least solution.
+check_tlive verifies an annotation against the judgment rules; a
+statically excluded branch of a conditional needs no derivation at all
+and is skipped, while the inference still annotates it with its own
+least solution, which contributes nothing to the node's set.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from collections import deque
+from typing import Mapping, Optional, Sequence
 
 from .reach import Rejection, shape_rejection, static_branch
 from .syntax import (
@@ -45,70 +47,108 @@ def _group_live_context(lam: dict, names: list[str], sets: list[frozenset[str]])
     return out
 
 
+def _fact(term: Term, kids: Sequence[frozenset[str]], callee: Optional[tuple]) -> frozenset[str]:
+    """The transfer rule: a node's set from its children's (member bodies,
+    then the continuation) and an application's callee (params, set);
+    an unbound callee (None) is underivable anyway, so needs nothing."""
+    if isinstance(term, Exp):
+        return free_vars(term.expr)
+    if isinstance(term, Let):
+        fact = kids[0] - {term.var}
+        if isinstance(term.value, SysCall):
+            return fact | free_vars_list(term.value.args)
+        return fact | free_vars(term.value) if term.var in kids[0] else fact
+    if isinstance(term, App):
+        params, live = callee or ((), _EMPTY)
+        fact = _EMPTY
+        for x, e in zip(params, term.args):
+            if x in live:
+                fact |= free_vars(e)
+        return fact
+    if isinstance(term, Cond):
+        sb = static_branch(term.cond)
+        fact = free_vars(term.cond) if sb is None else _EMPTY
+        if sb is not False:
+            fact |= kids[0]
+        return fact | kids[1] if sb is not True else fact
+    assert isinstance(term, Fun)
+    fact = kids[-1]
+    for d, live in zip(term.defs, kids):
+        fact |= live - set(d.params)
+    return fact
+
+
 def infer_tlive(t: Term) -> Annotated:
     """Annotate t with its least true-liveness solution."""
-    estimates: dict[tuple, frozenset[str]] = {}
+    live: dict[tuple, frozenset[str]] = {}
+    users: dict[tuple, set[tuple]] = {}
+    scopes: dict[tuple, dict[str, tuple]] = {}
+    members: dict[tuple, Term] = {}
+    queue: deque[tuple] = deque()
+    queued: set[tuple] = set()
 
-    def annotate(term: Term, path: tuple, zeta: dict, lam: dict) -> Annotated:
+    def read(key: tuple, region: tuple) -> frozenset[str]:
+        users[key].add(region)
+        return live[key]
+
+    def grow(key: tuple, fact: frozenset[str]) -> None:
+        if fact != live[key]:
+            live[key] = fact
+            fresh = users[key] - queued - {()}  # () is the root: nothing reads its set
+            queue.extend(fresh)
+            queued.update(fresh)
+
+    def sweep(term: Term, path: tuple, scope: dict, region: tuple) -> frozenset[str]:
+        """Fold _fact over a region, reading nested member sets as their user."""
         if isinstance(term, Let):
-            body = annotate(term.body, path + (0,), zeta, lam)
-            after = body.fact
-            if isinstance(term.value, SysCall):
-                fact = (after - {term.var}) | free_vars_list(term.value.args)
-            else:
-                fact = after - {term.var}
-                if term.var in after:
-                    fact |= free_vars(term.value)
-            return Annotated(term, fact, (body,))
-        if isinstance(term, Cond):
-            sb = static_branch(term.cond)
-            then = annotate(term.then, path + (0,), zeta, lam)
-            orelse = annotate(term.orelse, path + (1,), zeta, lam)
-            fact = _EMPTY
-            if sb is None:
-                fact |= free_vars(term.cond)
-            if sb is not False:
-                fact |= then.fact
-            if sb is not True:
-                fact |= orelse.fact
-            return Annotated(term, fact, (then, orelse))
+            return _fact(term, (sweep(term.body, path + (0,), scope, region),), None)
         if isinstance(term, App):
-            params = zeta.get(term.fun)
-            live = lam.get(term.fun)
-            fact = _EMPTY
-            if params is not None and live is not None:
-                for x, e in zip(params, term.args):
-                    if x in live:
-                        fact |= free_vars(e)
-            # unknown callee: the judgment is underivable anyway, and the
-            # least solution carries no requirement
-            return Annotated(term, fact, ())
+            bound = scope.get(term.fun)
+            return _fact(term, (), None if bound is None else (bound[0], read(bound[1], region)))
+        if isinstance(term, Cond):
+            then = sweep(term.then, path + (0,), scope, region)
+            return _fact(term, (then, sweep(term.orelse, path + (1,), scope, region)), None)
         if isinstance(term, Fun):
-            names = [d.name for d in term.defs]
-            zeta2 = dict(zeta)
-            zeta2.update((d.name, d.params) for d in term.defs)
-            lam2 = _group_live_context(
-                lam, names, [estimates.get(path + (g,), _EMPTY) for g in range(len(names))]
-            )
-            bodies = []
-            for g, d in enumerate(term.defs):
-                body = annotate(d.body, path + (g,), zeta2, lam2)
-                bodies.append(body)
-                key = path + (g,)
-                estimates[key] = estimates.get(key, _EMPTY) | body.fact
-            cont = annotate(term.cont, path + (len(names),), zeta2, lam2)
-            fact = cont.fact
-            for d, body in zip(term.defs, bodies):
-                fact |= body.fact - set(d.params)
-            return Annotated(term, fact, tuple(bodies) + (cont,))
-        assert isinstance(term, Exp)
-        return Annotated(term, free_vars(term.expr), ())
+            keys = [path + (g,) for g in range(len(term.defs))]
+            if path not in scopes:
+                # a scope maps a name to (parameters, member path)
+                inner = scopes[path] = {**scope, **{d.name: (d.params, key) for d, key in zip(term.defs, keys)}}
+                for d, key in zip(term.defs, keys):
+                    live[key], users[key], members[key] = _EMPTY, set(), d.body
+                for d, key in zip(term.defs, keys):
+                    grow(key, sweep(d.body, key, inner, key))
+            kids = [read(key, region) for key in keys]
+            kids.append(sweep(term.cont, path + (len(keys),), scopes[path], region))
+            return _fact(term, kids, None)
+        return _fact(term, (), None)
 
-    while True:
-        before = dict(estimates)
-        result = annotate(t, (), {}, {})
-        if estimates == before:
-            return result
+    sweep(t, (), {}, ())
+    while queue:
+        key = queue.popleft()
+        queued.discard(key)
+        grow(key, sweep(members[key], key, scopes[key[:-1]], key))
+
+    def build(term: Term, path: tuple, scope: dict, lam: dict) -> Annotated:
+        if isinstance(term, Let):
+            kids: tuple = (build(term.body, path + (0,), scope, lam),)
+            return Annotated(term, _fact(term, (kids[0].fact,), None), kids)
+        if isinstance(term, App):
+            known = term.fun in scope and term.fun in lam
+            return Annotated(term, _fact(term, (), (scope[term.fun][0], lam[term.fun]) if known else None), ())
+        if isinstance(term, Cond):
+            kids = (build(term.then, path + (0,), scope, lam), build(term.orelse, path + (1,), scope, lam))
+            return Annotated(term, _fact(term, (kids[0].fact, kids[1].fact), None), kids)
+        if isinstance(term, Fun):
+            inner, n = scopes[path], len(term.defs)
+            lam = _group_live_context(lam, [d.name for d in term.defs], [live[path + (g,)] for g in range(n)])
+            built = []
+            for g, d in enumerate(term.defs):
+                built.append(build(d.body, path + (g,), inner, lam))
+            built.append(build(term.cont, path + (n,), inner, lam))
+            return Annotated(term, _fact(term, [k.fact for k in built], None), tuple(built))
+        return Annotated(term, _fact(term, (), None), ())
+
+    return build(t, (), {}, {})
 
 
 def check_tlive(zeta: ParamCtx, lam: LiveCtx, at: Annotated) -> Optional[Rejection]:

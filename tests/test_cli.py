@@ -57,6 +57,21 @@ def test_missing_file_exits_66(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("run",), ("parse",), ("analyze", "--tlive"), ("optimize", "--dve"), ("check",)],
+    ids=["run", "parse", "analyze", "optimize", "check"],
+)
+def test_non_utf8_file_exits_66_without_traceback(capsys, tmp_path, argv):
+    path = tmp_path / "bytes.il"
+    path.write_bytes(b"\xff\xfe a")
+    paths = (str(path), str(path)) if argv[0] == "check" else (str(path),)
+    code, out, err = run_cli(capsys, *argv, *paths)
+    assert code == 66
+    assert out == ""
+    assert err == f"cannot read {path}: not valid UTF-8 text\n"
+
+
 # -- run
 
 
@@ -103,6 +118,22 @@ def test_run_bad_env_exits_64(files, capsys):
     path = files("v.il", "a")
     code, _, err = run_cli(capsys, "run", path, "--env", "a=x")
     assert code == 64
+
+
+@pytest.mark.parametrize("entry", ["=3", " =3", "1a=2", "let=2", "a b=1", "a+b=1"])
+def test_run_env_name_must_be_a_variable(files, capsys, entry):
+    path = files("v.il", "a")
+    code, out, err = run_cli(capsys, "run", path, "--env", entry)
+    assert code == 64
+    assert out == ""
+    assert err == f"bad --env entry: {entry.strip()!r}\n"
+
+
+def test_run_env_value_wraps_to_64_bits(files, capsys):
+    path = files("v.il", "if b < 0 then a else 0")
+    code, out, _ = run_cli(capsys, "run", path, "--env", f"a={2**64 + 5},b={2**63}")
+    assert code == 0
+    assert out == "END TERM 5\n"
 
 
 # -- analyze
@@ -223,6 +254,18 @@ def test_check_env_applies_to_both_sides(files, capsys):
     l, r = files("a.il", "a + 1"), files("b.il", "2 * a - a + 1")
     code, out, _ = run_cli(capsys, "check", l, r, "--env", "a=4")
     assert code == 0
+
+
+def test_check_out_of_range_env_is_wrapped_like_a_literal(files, capsys):
+    l, r = files("a.il", "a"), files("b.il", "let x = a in x + 0")
+    code, out, _ = run_cli(capsys, "check", l, r, "--env", "a=99999999999999999999999")
+    assert (code, out) == (0, "EQUIVALENT to depth 8\n")
+
+
+def test_check_out_of_range_probe_is_wrapped(files, capsys):
+    l, r = files("a.il", "let r = extern rd() in r"), files("b.il", "let r = extern rd() in r + 0")
+    code, out, _ = run_cli(capsys, "check", l, r, "--probes", str(2**64 + 1))
+    assert (code, out) == (0, "EQUIVALENT to depth 8\n")
 
 
 def test_check_exhausted_exits_2(files, capsys):

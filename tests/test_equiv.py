@@ -35,6 +35,10 @@ def test_make_probes_dedups_preserving_order():
     assert make_probes([3, 1, 3, 2, 1]) == (3, 1, 2)
 
 
+def test_make_probes_wraps_to_64_bits_before_dedup():
+    assert make_probes([2**64 + 1, 1, -(2**63) - 1, 2**63]) == (1, 2**63 - 1, -(2**63))
+
+
 def test_make_probes_rejects_empty():
     with pytest.raises(ValueError):
         make_probes([])
