@@ -18,7 +18,7 @@ from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, che
 from .harness import DiffReport, GenConfig, difftest_dve, difftest_uce
 from .reach import Rejection, check_reach, infer_reach
 from .semantics import Config, SeededOracle, run_trace, trace_text
-from .syntax import ParseError, Term, is_var_name, parse_program, print_program, sidecar_text, wrap
+from .syntax import ParseError, Term, int_literal, is_var_name, parse_program, print_program, sidecar_text
 from .tlive import check_tlive, infer_tlive
 from .transform import run_pass
 from .transform import dve, uce  # noqa: F401 - unused here; perfbench/workloads.py reads them off il.cli
@@ -46,11 +46,12 @@ def _non_negative(text: str) -> int:
 
 
 def _probe_list(text: str) -> tuple[int, ...]:
-    """argparse type for --probes: comma separated integers."""
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
+    """argparse type for --probes: comma separated integers, each spelled
+    like a literal, optionally negated."""
+    probes = tuple(int_literal(x.strip()) for x in text.split(","))
+    if None in probes:
         raise argparse.ArgumentTypeError(f"invalid probe list: {text!r}")
+    return probes
 
 
 def _read(path: str) -> str:
@@ -83,14 +84,11 @@ def _parse_env(spec: Optional[str]) -> dict[str, int]:
             continue
         name, _, value = item.partition("=")
         name = name.strip()
-        try:
-            number = int(value)
-        except ValueError:
-            number = None
+        number = int_literal(value.strip())
         if number is None or not is_var_name(name):
             print(f"bad --env entry: {item!r}", file=sys.stderr)
             raise SystemExit(EX_USAGE)
-        env[name] = wrap(number)  # 64-bit, as the parser wraps literals
+        env[name] = number  # 64-bit, as the parser reads literals
     return env
 
 

@@ -3,12 +3,20 @@
 The checker plays the equivalence game on anchors: run both sides
 silently to a terminal or a pending system call, compare, and on a
 matching pair of pending calls feed every probe value to both sides
-and recurse with one less depth.  Execution is deterministic between
+and play on with one less depth.  Execution is deterministic between
 system calls, so exploring a finite probe set to a finite depth
 decides "no difference observable within k calls over these probes".
 A ready pair at depth 0 is cut off before the pending call is compared
 and counts as equivalent to depth 0; enumerate_traces truncates at the
 same point, which keeps game verdicts and trace-set equality aligned.
+
+The game memoizes each pair of configurations and depth under the
+configurations' semantics.Keys: what their futures can read, not their
+whole environments, so pairs that differ only in variables never read
+again share an entry.  run_to_anchor's repeat check compares the same
+keys, so a memo hit returns exactly what running the pair would.  The
+game and enumerate_traces walk the tree of probe choices on explicit
+stacks, so their depth is not bounded by Python's recursion limit.
 
 Silent divergence is decided, not cut off: run_to_anchor returns a
 Diverges anchor when a silent run repeats a configuration (see
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .semantics import (
+    Anchor,
     Config,
     Diverged,
     Diverges,
@@ -47,6 +56,7 @@ from .semantics import (
     Trace,
     Terminated,
     Cutoff,
+    Keys,
     apply_extern,
     run_to_anchor,
 )
@@ -92,116 +102,102 @@ _FUEL = 2  # some branch ran out of fuel; inconclusive
 _DIST = 3
 
 
-def _env_key(env: dict) -> tuple:
-    return tuple(sorted(env.items()))
+def _judge(a1: Anchor, a2: Anchor, depth: int) -> tuple[Optional[int], str]:
+    """The kind of a game node from its two anchors and, for _DIST, the
+    reason; None for matching pending calls that branch on the probes."""
+    if isinstance(a1, OutOfFuel) or isinstance(a2, OutOfFuel):
+        return _FUEL, ""
+    if isinstance(a1, Diverges) and isinstance(a2, Diverges):
+        return _EQ_FULL, ""
+    if isinstance(a1, Diverges) or isinstance(a2, Diverges):
+        side = "left" if isinstance(a1, Diverges) else "right"
+        return _DIST, f"{side} side diverges silently while the other does not"
+    if isinstance(a1, Done) and isinstance(a2, Done):
+        if a1.result == a2.result:
+            return _EQ_FULL, ""
+        return _DIST, f"terminal results differ: {_val(a1.result)} vs {_val(a2.result)}"
+    if isinstance(a1, Done) or isinstance(a2, Done):
+        side = "left" if isinstance(a1, Done) else "right"
+        return _DIST, f"{side} side terminates while the other is at a system call"
+    assert isinstance(a1, Ready) and isinstance(a2, Ready)
+    if depth == 0:
+        return _EQ_DEPTH, ""
+    if a1.action != a2.action or a1.args != a2.args:
+        return _DIST, (
+            f"pending system calls differ: {a1.action}({','.join(map(str, a1.args))})"
+            f" vs {a2.action}({','.join(map(str, a2.args))})"
+        )
+    return None, ""
 
 
-class _Keys:
-    """Structural keys for memoization, with identity caches for the
-    pieces that persist across configurations.  The cache holds every
-    group it has keyed, so no id() in it can be reused by a later
-    object while the cache lives."""
+class _Frame:
+    """A game node whose probes are being explored."""
 
-    def __init__(self) -> None:
-        self.groups: dict[int, tuple[tuple, tuple]] = {}
+    __slots__ = ("key", "left", "right", "depth", "probe", "worst", "event")
 
-    def group(self, g: tuple) -> tuple:
-        hit = self.groups.get(id(g))
-        if hit is not None:
-            return hit[1]
-        k = tuple((name, id(clo.body), clo.params, _env_key(clo.env)) for name, clo in g)
-        self.groups[id(g)] = (g, k)
-        return k
-
-    def config(self, c: Config) -> tuple:
-        return (id(c.term), _env_key(c.env), tuple(self.group(g) for g in c.funs))
-
-
-@dataclass(frozen=True)
-class _Outcome:
-    kind: int
-    events: tuple[Event, ...] = ()
-    choices: tuple[int, ...] = ()
-    reason: str = ""
+    def __init__(self, key: tuple, left: Config, right: Config, depth: int) -> None:
+        self.key = key
+        self.left = left  # the ready configurations
+        self.right = right
+        self.depth = depth  # of the successors
+        self.probe = 0  # index of the probe being explored
+        self.worst = _EQ_FULL  # over the probes explored so far
+        self.event: Optional[Event] = None  # the left event of that probe
 
 
 def _game(
-    left: Config,
-    right: Config,
-    depth: int,
-    probes: tuple[int, ...],
-    fuel: int,
-    sim: bool,
-    memo: dict,
-    keys: _Keys,
-) -> _Outcome:
-    key = (keys.config(left), keys.config(right), depth)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-
-    a1 = run_to_anchor(left, fuel)
-    if sim and isinstance(a1, Done) and a1.result is None:
-        out = _Outcome(_EQ_FULL)  # left failed: similar to anything
-        memo[key] = out
-        return out
-    a2 = run_to_anchor(right, fuel)
-
-    if isinstance(a1, OutOfFuel) or isinstance(a2, OutOfFuel):
-        out = _Outcome(_FUEL)
-    elif isinstance(a1, Diverges) and isinstance(a2, Diverges):
-        out = _Outcome(_EQ_FULL)
-    elif isinstance(a1, Diverges) or isinstance(a2, Diverges):
-        side = "left" if isinstance(a1, Diverges) else "right"
-        out = _Outcome(_DIST, reason=f"{side} side diverges silently while the other does not")
-    elif isinstance(a1, Done) and isinstance(a2, Done):
-        if a1.result == a2.result:
-            out = _Outcome(_EQ_FULL)
-        else:
-            out = _Outcome(_DIST, reason=f"terminal results differ: {_val(a1.result)} vs {_val(a2.result)}")
-    elif isinstance(a1, Done) or isinstance(a2, Done):
-        side = "left" if isinstance(a1, Done) else "right"
-        out = _Outcome(_DIST, reason=f"{side} side terminates while the other is at a system call")
-    else:
-        assert isinstance(a1, Ready) and isinstance(a2, Ready)
-        if depth == 0:
-            out = _Outcome(_EQ_DEPTH)
-        elif a1.action != a2.action or a1.args != a2.args:
-            out = _Outcome(
-                _DIST,
-                reason=(
-                    f"pending system calls differ: {a1.action}({','.join(map(str, a1.args))})"
-                    f" vs {a2.action}({','.join(map(str, a2.args))})"
-                ),
-            )
-        else:
-            worst = _EQ_FULL
-            out = None
-            for value in probes:
-                event, succ1 = apply_extern(a1.config, value)
-                _, succ2 = apply_extern(a2.config, value)
-                sub = _game(succ1, succ2, depth - 1, probes, fuel, sim, memo, keys)
-                if sub.kind == _DIST:
-                    out = _Outcome(_DIST, (event,) + sub.events, (value,) + sub.choices, sub.reason)
+    left: Config, right: Config, depth: int, probes: tuple[int, ...], fuel: int, sim: bool
+) -> Verdict:
+    """The game as a loop over an explicit stack of open nodes.  A
+    distinguished node ends the whole game, so its event and probe
+    prefix is read off the open frames once, and the memo holds only
+    the kinds of finished nodes."""
+    root_depth = depth
+    keys = Keys()
+    memo: dict[Optional[tuple], int] = {}
+    frames: list[_Frame] = []
+    while True:
+        # Only the root has no open frame.  No other node has its depth,
+        # so its key could never hit, and not keying it saves folding
+        # the whole program when the game ends before any system call.
+        key = (keys.config(left), keys.config(right), depth) if frames else None
+        kind = memo.get(key)
+        if kind is None:
+            a1 = run_to_anchor(left, fuel, keys)
+            if sim and isinstance(a1, Done) and a1.result is None:
+                kind = _EQ_FULL  # left failed: similar to anything
+            else:
+                a2 = run_to_anchor(right, fuel, keys)
+                kind, reason = _judge(a1, a2, depth)
+                if kind == _DIST:
+                    return Distinguished(
+                        tuple(f.event for f in frames), tuple(probes[f.probe] for f in frames), reason
+                    )
+            if kind is None:
+                frames.append(_Frame(key, a1.config, a2.config, depth - 1))
+            else:
+                memo[key] = kind
+        if kind is not None:
+            # close every frame whose last probe this node finished
+            while frames:
+                top = frames[-1]
+                top.worst = max(top.worst, kind)
+                top.probe += 1
+                if top.probe < len(probes):
                     break
-                worst = max(worst, sub.kind)
-            if out is None:
-                out = _Outcome(worst)
-
-    memo[key] = out
-    return out
+                frames.pop()
+                kind = memo[top.key] = top.worst
+            else:
+                return Exhausted("fuel") if kind == _FUEL else EquivalentToDepth(root_depth)
+        top = frames[-1]
+        value = probes[top.probe]
+        top.event, left = apply_extern(top.left, value)
+        _, right = apply_extern(top.right, value)
+        depth = top.depth
 
 
 def _val(v: Optional[int]) -> str:
     return "BOT" if v is None else str(v)
-
-
-def _verdict(outcome: _Outcome, depth: int) -> Verdict:
-    if outcome.kind == _DIST:
-        return Distinguished(outcome.events, outcome.choices, outcome.reason)
-    if outcome.kind == _FUEL:
-        return Exhausted("fuel")
-    return EquivalentToDepth(depth)
 
 
 def check_bisim(
@@ -209,7 +205,7 @@ def check_bisim(
 ) -> Verdict:
     """Bounded bisimulation game between two configurations."""
     p = make_probes(probes)
-    return _verdict(_game(left, right, depth, p, fuel, False, {}, _Keys()), depth)
+    return _game(left, right, depth, p, fuel, False)
 
 
 def check_sim(
@@ -218,7 +214,7 @@ def check_sim(
     """Bounded similarity: like check_bisim plus the error rule for the
     left side. Asymmetric by design."""
     p = make_probes(probes)
-    return _verdict(_game(left, right, depth, p, fuel, True, {}, _Keys()), depth)
+    return _game(left, right, depth, p, fuel, True)
 
 
 def enumerate_traces(
@@ -227,22 +223,32 @@ def enumerate_traces(
     """All traces over the probe set, cut at depth pending calls.
     Intended for small bounds; the game and this enumeration truncate
     identically, so trace-set equality matches the game's verdict on
-    terminating programs."""
-    p = make_probes(probes)
+    terminating programs.
 
-    def go(c: Config, d: int) -> frozenset[Trace]:
+    This is the oracle the game is checked against, so it keeps no
+    memo.  It does share run_to_anchor's projected repeat check (Keys)
+    with the game; tests/test_semantics.py checks that check against a
+    full-equality reference.  It walks the tree
+    of probe choices depth first on an explicit stack and keeps the
+    current path's events in one list, oldest first."""
+    p = make_probes(probes)
+    out: set[Trace] = set()
+    events: list[Event] = []
+    stack: list[tuple[Config, int, Optional[Event]]] = [(config, depth, None)]
+    while stack:
+        c, d, event = stack.pop()
+        if event is not None:
+            del events[depth - d - 1 :]
+            events.append(event)
         anchor = run_to_anchor(c, fuel)
         if isinstance(anchor, Done):
-            return frozenset((Trace((), Terminated(anchor.result)),))
-        if isinstance(anchor, Diverges):
-            return frozenset((Trace((), Diverged()),))
-        if isinstance(anchor, OutOfFuel) or d == 0:
-            return frozenset((Trace((), Cutoff()),))
-        out = set()
-        for value in p:
-            event, succ = apply_extern(anchor.config, value)
-            for tr in go(succ, d - 1):
-                out.add(Trace((event,) + tr.events, tr.outcome))
-        return frozenset(out)
-
-    return go(config, depth)
+            out.add(Trace(tuple(events), Terminated(anchor.result)))
+        elif isinstance(anchor, Diverges):
+            out.add(Trace(tuple(events), Diverged()))
+        elif isinstance(anchor, OutOfFuel) or d == 0:
+            out.add(Trace(tuple(events), Cutoff()))
+        else:
+            for value in p:
+                event, succ = apply_extern(anchor.config, value)
+                stack.append((succ, d - 1, event))
+    return frozenset(out)

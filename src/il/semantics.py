@@ -22,11 +22,14 @@ each step into a strict subterm of the focus, so every silent cycle
 contains an application step; only the configurations right after an
 application are compared.  Those form a deterministic sequence of their
 own, so Brent's method applies to it unchanged.  Configurations are
-compared by content: the focused term by identity (it is a subterm of
-the program, so equal identity means equal term), then the environment
-and the function context by ==.  Fuel still bounds every run, and a
-loop that never repeats a configuration, such as a counter, still runs
-out of fuel.
+compared by what their future can read (Keys): the focused term, the
+values of its free variables, and per closure its body and the values
+of the body's free variables that are not parameters.  Two
+configurations equal in that projection run alike forever, so a repeat
+of it is a silent loop even where a variable never read again still
+changes.  The game's memo uses the same keys.  Fuel still bounds every
+run, and a loop that never repeats a key, such as a counter, still
+runs out of fuel.
 """
 from __future__ import annotations
 
@@ -44,6 +47,8 @@ from .syntax import (
     Term,
     eval_expr,
     eval_expr_list,
+    node_free_vars,
+    term_children,
     truthy,
     wrap,
 )
@@ -202,15 +207,89 @@ def apply_extern(config: Config, result: int) -> tuple[Event, Config]:
     return event, Config(config.funs, {**config.env, t.var: result}, t.body)
 
 
-def run_to_anchor(config: Config, fuel: int) -> Anchor:
+class Keys:
+    """What a configuration's future reads, as a hashable key.
+
+    A silent step reads only the focus's free variables, and a closure
+    reads only its body's free variables that are not parameters, so
+    the key is the focus's index, the values of its free variables
+    (None for unbound) in sorted order, and per closure in the function
+    context its name, body index, parameters and the values of the
+    body's non-parameter free variables.  Two configurations with equal
+    keys step to configurations with equal keys, reach the same anchor
+    kind after the same number of steps, and have the same events.
+
+    Indices and free variables come from a table of subterms, filled
+    as terms are keyed: a term not yet in it is added with its whole
+    subtree by one explicit-stack walk that numbers the subtree in
+    pre-order.  So a run or a game folds only the subterms it keys.
+    The table and the group cache are looked up by id() and hold the
+    object they describe, so no id() in them can be reused while they
+    live; no key holds an id().
+    """
+
+    def __init__(self) -> None:
+        self.facts: dict[int, tuple[Term, int, tuple[str, ...]]] = {}
+        self.groups: dict[int, tuple[Group, tuple]] = {}
+
+    def _add(self, root: Term) -> None:
+        # Free variables are folded when a term is popped the second
+        # time, after all its children.  That is bottom-up even where
+        # two parents share a subterm object, as a pass's output shares
+        # subterms with its input; reverse pre-order would not be.
+        facts = self.facts
+        stack = [(root, False)]
+        while stack:
+            t, folded = stack.pop()
+            if folded:
+                facts[id(t)] = (t, facts[id(t)][1], self._free(t))
+            elif id(t) not in facts:
+                facts[id(t)] = (t, len(facts), ())
+                stack.append((t, True))
+                stack.extend((c, False) for c in reversed(term_children(t)))
+
+    def _free(self, t: Term) -> tuple[str, ...]:
+        """t's free variables from its children's, which are in the table."""
+        facts = self.facts
+        return tuple(sorted(node_free_vars(t, lambda c: facts[id(c)][2])))
+
+    def fact(self, t: Term) -> tuple[Term, int, tuple[str, ...]]:
+        """(t, its index, its free variables in sorted order)."""
+        hit = self.facts.get(id(t))
+        if hit is None:
+            self._add(t)
+            hit = self.facts[id(t)]
+        return hit
+
+    def group(self, g: Group) -> tuple:
+        hit = self.groups.get(id(g))
+        if hit is not None:
+            return hit[1]
+        k = []
+        for name, clo in g:
+            _, index, free = self.fact(clo.body)
+            read = tuple(clo.env.get(v) for v in free if v not in clo.params)
+            k.append((name, index, clo.params, read))
+        k = tuple(k)
+        self.groups[id(g)] = (g, k)
+        return k
+
+    def config(self, c: Config) -> tuple:
+        _, index, free = self.fact(c.term)
+        return (index, tuple(map(c.env.get, free)), tuple(map(self.group, c.funs)))
+
+
+def run_to_anchor(config: Config, fuel: int, keys: Optional[Keys] = None) -> Anchor:
     """Run silent steps (at most fuel of them) to the next anchor, or
-    to the first repeat of a configuration (Diverges)."""
+    to the first repeat of a configuration's key (Diverges).  keys only
+    saves work: any table gives the same anchor."""
     remaining = fuel
     # Brent's cycle finder over the post-application configurations:
     # saved is compared with each of them and replaced by the current
     # one when since reaches power, which then doubles.  Starting from
     # the initial configuration is sound, since it is on the path too.
     saved = config
+    saved_key = None
     since = 0
     power = 1
     while True:
@@ -228,13 +307,21 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
         applied = type(config.term) is App
         config = step.config
         if applied:
-            # env before funs: in a loop that does not repeat, the
-            # environment is what differs
-            if config.term is saved.term and config.env == saved.env and config.funs == saved.funs:
-                return Diverges(config)
+            # keys differ whenever the focus does, so only an equal
+            # focus needs them; and they differ whenever a bound free
+            # variable of saved changes, which is cheaper to test first
+            if config.term is saved.term:
+                if saved_key is None:
+                    if keys is None:
+                        keys = Keys()
+                    saved_key = keys.config(saved)
+                    free = keys.fact(saved.term)[2]
+                    bound = {v: x for v, x in zip(free, saved_key[1]) if x is not None}.items()
+                if bound <= config.env.items() and keys.config(config) == saved_key:
+                    return Diverges(config)
             since += 1
             if since == power:
-                saved, since, power = config, 0, power * 2
+                saved, saved_key, since, power = config, None, 0, power * 2
 
 
 # -- traces
@@ -294,8 +381,9 @@ def run_trace(config: Config, oracle: Oracle, fuel: int, max_events: int = 256) 
     fuel bounds silent steps per anchor segment; max_events bounds the
     number of resolved calls."""
     events: list[Event] = []
+    keys = Keys()
     while True:
-        anchor = run_to_anchor(config, fuel)
+        anchor = run_to_anchor(config, fuel, keys)
         if isinstance(anchor, Done):
             return Trace(tuple(events), Terminated(anchor.result))
         if isinstance(anchor, OutOfFuel):

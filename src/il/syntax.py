@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Values
@@ -258,18 +258,35 @@ def term_exprs(t: Term) -> tuple[Expr, ...]:
     return ()
 
 
-def free_term_vars(t: Term) -> frozenset[str]:
-    """Variables a whole program reads from its initial environment."""
+def node_free_vars(t: Term, child_free: Callable[[Term], Iterable[str]]) -> set[str]:
+    """t's free variables, given each child's through child_free: the
+    one statement of the scoping rule.  A let binds its variable in its
+    body, and a group's definitions bind their parameters."""
+    out = set(free_vars_list(term_exprs(t)))
     if isinstance(t, Let):
-        return free_vars_list(term_exprs(t)) | (free_term_vars(t.body) - {t.var})
-    if isinstance(t, Cond):
-        return free_vars(t.cond) | free_term_vars(t.then) | free_term_vars(t.orelse)
-    if isinstance(t, Fun):
-        out = free_term_vars(t.cont)
+        out.update(v for v in child_free(t.body) if v != t.var)
+    elif isinstance(t, Cond):
+        out.update(child_free(t.then), child_free(t.orelse))
+    elif isinstance(t, Fun):
+        out.update(child_free(t.cont))
         for d in t.defs:
-            out |= free_term_vars(d.body) - set(d.params)
-        return out
-    return free_vars_list(term_exprs(t))
+            out.update(v for v in child_free(d.body) if v not in d.params)
+    return out
+
+
+def free_term_vars(t: Term) -> frozenset[str]:
+    """Variables a whole program reads from its initial environment.
+    Folded bottom-up on an explicit stack, so depth is not limited."""
+    done: dict[int, frozenset[str]] = {}  # by id(); every key's term lives in t
+    stack = [(t, False)]
+    while stack:
+        n, folded = stack.pop()
+        if folded:
+            done[id(n)] = frozenset(node_free_vars(n, lambda c: done[id(c)]))
+        elif id(n) not in done:
+            stack.append((n, True))
+            stack.extend((c, False) for c in term_children(n))
+    return done[id(t)]
 
 
 def constants_of(*terms: Term) -> frozenset[int]:
@@ -397,8 +414,11 @@ class ParseError(Exception):
 
 _KEYWORDS = frozenset({"let", "in", "if", "then", "else", "fun", "and", "extern"})
 
+_DIGITS = "[0-9]+"  # a literal: ASCII digits only, no sign, no underscores
+
 # Group 1 is a token; group 2 is a character no token can start with.
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|[0-9]+|<=|[=+*/<!(),-])|(\S)")
+_TOKEN_RE = re.compile(rf"([A-Za-z_][A-Za-z0-9_']*|{_DIGITS}|<=|[=+*/<!(),-])|(\S)")
+_INT_RE = re.compile(rf"-?{_DIGITS}")
 
 _BIN_PREC = {"=": 1, "<": 1, "<=": 1, "+": 2, "-": 2, "*": 3, "/": 3}
 
@@ -417,6 +437,23 @@ def is_var_name(text: str) -> bool:
     """Whether text is exactly one variable name token."""
     m = _TOKEN_RE.fullmatch(text)
     return m is not None and m.group(1) is not None and _is_var(text)
+
+
+def _digits_value(digits: str) -> int:
+    """The 64-bit value of a string of ASCII digits.  10**64 is a
+    multiple of 2**64, so only the last 64 digits count, and int()'s
+    digit limit is never reached."""
+    return wrap(int(digits[-64:]))
+
+
+def int_literal(text: str) -> Optional[int]:
+    """The 64-bit value of text if it is a literal, optionally negated,
+    else None."""
+    if not _INT_RE.fullmatch(text):
+        return None
+    if text[0] == "-":
+        return wrap(-_digits_value(text[1:]))
+    return _digits_value(text)
 
 
 class _Parser:
@@ -557,7 +594,7 @@ class _Parser:
         if tok == "-":
             self.advance()
             if self.peek().isdigit():
-                return Const(wrap(-int(self.advance())))
+                return Const(wrap(-_digits_value(self.advance())))
             return Unop("neg", self.unary())
         if tok == "!":
             self.advance()
@@ -568,7 +605,7 @@ class _Parser:
         tok = self.peek()
         if tok.isdigit():
             self.advance()
-            return Const(wrap(int(tok)))
+            return Const(_digits_value(tok))
         if _is_var(tok):
             self.advance()
             return Var(tok)

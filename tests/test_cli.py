@@ -129,6 +129,16 @@ def test_run_env_name_must_be_a_variable(files, capsys, entry):
     assert err == f"bad --env entry: {entry.strip()!r}\n"
 
 
+@pytest.mark.parametrize("entry", ["a=1_0", "a=٣", "a=+3"])
+def test_run_env_value_must_be_a_literal(files, capsys, entry):
+    # spellings int() accepts but the language's literals do not
+    path = files("v.il", "a")
+    code, out, err = run_cli(capsys, "run", path, "--env", entry)
+    assert code == 64
+    assert out == ""
+    assert err == f"bad --env entry: {entry!r}\n"
+
+
 def test_run_env_value_wraps_to_64_bits(files, capsys):
     path = files("v.il", "if b < 0 then a else 0")
     code, out, _ = run_cli(capsys, "run", path, "--env", f"a={2**64 + 5},b={2**63}")
@@ -363,6 +373,7 @@ def test_non_integer_depth_exits_64(files, capsys):
         ("check", "--depth", "-1"),
         ("check", "--fuel", "-1"),
         ("check", "--probes", "a"),
+        ("check", "--probes", "٣,1_0"),
         ("run", "--fuel", "-5"),
         ("run", "--max-events", "-1"),
         ("difftest", "--pass", "uce", "--trials", "-3"),
@@ -392,9 +403,9 @@ def test_outputs_are_deterministic_across_invocations(files, capsys):
     [
         (("parse",), "(" * 1000 + "1" + ")" * 1000),
         (("optimize", "--uce", "--dve"), "".join(f"let x{i} = {i} in " for i in range(600)) + "x0"),
-        (("check", "--probes", "0", "--depth", "3000"), "fun f() = let x = extern r() in f() in f()"),
+        (("check",), "(" * 1000 + "1" + ")" * 1000),
     ],
-    ids=["parse-parens", "optimize-lets", "check-deep-game"],
+    ids=["parse-parens", "optimize-lets", "check-parens"],
 )
 def test_too_deep_input_exits_2_without_traceback(files, capsys, argv, text):
     path = files("deep.il", text)
@@ -403,3 +414,25 @@ def test_too_deep_input_exits_2_without_traceback(files, capsys, argv, text):
     assert code == 2
     assert out == ""
     assert err == "il: input nests too deeply for this implementation\n"
+
+
+# -- the game and the oracle keep no Python frame per pending call
+
+CALL_LOOP = "fun f() = let x = extern r() in f() in f()"
+
+
+def test_deep_game_is_decided(files, capsys):
+    path = files("deep.il", CALL_LOOP)
+    code, out, err = run_cli(capsys, "check", "--probes", "0", "--depth", "100000", path, path)
+    assert (code, out, err) == (0, "EQUIVALENT to depth 100000\n", "")
+
+
+def test_deep_game_witness_has_one_line_per_call(files, capsys):
+    left = files("l.il", CALL_LOOP)
+    right = files("r.il", "fun f(n) = if n < 99999 then let x = extern r() in f(n+1) else 0 in f(0)")
+    code, out, err = run_cli(capsys, "check", "--probes", "0", "--depth", "100000", left, right)
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[:-1] == ["EVT r()=0 [probe 0]"] * 99_999
+    assert lines[-1] == "DISTINGUISHED right side terminates while the other is at a system call"

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from il import equiv
 from il.equiv import (
     Distinguished,
     EquivalentToDepth,
@@ -16,9 +17,8 @@ from il.equiv import (
     make_probes,
 )
 from il.harness import GenConfig, derive_seed, gen_program, initial_env
-from il.equiv import _Keys
-from il.semantics import Closure, Config, Cutoff, Diverged, ListOracle, Terminated, run_trace
-from il.syntax import parse_program
+from il.semantics import Closure, Config, Cutoff, Diverged, Keys, ListOracle, Terminated, run_trace
+from il.syntax import Let, Var, parse_program
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -196,10 +196,50 @@ def test_diverging_against_out_of_fuel_exhausted():
         assert game(conf(COUNTER), conf(LOOP), depth=4, probes=(0, 1), fuel=100) == Exhausted("fuel")
 
 
+# the continuation reads a and y, and g's body reads c besides its parameter
+KEYED = parse_program("fun g(x) = x + c in let y = extern r() in g(y + a)")
+
+
+def keyed(env, captured):
+    """The configuration at KEYED's continuation, with g capturing captured."""
+    return Config(((("g", Closure(captured, ("x",), KEYED.defs[0].body)),),), env, KEYED.cont)
+
+
+def test_keys_ignore_what_the_future_never_reads():
+    keys = Keys()
+    base = keys.config(keyed({"a": 1}, {"c": 5}))
+    assert keys.config(keyed({"a": 1, "b": 2}, {"c": 5})) == base  # b is not free in the focus
+    assert keys.config(keyed({"a": 1}, {"c": 5, "x": 9, "d": 3})) == base  # x is a parameter, d unread
+
+
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        (({"a": 1}, {"c": 5}), ({"a": 2}, {"c": 5})),  # a free variable of the focus
+        (({"a": 1}, {"c": 5}), ({"a": 1}, {"c": 6})),  # a closure body's non-parameter free variable
+        (({"a": 0}, {"c": 5}), ({}, {"c": 5})),  # bound against unbound
+        (({"a": 1}, {"c": 0}), ({"a": 1}, {})),  # the same in a closure
+    ],
+)
+def test_keys_tell_apart_what_the_future_reads(one, other):
+    keys = Keys()
+    assert keys.config(keyed(*one)) != keys.config(keyed(*other))
+
+
+def test_keys_fold_a_shared_subterm_before_its_later_parent():
+    # pass outputs share subterm objects with their input, so the right
+    # side's parent of a shared node is numbered after the node itself
+    shared = parse_program("y + b")
+    right = Let("y", Var("a"), shared)
+    keys = Keys()
+    keys.fact(shared)
+    assert keys.fact(right)[2] == ("a", "b")
+
+
 def test_group_keys_never_go_stale():
     # each group is dropped right after it is keyed, so without the
     # cache holding it a later group can reuse its id()
-    keys = _Keys()
+    keys = Keys()
     body = parse_program("x")
     seen = {keys.group((("f", Closure({"x": i}, (), body)),)) for i in range(1000)}
     assert len(seen) == 1000
@@ -314,6 +354,33 @@ def test_bisimilarity_implies_similarity(n):
     if isinstance(b, EquivalentToDepth):
         s = check_sim(Config((), dict(env), t1), Config((), dict(env), t2), depth=5, probes=probes, fuel=3000)
         assert isinstance(s, EquivalentToDepth)
+
+
+def test_memo_shares_configurations_that_differ_in_dead_variables(monkeypatch):
+    # r and s are never read, so every configuration at one depth has
+    # the same key: one miss per depth, and a miss runs both sides once
+    calls = []
+    run = equiv.run_to_anchor
+    monkeypatch.setattr(equiv, "run_to_anchor", lambda *args: calls.append(1) or run(*args))
+    c = conf("fun f() = let r = extern rd() in let s = extern rd() in f() in f()")
+    assert check_bisim(c, c, depth=8, probes=(0, 1, 2), fuel=1000) == EquivalentToDepth(8)
+    assert len(calls) == 2 * (8 + 1)
+
+
+def test_game_and_oracle_decide_at_the_projected_repeat():
+    # the projected repeat comes at the third step, the whole
+    # environment's two steps later (see test_semantics)
+    dead = conf("fun f(z, y) = f(y, 0) in f(1, 0)")
+    assert check_bisim(dead, conf(LOOP), depth=4, probes=(0, 1), fuel=3) == EquivalentToDepth(4)
+    (tr,) = enumerate_traces(dead, depth=4, probes=(0, 1), fuel=3)
+    assert tr.outcome == Diverged()
+
+
+def test_enumerate_deep_single_probe_path():
+    c = conf("fun f() = let x = extern r() in f() in f()")
+    (tr,) = enumerate_traces(c, depth=5000, probes=(0,), fuel=100)
+    assert len(tr.events) == 5000
+    assert tr.outcome == Cutoff()
 
 
 def test_memoization_handles_wide_probe_trees():

@@ -30,7 +30,7 @@ from il.semantics import (
     trace_text,
 )
 from il.semantics import Trace
-from il.syntax import Const, Exp, parse_program
+from il.syntax import App, Const, Exp, eval_expr_list, parse_program
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -211,6 +211,16 @@ def test_anchor_diverges_only_within_fuel():
     assert isinstance(run_to_anchor(c, 3), Diverges)
 
 
+def test_anchor_repeat_compares_what_the_future_reads():
+    # z is never read: the configurations after the first and second
+    # applications, {z: 1, y: 0} and {z: 0, y: 0}, differ only in z, so
+    # the repeat is seen on the third step, two steps before the whole
+    # environment repeats
+    c = conf("fun f(z, y) = f(y, 0) in f(1, 0)")
+    assert isinstance(run_to_anchor(c, 2), OutOfFuel)
+    assert isinstance(run_to_anchor(c, 3), Diverges)
+
+
 def test_anchor_zero_fuel_still_classifies():
     assert run_to_anchor(conf("3"), 0) == Done(3)
     a = run_to_anchor(conf("let x = extern r() in x"), 0)
@@ -375,3 +385,74 @@ def test_diverges_config_repeats_silently(n):
                 break
         else:
             raise AssertionError("no repeat within 2000 silent steps")
+
+
+def full_equality_anchor(config, fuel):
+    """run_to_anchor without Keys: Brent's method over whole
+    configurations, compared with ==, at the same points and with the
+    same fuel accounting, so it reports Diverges no earlier."""
+    remaining, saved, since, power = fuel, config, 0, 1
+    while True:
+        step = step_silent(config)
+        if isinstance(step, Terminal):
+            return Done(result_of(config))
+        if isinstance(step, AtExtern):
+            call = config.term.value
+            return Ready(call.action, eval_expr_list(call.args, config.env), config)
+        if remaining <= 0:
+            return OutOfFuel(config)
+        remaining -= 1
+        applied = isinstance(config.term, App)
+        config = step.config
+        if applied:
+            if config == saved:
+                return Diverges(config)
+            since += 1
+            if since == power:
+                saved, since, power = config, 0, power * 2
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "fun f(n) = let m = n + 1 in f(m) in f(0)",
+        "fun f(n) = let m = 1 in f(n + m) in f(0)",
+        "fun f(n) = if 1 then f(n + 1) else 0 in f(0)",
+        "fun f(n) = if 0 then 0 else f(n + 1) in f(0)",
+        "fun f(n) = fun g() = f(n + 1) in g() in f(0)",
+        "fun f(n) = fun g() = f(n + 1) and h() = g() in h() in f(0)",
+    ],
+)
+def test_projected_repeat_check_sees_every_read_of_a_counter(src):
+    # each loop reads its counter n through one construct only, so a
+    # projection that missed that read would report a false repeat
+    c = conf(src)
+    assert isinstance(full_equality_anchor(c, 300), OutOfFuel)
+    assert isinstance(run_to_anchor(c, 300), OutOfFuel)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_projected_repeat_check_agrees_with_full_equality(n):
+    # The projection may only decide earlier: a Ready or Done anchor is
+    # the reference's, a projected Diverges is a whole-configuration
+    # repeat given more fuel, and a reference Diverges is projected too.
+    import random
+
+    for k in range(10):
+        cfg = GenConfig(seed=derive_seed(13, n * 10 + k))
+        t = gen_program(cfg)
+        c = Config((), initial_env(t, cfg, random.Random(k)), t)
+        oracle = SeededOracle(n)
+        for i in range(16):
+            a = run_to_anchor(c, 500)
+            ref = full_equality_anchor(c, 500)
+            if isinstance(ref, Diverges):
+                assert isinstance(a, Diverges)
+            if isinstance(a, Diverges):
+                assert isinstance(full_equality_anchor(c, 8 * 500), Diverges)
+            elif not isinstance(a, OutOfFuel):
+                assert a == ref
+            if not isinstance(a, Ready):
+                break
+            _, c = apply_extern(a.config, oracle(i, a.action, a.args))

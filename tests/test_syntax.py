@@ -145,6 +145,14 @@ def test_free_term_vars_respects_binders():
     assert free_term_vars(t) == {"b", "c"}
 
 
+def test_free_term_vars_of_a_deep_term():
+    # a let chain far deeper than the recursion limit
+    t = Exp(Var("v0"))
+    for i in range(100_000):
+        t = Let(f"v{i}", Var(f"v{i + 1}"), t)
+    assert free_term_vars(t) == {"v100000"}
+
+
 def test_constants_of():
     t = parse_program("let x = 3 + 4 in if x then 5 else 3")
     assert constants_of(t) == {3, 4, 5}
@@ -194,6 +202,14 @@ def test_parse_negative_literal_folds():
     assert parse_program("- 5") == Exp(Const(-5))
     assert parse_program("-x") == Exp(Unop("neg", Var("x")))
     assert parse_program("!x") == Exp(Unop("not", Var("x")))
+
+
+def test_parse_literal_longer_than_the_int_digit_limit_wraps():
+    # int() refuses strings of more than 4300 digits
+    digits = "7" * 5000
+    value = sum(7 * pow(10, i, 2**64) for i in range(5000))
+    assert parse_program(digits) == Exp(Const(wrap(value)))
+    assert parse_program("-" + digits) == Exp(Const(wrap(-value)))
 
 
 def test_parse_dangling_argument_list():
