@@ -4,13 +4,16 @@ Subcommands: parse, run, analyze, optimize, check, difftest.
 
 Exit codes: 0 success (for check: equivalent), 1 distinguished or
 rejected, 2 parse error, exhausted check, or an input that nests too
-deeply for the recursive walks (one line on stderr, no traceback), 64
-usage error, 66 file not readable or not valid UTF-8.  Output is plain
-text, byte-stable for a fixed input and seed.
+deeply for the recursive parser or printer (one line on stderr, no
+traceback), 64 usage error, 66 file not readable or not valid UTF-8.
+Integer options are spelled in ASCII digits, seeds with an optional
+leading "-".  Output is plain text, byte-stable for a fixed input and
+seed.
 """
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -26,6 +29,8 @@ from .transform import dve, uce  # noqa: F401 - unused here; perfbench/workloads
 EX_USAGE = 64
 EX_NOINPUT = 66
 
+_INTEGER_RE = re.compile("-?[0-9]+")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
@@ -34,13 +39,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _non_negative(text: str) -> int:
-    """argparse type for a non-negative bound (depth, fuel, trials, events)."""
-    try:
-        n = int(text)
-    except ValueError:
+def _integer(text: str) -> int:
+    """argparse type for a seed: ASCII digits with an optional leading
+    "-", not wrapped."""
+    if not _INTEGER_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _non_negative(text: str) -> int:
+    """argparse type for a non-negative bound (depth, fuel, trials,
+    events): ASCII digits."""
+    n = _integer(text)
+    if text.startswith("-"):
         raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
     return n
 
@@ -190,7 +204,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("run", help="run a program with a seeded oracle")
     p.add_argument("file")
     p.add_argument("--fuel", type=_non_negative, default=10_000)
-    p.add_argument("--oracle-seed", type=int, default=0)
+    p.add_argument("--oracle-seed", type=_integer, default=0)
     p.add_argument("--max-events", type=_non_negative, default=256)
     p.add_argument("--env", help="comma separated name=value bindings")
     p.set_defaults(func=_cmd_run)
@@ -223,7 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("difftest", help="random differential testing of a pass")
     p.add_argument("--pass", dest="pass_name", choices=("uce", "dve"), required=True)
     p.add_argument("--trials", type=_non_negative, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--depth", type=_non_negative, default=8)
     p.add_argument("--fuel", type=_non_negative, default=10_000)
     p.set_defaults(func=_cmd_difftest)

@@ -21,20 +21,8 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim, default_probes
-from .reach import Rejection, infer_reach
-from .semantics import (
-    Config,
-    Cutoff,
-    Diverged,
-    Oracle,
-    SeededOracle,
-    Stepped,
-    Terminal,
-    apply_extern,
-    run_trace,
-    step_silent,
-    trace_text,
-)
+from .reach import Rejection
+from .semantics import Config
 from .syntax import (
     App,
     Binop,
@@ -45,20 +33,16 @@ from .syntax import (
     Fun,
     FunDef,
     Let,
+    Nodes,
     SysCall,
     Term,
     Unop,
     Var,
-    ann_walk,
-    eval_expr_list,
     free_term_vars,
     print_program,
-    term_children,
     term_size,
-    well_formed,
     wrap,
 )
-from .tlive import infer_tlive
 from .transform import run_pass
 
 
@@ -272,6 +256,26 @@ def _verdict_fields(verdict) -> tuple[str, str]:
     return f"exhausted:{verdict.reason}", ""
 
 
+def _replaced(nodes: Nodes, i: int, repl: Term) -> Term:
+    """The whole term with node i replaced by repl, rebuilt along the
+    parent links."""
+    while i > 0:
+        up = nodes.parent[i]
+        pos = nodes.kids[up].index(i)
+        node = nodes.terms[up]
+        if isinstance(node, Let):
+            repl = Let(node.var, node.value, repl)
+        elif isinstance(node, Cond):
+            repl = Cond(node.cond, repl, node.orelse) if pos == 0 else Cond(node.cond, node.then, repl)
+        elif pos < len(node.defs):
+            d = node.defs[pos]
+            repl = Fun(node.defs[:pos] + (FunDef(d.name, d.params, repl),) + node.defs[pos + 1 :], node.cont)
+        else:
+            repl = Fun(node.defs, repl)
+        i = up
+    return repl
+
+
 def shrink_term(t: Term, still_failing: Callable[[Term], bool], max_steps: int = 200) -> Term:
     """Greedy shrink: replace a node by one of its subterms or drop a
     group member, as long as the failure reproduces. The result is
@@ -279,41 +283,19 @@ def shrink_term(t: Term, still_failing: Callable[[Term], bool], max_steps: int =
 
     def candidates(term: Term):
         # whole-program candidates, smallest-first per node in pre-order
-        def rebuild(node: Term, path: tuple, repl: Term) -> Term:
-            if not path:
-                return repl
-            i = path[0]
-            rest = path[1:]
-            if isinstance(node, Let):
-                return Let(node.var, node.value, rebuild(node.body, rest, repl))
-            if isinstance(node, Cond):
-                if i == 0:
-                    return Cond(node.cond, rebuild(node.then, rest, repl), node.orelse)
-                return Cond(node.cond, node.then, rebuild(node.orelse, rest, repl))
-            assert isinstance(node, Fun)
-            if i < len(node.defs):
-                d = node.defs[i]
-                defs = list(node.defs)
-                defs[i] = FunDef(d.name, d.params, rebuild(d.body, rest, repl))
-                return Fun(tuple(defs), node.cont)
-            return Fun(node.defs, rebuild(node.cont, rest, repl))
-
-        def walk(node: Term, path: tuple):
-            for child in term_children(node):
-                yield rebuild(term, path, child)
+        nodes = Nodes(term)
+        for i, node in enumerate(nodes.terms):
+            for k in nodes.kids[i]:
+                yield _replaced(nodes, i, nodes.terms[k])
             if isinstance(node, Fun) and len(node.defs) > 1:
-                for i in range(len(node.defs)):
-                    defs = node.defs[:i] + node.defs[i + 1 :]
-                    yield rebuild(term, path, Fun(defs, node.cont))
-            for i, child in enumerate(term_children(node)):
-                yield from walk(child, path + (i,))
-
-        yield from walk(term, ())
+                for g in range(len(node.defs)):
+                    yield _replaced(nodes, i, Fun(node.defs[:g] + node.defs[g + 1 :], node.cont))
 
     current = t
     for _ in range(max_steps):
+        size = term_size(current)
         for cand in candidates(current):
-            if term_size(cand) < term_size(current) and still_failing(cand):
+            if term_size(cand) < size and still_failing(cand):
                 current = cand
                 break
         else:
@@ -354,7 +336,7 @@ def difftest(
         left = Config((), env, term)
         if pass_name == "uce":
             return check_bisim(left, Config((), dict(env), out), depth, pr, fuel)
-        return check_sim(left, Config((), perturbed_env(env, ann.fact, rng), out), depth, pr, fuel)
+        return check_sim(left, Config((), perturbed_env(env, ann.facts[0], rng), out), depth, pr, fuel)
 
     for i in range(trials):
         seed = derive_seed(cfg.seed, i)
@@ -377,80 +359,3 @@ def difftest(
 
 difftest_uce = partial(difftest, "uce")
 difftest_dve = partial(difftest, "dve")
-
-
-# ---------------------------------------------------------------------------
-# Semantic audits
-
-
-def reach_audit(t: Term, env: dict[str, int], oracle: Oracle, fuel: int, max_events: int = 32) -> bool:
-    """Run t and confirm execution only ever focuses nodes whose
-    inferred reachability bit is true."""
-    ann = infer_reach(t)
-    bits: dict[int, bool] = {}
-    for node in ann_walk(ann):
-        # A shared subterm object is reachable when any occurrence is.
-        k = id(node.term)
-        bits[k] = bits.get(k, False) or bool(node.fact)
-    config = Config((), env, t)
-    events = 0
-    steps = 0
-    while steps < fuel:
-        if not bits.get(id(config.term), True):
-            return False
-        step = step_silent(config)
-        if isinstance(step, Terminal):
-            return True
-        if isinstance(step, Stepped):
-            config = step.config
-            steps += 1
-            continue
-        if events >= max_events:
-            return True
-        call = config.term.value
-        args = eval_expr_list(call.args, config.env)
-        value = wrap(oracle(events, call.action, args))
-        _, config = apply_extern(config, value)
-        events += 1
-        steps += 1
-    return True
-
-
-def tlive_audit(t: Term, cfg: GenConfig, seed: int, fuel: int, max_events: int = 32) -> bool:
-    """Perturb the initial environment outside the root live set and
-    confirm the observable trace is byte-identical.  A dead variable
-    can decide whether a silent loop repeats a configuration, so one
-    side may end Diverged where the other is cut off by fuel; both
-    mean no further event within the bounds, and they count as equal."""
-    ann = infer_tlive(t)
-    rng = Random(seed)
-    env = initial_env(t, cfg, rng)
-    env2 = perturbed_env(env, ann.fact, rng)
-    oracle = SeededOracle(seed)
-    left = run_trace(Config((), env, t), oracle, fuel, max_events)
-    right = run_trace(Config((), env2, t), oracle, fuel, max_events)
-    silent = (Cutoff, Diverged)
-    if isinstance(left.outcome, silent) and isinstance(right.outcome, silent):
-        return left.events == right.events
-    return trace_text(left) == trace_text(right)
-
-
-def generator_audit(t: Term, cfg: GenConfig) -> bool:
-    """Well-formedness plus harness-level scoping: applications hit
-    in-scope functions with the right arity, and every variable read is
-    a binder, an input, or from the unbound pool."""
-    if not well_formed(t):
-        return False
-    ok_free = set(cfg.var_names) | set(cfg.input_names) | set(cfg.unbound_names)
-
-    def walk(term: Term, funs: dict[str, int]) -> bool:
-        if isinstance(term, App):
-            if funs.get(term.fun) != len(term.args):
-                return False
-        if isinstance(term, Fun):
-            inner = dict(funs)
-            inner.update((d.name, len(d.params)) for d in term.defs)
-            return all(walk(d.body, inner) for d in term.defs) and walk(term.cont, inner)
-        return all(walk(c, funs) for c in term_children(term))
-
-    return walk(t, {}) and free_term_vars(t) <= ok_free

@@ -5,8 +5,8 @@ condition evaluates in the empty environment propagate reachability
 only into the branch that can actually be taken; a function body is
 reachable only if some application of it sits in reachable code.  The
 checker verifies an annotation against the judgment rules and reports
-the first violated premise in pre-order (rule "Shape" when a node's
-annotated children do not match its term's subterms); the inference
+the first violated premise in pre-order (rule "Shape", at the root,
+when the fact count differs from the node count); the inference
 computes the annotation the checker accepts, marking excluded branches
 and unused function bodies false throughout.
 """
@@ -20,12 +20,11 @@ from .syntax import (
     App,
     Cond,
     Expr,
-    Exp,
     Fun,
     Let,
+    Nodes,
     Term,
     eval_expr,
-    term_children,
     truthy,
 )
 
@@ -53,117 +52,68 @@ class Rejection:
         return f"at {where}: {self.rule}: {self.detail}"
 
 
-def shape_rejection(node: Annotated, path: tuple) -> Optional[Rejection]:
-    """Reject a node whose child count does not match its term's."""
-    want = len(term_children(node.term))
-    if len(node.children) != want:
-        return Rejection(path, "Shape", f"{len(node.children)} annotated children for a term with {want}")
-    return None
-
-
 def infer_reach(t: Term) -> Annotated:
     """Annotate t with reachability bits, root true.
 
-    Function-body bits are the least fixed point of "applied from some
-    reachable position", computed with a worklist of reachable regions:
-    the root, and each group body once an application in reachable code
-    first marks it.  Each region is swept once, and unreachable code is
-    never swept.  Scope keys are node paths, so shadowed names resolve
-    to their most recent definition.
+    A worklist of reachable regions: the root, and each group body once
+    an application in reachable code first names it.  Sweeping a region
+    marks every node it visits true; a sweep enters only the branches a
+    conditional can take and only a group's continuation, so a node is
+    reachable exactly when some region's sweep visits it.
     """
-    reachable: set[tuple] = set()
-    members: dict[tuple, tuple[Term, dict[str, tuple], tuple]] = {}
-    regions: list[tuple[Term, dict[str, tuple], tuple]] = [(t, {}, ())]
-
-    def sweep(term: Term, scope: dict[str, tuple], path: tuple) -> None:
-        if isinstance(term, Let):
-            sweep(term.body, scope, path + (0,))
-        elif isinstance(term, Cond):
-            sb = static_branch(term.cond)
-            if sb is not False:
-                sweep(term.then, scope, path + (0,))
-            if sb is not True:
-                sweep(term.orelse, scope, path + (1,))
-        elif isinstance(term, App):
-            key = scope.get(term.fun)
-            if key is not None and key not in reachable:
-                reachable.add(key)
-                regions.append(members[key])
-        elif isinstance(term, Fun):
-            inner = dict(scope)
-            for g, d in enumerate(term.defs):
-                inner[d.name] = path + (g,)
-            for g, d in enumerate(term.defs):
-                members[path + (g,)] = (d.body, inner, path + (g,))
-            sweep(term.cont, inner, path + (len(term.defs),))
-
+    nodes = Nodes(t)
+    terms, kids, callee = nodes.terms, nodes.kids, nodes.callee
+    facts = [False] * len(terms)
+    regions = [0]
     while regions:
-        sweep(*regions.pop())
-
-    def build(term: Term, bit: bool, path: tuple) -> Annotated:
-        if isinstance(term, Let):
-            return Annotated(term, bit, (build(term.body, bit, path + (0,)),))
-        if isinstance(term, Cond):
-            sb = static_branch(term.cond)
-            kids = (
-                build(term.then, bit if sb is not False else False, path + (0,)),
-                build(term.orelse, bit if sb is not True else False, path + (1,)),
-            )
-            return Annotated(term, bit, kids)
-        if isinstance(term, Fun):
-            kids = tuple(
-                build(d.body, path + (g,) in reachable, path + (g,))
-                for g, d in enumerate(term.defs)
-            ) + (build(term.cont, bit, path + (len(term.defs),)),)
-            return Annotated(term, bit, kids)
-        return Annotated(term, bit, ())
-
-    return build(t, True, ())
+        stack = [regions.pop()]
+        while stack:
+            i = stack.pop()
+            facts[i] = True
+            term = terms[i]
+            if isinstance(term, Cond):
+                sb = static_branch(term.cond)
+                if sb is not False:
+                    stack.append(kids[i][0])
+                if sb is not True:
+                    stack.append(kids[i][1])
+            elif isinstance(term, (Let, Fun)):
+                stack.append(kids[i][-1])
+            elif callee[i] is not None:
+                body = callee[i][0]
+                if not facts[body]:
+                    facts[body] = True
+                    regions.append(body)
+    return Annotated(nodes, tuple(facts))
 
 
 def check_reach(ctx: ReachCtx, at: Annotated) -> Optional[Rejection]:
-    """Verify a reachability annotation; None means accepted."""
-
-    def walk(node: Annotated, ctx: Mapping[str, bool], path: tuple) -> Optional[Rejection]:
-        term = node.term
-        bit = node.fact
-        bad = shape_rejection(node, path)
-        if bad is not None:
-            return bad
+    """Verify a reachability annotation; None means accepted.  ctx gives
+    the body bits of functions the term applies but does not define."""
+    nodes, facts = at.nodes, at.facts
+    if len(facts) != len(nodes.terms):
+        return Rejection((), "Shape", f"{len(facts)} facts for a term with {len(nodes.terms)} nodes")
+    for i, term in enumerate(nodes.terms):
+        bit = facts[i]
+        kids = nodes.kids[i]
+        bad = None
         if isinstance(term, Let):
-            child = node.children[0]
-            if child.fact != bit:
-                return Rejection(path, "Reach-Let", f"continuation bit {child.fact} differs from node bit {bit}")
-            return walk(child, ctx, path + (0,))
-        if isinstance(term, Exp):
-            return None  # Live-Exp: expression leaves are always fine
-        if isinstance(term, App):
-            if bit and not ctx.get(term.fun, False):
-                return Rejection(path, "Reach-App", f"reachable application of {term.fun!r} whose body is not marked reachable")
-            return None
-        if isinstance(term, Cond):
+            if facts[kids[0]] != bit:
+                bad = "Reach-Let", f"continuation bit {facts[kids[0]]} differs from node bit {bit}"
+        elif isinstance(term, App):
+            hit = nodes.callee[i]
+            if bit and not (ctx.get(term.fun, False) if hit is None else facts[hit[0]]):
+                bad = "Reach-App", f"reachable application of {term.fun!r} whose body is not marked reachable"
+        elif isinstance(term, Cond):
             sb = static_branch(term.cond)
-            then, orelse = node.children
-            if sb is not False and then.fact != bit:
-                return Rejection(path, "Reach-Cond", f"then-branch bit {then.fact} differs from node bit {bit}")
-            if sb is not True and orelse.fact != bit:
-                return Rejection(path, "Reach-Cond", f"else-branch bit {orelse.fact} differs from node bit {bit}")
-            bad = walk(then, ctx, path + (0,))
-            if bad is not None:
-                return bad
-            return walk(orelse, ctx, path + (1,))
-        assert isinstance(term, Fun)
-        n = len(term.defs)
-        cont = node.children[n]
-        if cont.fact != bit:
-            return Rejection(path, "Reach-Fun", f"continuation bit {cont.fact} differs from node bit {bit}")
-        inner = dict(ctx)
-        for d, body in zip(term.defs, node.children):
-            inner[d.name] = body.fact
-        for g, body in enumerate(node.children[:n]):
-            bad = walk(body, inner, path + (g,))
-            if bad is not None:
-                return bad
-        return walk(cont, inner, path + (n,))
-
-    return walk(at, dict(ctx), ())
+            then, orelse = facts[kids[0]], facts[kids[1]]
+            if sb is not False and then != bit:
+                bad = "Reach-Cond", f"then-branch bit {then} differs from node bit {bit}"
+            elif sb is not True and orelse != bit:
+                bad = "Reach-Cond", f"else-branch bit {orelse} differs from node bit {bit}"
+        elif isinstance(term, Fun):
+            if facts[kids[-1]] != bit:
+                bad = "Reach-Fun", f"continuation bit {facts[kids[-1]]} differs from node bit {bit}"
+        if bad is not None:
+            return Rejection(nodes.path(i), *bad)
+    return None

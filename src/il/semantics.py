@@ -251,7 +251,7 @@ class Keys:
     def _free(self, t: Term) -> tuple[str, ...]:
         """t's free variables from its children's, which are in the table."""
         facts = self.facts
-        return tuple(sorted(node_free_vars(t, lambda c: facts[id(c)][2])))
+        return tuple(sorted(node_free_vars(t, [facts[id(c)][2] for c in term_children(t)])))
 
     def fact(self, t: Term) -> tuple[Term, int, tuple[str, ...]]:
         """(t, its index, its free variables in sorted order)."""

@@ -21,17 +21,20 @@ Concrete grammar (whitespace-insensitive)::
               | expr ("="|"<"|"<=") expr
     VAR/FUN/ACTION := [a-zA-Z_][a-zA-Z0-9_']*
 
-Annotated terms mirror the term structure and carry one analysis fact
-per node; a function-definition node orders its children as the
-function bodies followed by the continuation.  The sidecar format is
-one fact per line in pre-order: "true"/"false" for booleans, "{x,y}"
-for variable sets.
+Nodes numbers a term's nodes once, in pre-order, with one explicit-stack
+walk: each node's term, parent and children (a function group's
+children are its member bodies, then its continuation) and, for an
+application, the group member its name resolves to.  An annotation
+(Annotated) is that table with one analysis fact per node in pre-order,
+which is also the sidecar format: one fact per line, "true"/"false" for
+booleans, "{x,y}" for variable sets.  Only the parser and the printer
+recurse on terms; every other walk is a loop over the table.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Values
@@ -229,20 +232,96 @@ def term_children(t: Term) -> tuple[Term, ...]:
     return ()
 
 
+class Nodes:
+    """A term's nodes, numbered once in pre-order; node 0 is the root.
+
+    terms[i] is node i's term, parent[i] its parent's index (-1 for the
+    root) and kids[i] its children's, in term_children order.  For an
+    application, callee[i] is the group member its name resolves to, as
+    (body index, definition); it is None for every other node and for a
+    name no enclosing group defines.  That is the one statement of the
+    scoping rule for function names: a group binds its names in all its
+    bodies and its continuation, and an inner group shadows an outer one.
+    """
+
+    __slots__ = ("terms", "parent", "kids", "callee")
+
+    def __init__(self, t: Term):
+        terms: list[Term] = []
+        parent: list[int] = []
+        nkids: list[int] = []
+        scope: dict[str, tuple[int, int]] = {}  # name -> (group node, member position)
+        apps: list[tuple[int, int, int]] = []
+        stack: list = [(t, -1)]
+        while stack:
+            top = stack.pop()
+            if type(top) is dict:  # leaving a group: restore the names it shadowed
+                for name, prev in top.items():
+                    if prev is None:
+                        del scope[name]
+                    else:
+                        scope[name] = prev
+                continue
+            term, up = top
+            i = len(terms)
+            terms.append(term)
+            parent.append(up)
+            if isinstance(term, Let):
+                stack.append((term.body, i))
+                nkids.append(1)
+            elif isinstance(term, Cond):
+                stack += ((term.orelse, i), (term.then, i))
+                nkids.append(2)
+            elif isinstance(term, Fun):
+                stack.append({d.name: scope.get(d.name) for d in term.defs})
+                stack.append((term.cont, i))
+                stack += ((d.body, i) for d in reversed(term.defs))
+                scope.update((d.name, (i, g)) for g, d in enumerate(term.defs))
+                nkids.append(len(term.defs) + 1)
+            else:
+                nkids.append(0)
+                if isinstance(term, App) and term.fun in scope:
+                    apps.append((i, *scope[term.fun]))
+        # A node's first child follows it, and each further child follows
+        # its elder sibling's subtree; subtree sizes come from the parents.
+        size = [1] * len(terms)
+        for i in reversed(range(1, len(terms))):
+            size[parent[i]] += size[i]
+        kids: list[tuple[int, ...]] = []
+        for i, n in enumerate(nkids):
+            k, ks = i + 1, []
+            for _ in range(n):
+                ks.append(k)
+                k += size[k]
+            kids.append(tuple(ks))
+        callee: list[Optional[tuple[int, FunDef]]] = [None] * len(terms)
+        for i, group, g in apps:
+            callee[i] = (kids[group][g], terms[group].defs[g])
+        self.terms, self.parent, self.kids, self.callee = terms, parent, kids, callee
+
+    def path(self, i: int) -> tuple[int, ...]:
+        """Node i's child positions from the root."""
+        out = []
+        while i > 0:
+            up = self.parent[i]
+            out.append(self.kids[up].index(i))
+            i = up
+        return tuple(reversed(out))
+
+
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in term_children(t))
+    return len(Nodes(t).terms)
 
 
 def well_formed(t: Term) -> bool:
     """Structural invariants: distinct group names, distinct parameters."""
-    if isinstance(t, Fun):
-        names = [d.name for d in t.defs]
-        if len(set(names)) != len(names):
-            return False
-        for d in t.defs:
-            if len(set(d.params)) != len(d.params):
+    for n in Nodes(t).terms:
+        if isinstance(n, Fun):
+            if len({d.name for d in n.defs}) != len(n.defs):
                 return False
-    return all(well_formed(c) for c in term_children(t))
+            if any(len(set(d.params)) != len(d.params) for d in n.defs):
+                return False
+    return True
 
 
 def term_exprs(t: Term) -> tuple[Expr, ...]:
@@ -258,57 +337,45 @@ def term_exprs(t: Term) -> tuple[Expr, ...]:
     return ()
 
 
-def node_free_vars(t: Term, child_free: Callable[[Term], Iterable[str]]) -> set[str]:
-    """t's free variables, given each child's through child_free: the
-    one statement of the scoping rule.  A let binds its variable in its
-    body, and a group's definitions bind their parameters."""
+def node_free_vars(t: Term, kids: Sequence[Iterable[str]]) -> set[str]:
+    """t's free variables, given its children's in term_children order:
+    the one statement of the scoping rule for variables.  A let binds
+    its variable in its body, and a group's definitions bind their
+    parameters."""
     out = set(free_vars_list(term_exprs(t)))
     if isinstance(t, Let):
-        out.update(v for v in child_free(t.body) if v != t.var)
+        out.update(v for v in kids[0] if v != t.var)
     elif isinstance(t, Cond):
-        out.update(child_free(t.then), child_free(t.orelse))
+        out.update(kids[0], kids[1])
     elif isinstance(t, Fun):
-        out.update(child_free(t.cont))
-        for d in t.defs:
-            out.update(v for v in child_free(d.body) if v not in d.params)
+        out.update(kids[-1])
+        for d, body in zip(t.defs, kids):
+            out.update(v for v in body if v not in d.params)
     return out
 
 
 def free_term_vars(t: Term) -> frozenset[str]:
-    """Variables a whole program reads from its initial environment.
-    Folded bottom-up on an explicit stack, so depth is not limited."""
-    done: dict[int, frozenset[str]] = {}  # by id(); every key's term lives in t
-    stack = [(t, False)]
-    while stack:
-        n, folded = stack.pop()
-        if folded:
-            done[id(n)] = frozenset(node_free_vars(n, lambda c: done[id(c)]))
-        elif id(n) not in done:
-            stack.append((n, True))
-            stack.extend((c, False) for c in term_children(n))
-    return done[id(t)]
+    """Variables a whole program reads from its initial environment,
+    folded over its nodes in reverse pre-order."""
+    nodes = Nodes(t)
+    free: list = [None] * len(nodes.terms)
+    for i in reversed(range(len(free))):
+        free[i] = node_free_vars(nodes.terms[i], [free[k] for k in nodes.kids[i]])
+    return frozenset(free[0])
 
 
 def constants_of(*terms: Term) -> frozenset[int]:
     out: set[int] = set()
-
-    def expr_walk(e: Expr) -> None:
-        if isinstance(e, Const):
-            out.add(e.value)
-        elif isinstance(e, Unop):
-            expr_walk(e.arg)
-        elif isinstance(e, Binop):
-            expr_walk(e.left)
-            expr_walk(e.right)
-
-    def walk(t: Term) -> None:
-        for e in term_exprs(t):
-            expr_walk(e)
-        for c in term_children(t):
-            walk(c)
-
     for t in terms:
-        walk(t)
+        stack = [e for n in Nodes(t).terms for e in term_exprs(n)]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Const):
+                out.add(e.value)
+            elif isinstance(e, Unop):
+                stack.append(e.arg)
+            elif isinstance(e, Binop):
+                stack += (e.left, e.right)
     return frozenset(out)
 
 
@@ -316,41 +383,16 @@ def constants_of(*terms: Term) -> frozenset[int]:
 # Annotated terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Annotated:
-    """A term zipped with one fact per node.
+    """A term's node table with one fact per node, in pre-order."""
 
-    children follow term_children order; the invariant children[i].term
-    is term_children(term)[i] makes strip a field access.
-    """
+    nodes: Nodes
+    facts: tuple
 
-    term: Term
-    fact: Any
-    children: tuple["Annotated", ...]
-
-
-def strip(at: Annotated) -> Term:
-    return at.term
-
-
-def zip_ann(t: Term, facts: tuple) -> Annotated:
-    """Attach a structurally isomorphic fact tree, (fact, (subtree, ...)), to t."""
-    if not (isinstance(facts, tuple) and len(facts) == 2 and isinstance(facts[1], tuple)):
-        raise ValueError("fact tree nodes must be (fact, children) pairs")
-    fact, subfacts = facts
-    kids = term_children(t)
-    if len(kids) != len(subfacts):
-        raise ValueError(
-            f"fact tree shape mismatch: node has {len(kids)} subterms, got {len(subfacts)} fact subtrees"
-        )
-    return Annotated(t, fact, tuple(zip_ann(c, f) for c, f in zip(kids, subfacts)))
-
-
-def ann_walk(at: Annotated) -> Iterator[Annotated]:
-    """Pre-order iteration over annotated nodes."""
-    yield at
-    for c in at.children:
-        yield from ann_walk(c)
+    @property
+    def term(self) -> Term:
+        return self.nodes.terms[0]
 
 
 def _fact_line(fact: Any) -> str:
@@ -377,27 +419,19 @@ def _parse_fact_line(line: str, lineno: int) -> Any:
 
 def sidecar_text(at: Annotated) -> str:
     """One fact per line, nodes in pre-order."""
-    return "\n".join(_fact_line(n.fact) for n in ann_walk(at)) + "\n"
+    return "\n".join(map(_fact_line, at.facts)) + "\n"
 
 
 def parse_sidecar(t: Term, text: str) -> Annotated:
     """Rebuild an annotated term from a program and its sidecar."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    facts = [_parse_fact_line(ln, i + 1) for i, ln in enumerate(lines)]
-    pos = 0
-
-    def build(term: Term) -> Annotated:
-        nonlocal pos
-        if pos >= len(facts):
-            raise ValueError("sidecar has fewer facts than the program has nodes")
-        fact = facts[pos]
-        pos += 1
-        return Annotated(term, fact, tuple(build(c) for c in term_children(term)))
-
-    out = build(t)
-    if pos != len(facts):
+    facts = tuple(_parse_fact_line(ln, i + 1) for i, ln in enumerate(lines))
+    nodes = Nodes(t)
+    if len(facts) < len(nodes.terms):
+        raise ValueError("sidecar has fewer facts than the program has nodes")
+    if len(facts) > len(nodes.terms):
         raise ValueError("sidecar has more facts than the program has nodes")
-    return out
+    return Annotated(nodes, facts)
 
 
 # ---------------------------------------------------------------------------

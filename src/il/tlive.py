@@ -6,10 +6,13 @@ analysis tracks use through calls: an argument is only live if the
 corresponding parameter is live in the callee, which is what lets dead
 parameters and their argument expressions disappear together.
 
-infer_tlive solves the member-body sets with a worklist (Kildall): a
-body is swept when its group is first reached and again, FIFO, when a
-set it read grows; the root, whose set nothing reads, is swept once.
-Sets only grow from empty, so the result is the least solution.
+infer_tlive solves the sets with a worklist (Kildall) over regions: the
+root and each member body, less the member bodies nested in it.  A
+sweep folds the transfer rule over a region's nodes and writes their
+facts.  Every region is swept once, and again when a member set it read
+grows; the region that starts latest in pre-order goes first, so a
+group's bodies settle before the region that holds the group.  Sets
+only grow from empty, so the result is the least solution.
 check_tlive verifies an annotation against the judgment rules; a
 statically excluded branch of a conditional needs no derivation at all
 and is skipped, while the inference still annotates it with its own
@@ -17,10 +20,10 @@ least solution, which contributes nothing to the node's set.
 """
 from __future__ import annotations
 
-from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Optional, Sequence
 
-from .reach import Rejection, shape_rejection, static_branch
+from .reach import Rejection, static_branch
 from .syntax import (
     Annotated,
     App,
@@ -28,6 +31,7 @@ from .syntax import (
     Exp,
     Fun,
     Let,
+    Nodes,
     SysCall,
     Term,
     free_vars,
@@ -38,13 +42,6 @@ ParamCtx = Mapping[str, tuple[str, ...]]
 LiveCtx = Mapping[str, frozenset[str]]
 
 _EMPTY: frozenset[str] = frozenset()
-
-
-def _group_live_context(lam: dict, names: list[str], sets: list[frozenset[str]]) -> dict:
-    """Live-set context for descending into a function group."""
-    out = dict(lam)
-    out.update(zip(names, sets))
-    return out
 
 
 def _fact(term: Term, kids: Sequence[frozenset[str]], callee: Optional[tuple]) -> frozenset[str]:
@@ -80,162 +77,122 @@ def _fact(term: Term, kids: Sequence[frozenset[str]], callee: Optional[tuple]) -
 
 def infer_tlive(t: Term) -> Annotated:
     """Annotate t with its least true-liveness solution."""
-    live: dict[tuple, frozenset[str]] = {}
-    users: dict[tuple, set[tuple]] = {}
-    scopes: dict[tuple, dict[str, tuple]] = {}
-    members: dict[tuple, Term] = {}
-    queue: deque[tuple] = deque()
-    queued: set[tuple] = set()
-
-    def read(key: tuple, region: tuple) -> frozenset[str]:
-        users[key].add(region)
-        return live[key]
-
-    def grow(key: tuple, fact: frozenset[str]) -> None:
-        if fact != live[key]:
-            live[key] = fact
-            fresh = users[key] - queued - {()}  # () is the root: nothing reads its set
-            queue.extend(fresh)
-            queued.update(fresh)
-
-    def sweep(term: Term, path: tuple, scope: dict, region: tuple) -> frozenset[str]:
-        """Fold _fact over a region, reading nested member sets as their user."""
-        if isinstance(term, Let):
-            return _fact(term, (sweep(term.body, path + (0,), scope, region),), None)
-        if isinstance(term, App):
-            bound = scope.get(term.fun)
-            return _fact(term, (), None if bound is None else (bound[0], read(bound[1], region)))
-        if isinstance(term, Cond):
-            then = sweep(term.then, path + (0,), scope, region)
-            return _fact(term, (then, sweep(term.orelse, path + (1,), scope, region)), None)
-        if isinstance(term, Fun):
-            keys = [path + (g,) for g in range(len(term.defs))]
-            if path not in scopes:
-                # a scope maps a name to (parameters, member path)
-                inner = scopes[path] = {**scope, **{d.name: (d.params, key) for d, key in zip(term.defs, keys)}}
-                for d, key in zip(term.defs, keys):
-                    live[key], users[key], members[key] = _EMPTY, set(), d.body
-                for d, key in zip(term.defs, keys):
-                    grow(key, sweep(d.body, key, inner, key))
-            kids = [read(key, region) for key in keys]
-            kids.append(sweep(term.cont, path + (len(keys),), scopes[path], region))
-            return _fact(term, kids, None)
-        return _fact(term, (), None)
-
-    sweep(t, (), {}, ())
+    nodes = Nodes(t)
+    terms, parent, kids, callee = nodes.terms, nodes.parent, nodes.kids, nodes.callee
+    regions: dict[int, list[int]] = {0: [0]}  # region start -> its nodes in pre-order
+    region = [0] * len(terms)
+    for i in range(1, len(terms)):
+        up = parent[i]
+        if isinstance(terms[up], Fun) and i != kids[up][-1]:
+            region[i] = i
+            regions[i] = []
+        else:
+            region[i] = region[up]
+        regions[region[i]].append(i)
+    facts = [_EMPTY] * len(terms)
+    users: dict[int, set[int]] = {r: set() for r in regions}  # member body -> regions that read its set
+    queue = [-r for r in regions]
+    heapify(queue)
+    queued = set(regions)
     while queue:
-        key = queue.popleft()
-        queued.discard(key)
-        grow(key, sweep(members[key], key, scopes[key[:-1]], key))
+        r = -heappop(queue)
+        queued.discard(r)
+        before = facts[r]
+        for i in reversed(regions[r]):
+            term, hit = terms[i], callee[i]
+            if isinstance(term, Fun):  # reads its members' sets
+                for body in kids[i][:-1]:
+                    users[body].add(r)
+            elif hit is not None:  # reads its callee's set
+                users[hit[0]].add(r)
+                hit = (hit[1].params, facts[hit[0]])
+            facts[i] = _fact(term, [facts[k] for k in kids[i]], hit)
+        if facts[r] != before:
+            for u in users[r] - queued:
+                heappush(queue, -u)
+                queued.add(u)
+    return Annotated(nodes, tuple(facts))
 
-    def build(term: Term, path: tuple, scope: dict, lam: dict) -> Annotated:
-        if isinstance(term, Let):
-            kids: tuple = (build(term.body, path + (0,), scope, lam),)
-            return Annotated(term, _fact(term, (kids[0].fact,), None), kids)
-        if isinstance(term, App):
-            known = term.fun in scope and term.fun in lam
-            return Annotated(term, _fact(term, (), (scope[term.fun][0], lam[term.fun]) if known else None), ())
-        if isinstance(term, Cond):
-            kids = (build(term.then, path + (0,), scope, lam), build(term.orelse, path + (1,), scope, lam))
-            return Annotated(term, _fact(term, (kids[0].fact, kids[1].fact), None), kids)
-        if isinstance(term, Fun):
-            inner, n = scopes[path], len(term.defs)
-            lam = _group_live_context(lam, [d.name for d in term.defs], [live[path + (g,)] for g in range(n)])
-            built = []
-            for g, d in enumerate(term.defs):
-                built.append(build(d.body, path + (g,), inner, lam))
-            built.append(build(term.cont, path + (n,), inner, lam))
-            return Annotated(term, _fact(term, [k.fact for k in built], None), tuple(built))
-        return Annotated(term, _fact(term, (), None), ())
 
-    return build(t, (), {}, {})
+def _derivable(nodes: Nodes) -> list[int]:
+    """Node indices in pre-order, less the statically excluded branches
+    of conditionals: those need no derivation."""
+    out, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        out.append(i)
+        term, kids = nodes.terms[i], nodes.kids[i]
+        sb = static_branch(term.cond) if isinstance(term, Cond) else None
+        stack += reversed(kids) if sb is None else (kids[0] if sb else kids[1],)
+    return out
 
 
 def check_tlive(zeta: ParamCtx, lam: LiveCtx, at: Annotated) -> Optional[Rejection]:
-    """Verify a true-liveness annotation; None means accepted."""
-
-    def walk(node: Annotated, zeta: Mapping, lam: Mapping, path: tuple) -> Optional[Rejection]:
-        term = node.term
-        live: frozenset[str] = node.fact
-        bad = shape_rejection(node, path)
-        if bad is not None:
-            return bad
+    """Verify a true-liveness annotation; None means accepted.  zeta and
+    lam give the parameters and live sets of functions the term applies
+    but does not define."""
+    nodes, facts = at.nodes, at.facts
+    if len(facts) != len(nodes.terms):
+        return Rejection((), "Shape", f"{len(facts)} facts for a term with {len(nodes.terms)} nodes")
+    for i in _derivable(nodes):
+        term, kids = nodes.terms[i], nodes.kids[i]
+        live: frozenset[str] = facts[i]
+        bad = None
         if isinstance(term, Let):
-            body = node.children[0]
-            after: frozenset[str] = body.fact
+            after: frozenset[str] = facts[kids[0]]
             if not (after - {term.var}) <= live:
                 missing = sorted((after - {term.var}) - live)
-                return Rejection(path, "TLive-Op" if not isinstance(term.value, SysCall) else "TLive-Call",
-                                 f"continuation needs {missing} beyond this node's set")
-            if isinstance(term.value, SysCall):
+                bad = ("TLive-Op" if not isinstance(term.value, SysCall) else "TLive-Call",
+                       f"continuation needs {missing} beyond this node's set")
+            elif isinstance(term.value, SysCall):
                 if not free_vars_list(term.value.args) <= live:
                     missing = sorted(free_vars_list(term.value.args) - live)
-                    return Rejection(path, "TLive-Call", f"call arguments read {missing} outside this node's set")
-            else:
-                if term.var in after and not free_vars(term.value) <= live:
-                    missing = sorted(free_vars(term.value) - live)
-                    return Rejection(path, "TLive-Op", f"bound expression reads {missing} outside this node's set")
-            return walk(body, zeta, lam, path + (0,))
-        if isinstance(term, Exp):
+                    bad = "TLive-Call", f"call arguments read {missing} outside this node's set"
+            elif term.var in after and not free_vars(term.value) <= live:
+                missing = sorted(free_vars(term.value) - live)
+                bad = "TLive-Op", f"bound expression reads {missing} outside this node's set"
+        elif isinstance(term, Exp):
             if not free_vars(term.expr) <= live:
                 missing = sorted(free_vars(term.expr) - live)
-                return Rejection(path, "TLive-Exp", f"expression reads {missing} outside this node's set")
-            return None
-        if isinstance(term, App):
-            params = zeta.get(term.fun)
-            callee_live = lam.get(term.fun)
+                bad = "TLive-Exp", f"expression reads {missing} outside this node's set"
+        elif isinstance(term, App):
+            hit = nodes.callee[i]
+            if hit is None:
+                params, callee_live = zeta.get(term.fun), lam.get(term.fun)
+            else:
+                params, callee_live = hit[1].params, facts[hit[0]]
             if params is None or callee_live is None:
-                return Rejection(path, "TLive-App", f"application of unknown function {term.fun!r}")
-            if len(params) != len(term.args):
-                return Rejection(path, "TLive-App",
-                                 f"arity mismatch: {len(term.args)} arguments for {len(params)} parameters")
-            for x, e in zip(params, term.args):
-                if x in callee_live and not free_vars(e) <= live:
-                    missing = sorted(free_vars(e) - live)
-                    return Rejection(path, "TLive-App",
-                                     f"argument for live parameter {x!r} reads {missing} outside this node's set")
-            return None
-        if isinstance(term, Cond):
+                bad = "TLive-App", f"application of unknown function {term.fun!r}"
+            elif len(params) != len(term.args):
+                bad = "TLive-App", f"arity mismatch: {len(term.args)} arguments for {len(params)} parameters"
+            else:
+                for x, e in zip(params, term.args):
+                    if x in callee_live and not free_vars(e) <= live:
+                        missing = sorted(free_vars(e) - live)
+                        bad = "TLive-App", f"argument for live parameter {x!r} reads {missing} outside this node's set"
+                        break
+        elif isinstance(term, Cond):
             sb = static_branch(term.cond)
-            then, orelse = node.children
+            then, orelse = facts[kids[0]], facts[kids[1]]
             if sb is None and not free_vars(term.cond) <= live:
                 missing = sorted(free_vars(term.cond) - live)
-                return Rejection(path, "TLive-Cond", f"condition reads {missing} outside this node's set")
-            if sb is not False:
-                if not then.fact <= live:
-                    missing = sorted(then.fact - live)
-                    return Rejection(path, "TLive-Cond", f"then-branch needs {missing} beyond this node's set")
-                bad = walk(then, zeta, lam, path + (0,))
-                if bad is not None:
-                    return bad
-            if sb is not True:
-                if not orelse.fact <= live:
-                    missing = sorted(orelse.fact - live)
-                    return Rejection(path, "TLive-Cond", f"else-branch needs {missing} beyond this node's set")
-                bad = walk(orelse, zeta, lam, path + (1,))
-                if bad is not None:
-                    return bad
-            return None
-        assert isinstance(term, Fun)
-        n = len(term.defs)
-        cont = node.children[n]
-        zeta2 = dict(zeta)
-        zeta2.update((d.name, d.params) for d in term.defs)
-        lam2 = dict(lam)
-        lam2.update((d.name, body.fact) for d, body in zip(term.defs, node.children))
-        if not cont.fact <= live:
-            missing = sorted(cont.fact - live)
-            return Rejection(path, "TLive-Fun", f"continuation needs {missing} beyond this node's set")
-        for d, body in zip(term.defs, node.children):
-            escaped = body.fact - set(d.params)
-            if not escaped <= live:
-                missing = sorted(escaped - live)
-                return Rejection(path, "TLive-Fun",
-                                 f"body of {d.name!r} captures {missing} outside this node's set")
-        for g, body in enumerate(node.children[:n]):
-            bad = walk(body, zeta2, lam2, path + (g,))
-            if bad is not None:
-                return bad
-        return walk(cont, zeta2, lam2, path + (n,))
-
-    return walk(at, dict(zeta), dict(lam), ())
+                bad = "TLive-Cond", f"condition reads {missing} outside this node's set"
+            elif sb is not False and not then <= live:
+                bad = "TLive-Cond", f"then-branch needs {sorted(then - live)} beyond this node's set"
+            elif sb is not True and not orelse <= live:
+                bad = "TLive-Cond", f"else-branch needs {sorted(orelse - live)} beyond this node's set"
+        else:
+            assert isinstance(term, Fun)
+            cont = facts[kids[-1]]
+            if not cont <= live:
+                bad = "TLive-Fun", f"continuation needs {sorted(cont - live)} beyond this node's set"
+            else:
+                for d, k in zip(term.defs, kids):
+                    escaped = facts[k] - set(d.params)
+                    if not escaped <= live:
+                        missing = sorted(escaped - live)
+                        bad = "TLive-Fun", f"body of {d.name!r} captures {missing} outside this node's set"
+                        break
+        if bad is not None:
+            return Rejection(nodes.path(i), *bad)
+    return None

@@ -7,6 +7,7 @@ import random
 import time
 from functools import lru_cache
 
+from audits import reach_audit, tlive_audit
 from il.equiv import (
     Distinguished,
     EquivalentToDepth,
@@ -23,8 +24,6 @@ from il.harness import (
     difftest_uce,
     gen_program,
     initial_env,
-    reach_audit,
-    tlive_audit,
 )
 from il.reach import infer_reach
 from il.semantics import Config, SeededOracle, run_trace, trace_text
@@ -317,13 +316,13 @@ def test_08_mutation_sensitivity():
     finally:
         il.transform.static_branch = real_sb
 
-    real_ext = il.tlive._group_live_context
-    il.tlive._group_live_context = lambda lam, names, sets: dict(lam)
+    real_fact = il.tlive._fact
+    il.tlive._fact = lambda term, kids, callee: real_fact(term, kids, None)
     try:
         rep = difftest_dve(GenConfig(seed=0), trials=500, stop_early=True)
         caught.append(any(not r.accepted for r in rep.records))
     finally:
-        il.tlive._group_live_context = real_ext
+        il.tlive._fact = real_fact
 
     ok = caught == [True, True, True]
     elapsed = time.monotonic() - start

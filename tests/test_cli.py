@@ -337,6 +337,35 @@ def test_difftest_output_digest_is_pinned(capsys, pass_name, digest):
     assert blake2b(out.encode(), digest_size=16).hexdigest() == digest
 
 
+PINNED_PROGRAMS = [
+    LEFT,
+    RIGHT,
+    "f(1)",
+    "if 0 then f(1) else 2",
+    "fun f(x, y) = if 0 then f(x, y) else x in f(a, b)",
+    "fun f(x) = let y = extern r(x) in f(x) in f(0)",
+    "fun f() = let x = extern r() in f() in f()",
+    "".join(f"let x{i} = {i} in " for i in range(600)) + "x0",
+    "let x = 1 in",
+]
+
+
+def test_pass_output_digest_is_pinned(files, capsys):
+    # pins stdout, stderr and exit code of the analyses and the passes on
+    # 200 generated programs plus the rejected inputs above
+    from il.harness import GenConfig, derive_seed, gen_program
+
+    programs = PINNED_PROGRAMS + [print_program(gen_program(GenConfig(seed=derive_seed(0, i)))) for i in range(200)]
+    h = blake2b(digest_size=16)
+    for i, src in enumerate(programs):
+        path = files(f"p{i}.il", src)
+        for flags in (("analyze", "--reach"), ("analyze", "--tlive"), ("optimize", "--uce"),
+                      ("optimize", "--dve"), ("optimize", "--uce", "--dve")):
+            code, out, err = run_cli(capsys, *flags, path)
+            h.update(f"{code}\0{out}\0{err.replace(path, '<file>')}\0".encode())
+    assert h.hexdigest() == "ec9f205b466de8d8fb4cc1dc238cbd90"
+
+
 def test_difftest_requires_pass(capsys):
     code, _, err = run_cli(capsys, "difftest", "--trials", "5")
     assert code == 64
@@ -377,6 +406,18 @@ def test_non_integer_depth_exits_64(files, capsys):
         ("run", "--fuel", "-5"),
         ("run", "--max-events", "-1"),
         ("difftest", "--pass", "uce", "--trials", "-3"),
+        # spellings int() accepts but a bound or a seed does not
+        ("check", "--depth", "٣"),
+        ("check", "--depth", "-0"),
+        ("check", "--fuel", "+5"),
+        ("run", "--max-events", "1_0"),
+        ("run", "--oracle-seed", "+3"),
+        ("run", "--oracle-seed", " 3"),
+        ("difftest", "--pass", "uce", "--seed", "+3"),
+        ("difftest", "--pass", "uce", "--seed", "٣"),
+        ("difftest", "--pass", "uce", "--trials", " 2"),
+        ("difftest", "--pass", "uce", "--trials", "2\n"),
+        ("difftest", "--pass", "uce", "--seed", "-" + "1" * 5000),
     ],
 )
 def test_bad_bound_exits_64_with_usage(files, capsys, argv):

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from audits import generator_audit, reach_audit, tlive_audit
 from il.harness import (
     GenConfig,
     TrialRecord,
@@ -13,12 +14,9 @@ from il.harness import (
     difftest_dve,
     difftest_uce,
     gen_program,
-    generator_audit,
     initial_env,
     perturbed_env,
     shrink_term,
-    tlive_audit,
-    reach_audit,
 )
 from il.semantics import SeededOracle
 from il.syntax import Cond, Const, Exp, parse_program, term_size, well_formed

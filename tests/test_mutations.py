@@ -6,7 +6,7 @@ import il.tlive
 import il.transform
 from il.harness import GenConfig, difftest_dve, difftest_uce
 from il.reach import Rejection, check_reach, infer_reach
-from il.syntax import Annotated, Fun, parse_program
+from il.syntax import Annotated, Fun, Nodes, parse_program
 from il.tlive import check_tlive
 
 BUDGET = 500
@@ -49,10 +49,14 @@ def test_uce_folding_the_wrong_branch_is_caught(monkeypatch):
 
 
 def test_tlive_skipping_context_extension_is_caught(monkeypatch):
-    def no_extension(lam, names, sets):
-        return dict(lam)
+    # where infer_tlive reads a callee's live set, the mutant reads
+    # nothing, as if the enclosing group had not extended the context
+    real = il.tlive._fact
 
-    monkeypatch.setattr(il.tlive, "_group_live_context", no_extension)
+    def no_extension(term, kids, callee):
+        return real(term, kids, None)
+
+    monkeypatch.setattr(il.tlive, "_fact", no_extension)
     rep = difftest_dve(GenConfig(seed=0), trials=BUDGET, stop_early=True)
     rec = first_failure(rep)
     assert rec is not None
@@ -73,9 +77,9 @@ def test_corrupted_reach_bit_is_rejected():
     t = parse_program("fun f() = 1 in f()")
     at = infer_reach(t)
     assert isinstance(at.term, Fun)
-    kids = list(at.children)
-    kids[0] = Annotated(kids[0].term, False, kids[0].children)
-    assert check_reach({}, Annotated(at.term, at.fact, tuple(kids))) is not None
+    facts = list(at.facts)
+    facts[1] = False  # the body of f, the first child
+    assert check_reach({}, Annotated(at.nodes, tuple(facts))) is not None
 
 
 @pytest.mark.parametrize("checker", ["reach", "tlive"])
@@ -85,11 +89,12 @@ def test_corrupted_reach_bit_is_rejected():
     ids=["let", "fun", "cond"],
 )
 def test_childless_annotation_is_rejected_not_raised(checker, src):
-    t = parse_program(src)
+    # one fact for a term of two or more nodes
+    nodes = Nodes(parse_program(src))
     if checker == "reach":
-        rej = check_reach({}, Annotated(t, True, ()))
+        rej = check_reach({}, Annotated(nodes, (True,)))
     else:
-        rej = check_tlive({}, {}, Annotated(t, frozenset({"a"}), ()))
+        rej = check_tlive({}, {}, Annotated(nodes, (frozenset({"a"}),)))
     assert isinstance(rej, Rejection)
     assert rej.rule == "Shape"
     assert rej.path == ()

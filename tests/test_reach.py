@@ -11,18 +11,22 @@ from il.syntax import (
     Annotated,
     Binop,
     Const,
+    Fun,
+    Nodes,
     Var,
-    ann_walk,
     parse_program,
-    strip,
-    zip_ann,
 )
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 
 
 def facts(src):
-    return [n.fact for n in ann_walk(infer_reach(parse_program(src)))]
+    return list(infer_reach(parse_program(src)).facts)
+
+
+def annotate(t, facts):
+    """t with one fact per node, in pre-order."""
+    return Annotated(Nodes(t), tuple(facts))
 
 
 def test_static_branch_decided():
@@ -55,83 +59,83 @@ def test_infer_open_cond_keeps_both():
 
 def test_infer_dead_branch_subtree_is_all_false():
     at = infer_reach(parse_program("if 0 then let q = 1 in q else 2"))
-    dead = at.children[0]
-    assert all(n.fact is False for n in ann_walk(dead))
+    dead = at.facts[1:3]  # the let and its body
+    assert all(f is False for f in dead)
 
 
 def test_infer_unapplied_function_is_dead():
     at = infer_reach(parse_program("fun f() = f() and g() = 3 in g()"))
-    by_name = dict(zip(("f", "g"), at.children))
-    assert by_name["f"].fact is False
-    assert by_name["g"].fact is True
-    assert at.fact is True
+    by_name = dict(zip(("f", "g"), at.facts[1:3]))
+    assert by_name["f"] is False
+    assert by_name["g"] is True
+    assert at.facts[0] is True
 
 
 def test_infer_mutual_recursion_reaches_fixpoint():
     at = infer_reach(parse_program("fun f(x) = g(x) and g(x) = f(x) in f(1)"))
-    assert [c.fact for c in at.children] == [True, True, True]
+    assert list(at.facts[1:]) == [True, True, True]
 
 
 def test_infer_call_inside_dead_branch_does_not_mark():
     at = infer_reach(parse_program("fun f() = 1 in if 0 then f() else 2"))
-    assert at.children[0].fact is False
+    assert at.facts[1] is False
 
 
 def test_infer_call_under_open_cond_marks():
     at = infer_reach(parse_program("fun f() = 1 in if x then f() else 2"))
-    assert at.children[0].fact is True
+    assert at.facts[1] is True
 
 
 def test_infer_shadowed_function_not_marked():
     # inner f shadows outer; only the inner body is entered
     src = "fun f() = 1 in fun f() = 2 in f()"
     at = infer_reach(parse_program(src))
-    assert at.children[0].fact is False
-    inner = at.children[1]
-    assert inner.children[0].fact is True
+    assert at.facts[1] is False  # outer body
+    assert at.nodes.kids[2] == (3, 4)  # the inner group
+    assert at.facts[3] is True  # inner body
 
 
 # -- checker
 
 
 def test_check_accepts_reachable_leaf():
-    at = zip_ann(parse_program("3"), (True, ()))
+    at = annotate(parse_program("3"), [True])
     assert check_reach({}, at) is None
 
 
 def test_check_rejects_false_applied_target():
     t = parse_program("fun f() = 1 in f()")
-    at = zip_ann(t, (True, ((False, ()), (True, ()))))
+    at = annotate(t, [True, False, True])
     rej = check_reach({}, at)
     assert isinstance(rej, Rejection)
     assert rej.rule == "Reach-App"
 
 
 def test_check_context_form_rejects_dead_callee():
-    at = zip_ann(parse_program("f()"), (True, ()))
+    at = annotate(parse_program("f()"), [True])
     rej = check_reach({"f": False}, at)
     assert rej is not None
     assert rej.rule == "Reach-App"
 
 
 def test_check_context_form_accepts_live_callee():
-    at = zip_ann(parse_program("f()"), (True, ()))
+    at = annotate(parse_program("f()"), [True])
     assert check_reach({"f": True}, at) is None
 
 
 def test_check_false_bits_are_consistent():
     # the judgment is relative to each node's own bit; an all-false
     # annotation claims nothing and is derivable
-    assert check_reach({}, zip_ann(parse_program("3"), (False, ()))) is None
+    assert check_reach({}, annotate(parse_program("3"), [False])) is None
     t = parse_program("let x = 1 in 3")
-    assert check_reach({}, zip_ann(t, (False, ((False, ()),)))) is None
+    assert check_reach({}, annotate(t, [False, False])) is None
     # an unreachable application needs no reachable body
-    assert check_reach({}, zip_ann(parse_program("f()"), (False, ()))) is None
+    assert check_reach({}, annotate(parse_program("f()"), [False])) is None
 
 
 def test_check_excluded_branch_bit_is_unconstrained():
     t = parse_program("if 0 then 1 else 2")
-    at = zip_ann(t, (True, ((True, ()), (True, ()))))
+    at = annotate(t, [True, True, True])
     assert check_reach({}, at) is None
 
 
@@ -139,7 +143,7 @@ def test_check_still_recurses_into_excluded_branch():
     # the excluded branch has no bit premise but its own subtree must
     # still be derivable
     t = parse_program("if 0 then f() else 2")
-    at = zip_ann(t, (True, ((True, ()), (True, ()))))
+    at = annotate(t, [True, True, True])
     rej = check_reach({}, at)
     assert rej is not None
     assert rej.rule == "Reach-App"
@@ -148,13 +152,13 @@ def test_check_still_recurses_into_excluded_branch():
 
 def test_check_rejects_dead_taken_branch():
     t = parse_program("if 1 then 1 else 2")
-    at = zip_ann(t, (True, ((False, ()), (False, ()))))
+    at = annotate(t, [True, False, False])
     assert check_reach({}, at) is not None
 
 
 def test_check_rejects_cont_bit_drift():
     t = parse_program("let x = 1 in 3")
-    at = zip_ann(t, (True, ((False, ()),)))
+    at = annotate(t, [True, False])
     rej = check_reach({}, at)
     assert rej is not None
     assert rej.rule == "Reach-Let"
@@ -162,7 +166,7 @@ def test_check_rejects_cont_bit_drift():
 
 def test_rejection_str_mentions_path_and_rule():
     t = parse_program("fun f() = 1 in f()")
-    at = zip_ann(t, (True, ((False, ()), (True, ()))))
+    at = annotate(t, [True, False, True])
     msg = str(check_reach({}, at))
     assert "Reach-App" in msg
     assert "at" in msg
@@ -170,37 +174,26 @@ def test_rejection_str_mentions_path_and_rule():
 
 def test_rejection_str_root_marker():
     t = parse_program("let x = 1 in 3")
-    at = zip_ann(t, (True, ((False, ()),)))
+    at = annotate(t, [True, False])
     assert "<root>" in str(check_reach({}, at))
 
 
 def test_inferred_left_figure_is_accepted():
     at = infer_reach(parse_program(LEFT))
     assert check_reach({}, at) is None
-    assert all(n.fact for n in ann_walk(at))
+    assert all(at.facts)
 
 
 def corrupt_first_true_fun_body(at):
     """Flip the first reachable function body bit to False."""
-
-    def rebuild(node, path):
-        from il.syntax import Fun
-
-        if isinstance(node.term, Fun):
-            for i, child in enumerate(node.children[:-1]):
-                if child.fact:
-                    kids = list(node.children)
-                    kids[i] = Annotated(child.term, False, child.children)
-                    return Annotated(node.term, node.fact, tuple(kids))
-        for i, child in enumerate(node.children):
-            out = rebuild(child, path + (i,))
-            if out is not None:
-                kids = list(node.children)
-                kids[i] = out
-                return Annotated(node.term, node.fact, tuple(kids))
-        return None
-
-    return rebuild(at, ())
+    for i, term in enumerate(at.nodes.terms):
+        if isinstance(term, Fun):
+            for body in at.nodes.kids[i][:-1]:
+                if at.facts[body]:
+                    facts = list(at.facts)
+                    facts[body] = False
+                    return Annotated(at.nodes, tuple(facts))
+    return None
 
 
 @settings(deadline=None, max_examples=80)
@@ -208,7 +201,7 @@ def corrupt_first_true_fun_body(at):
 def test_inferred_annotations_always_accepted(n):
     t = gen_program(GenConfig(seed=derive_seed(13, n)))
     at = infer_reach(t)
-    assert strip(at) == t
+    assert at.term is t
     assert check_reach({}, at) is None
 
 

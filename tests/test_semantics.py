@@ -1,5 +1,6 @@
 """Small-step execution, anchors, and trace collection."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -30,7 +31,7 @@ from il.semantics import (
     trace_text,
 )
 from il.semantics import Trace
-from il.syntax import App, Const, Exp, eval_expr_list, parse_program
+from il.syntax import App, Const, Exp, Nodes, eval_expr_list, parse_program
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -117,6 +118,54 @@ def test_ctx_resolve_rewinds_to_definition_group():
     assert hit is not None
     _, rewound = hit
     assert len(rewound) == 1
+
+
+def _resolutions(t, env, fuel=3000, max_events=16):
+    """Run t; for each application it reaches, the table's member body
+    for it and the body of the closure ctx_resolve finds, or None."""
+    nodes = Nodes(t)
+    index = {id(term): i for i, term in enumerate(nodes.terms)}
+    assert len(index) == len(nodes.terms)  # no shared subterm objects
+    config, events, seen = Config((), env, t), 0, []
+    for _ in range(fuel):
+        if isinstance(config.term, App):
+            hit, member = ctx_resolve(config.funs, config.term.fun), nodes.callee[index[id(config.term)]]
+            seen.append((None if member is None else nodes.terms[member[0]], None if hit is None else hit[0].body))
+        step = step_silent(config)
+        if isinstance(step, Stepped):
+            config = step.config
+        elif isinstance(step, Terminal) or events == max_events:
+            break
+        else:
+            _, config = apply_extern(config, events % 3)
+            events += 1
+    return seen
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "fun f() = 1 in fun f() = 2 in f()",
+        "fun f() = g() and g() = 1 in fun g() = f() in g()",
+        "fun f(n) = if n then fun f(m) = m in f(n - 1) else 0 in f(1)",
+        "f()",
+    ],
+)
+def test_table_names_the_closure_each_application_resolves_to(src):
+    seen = _resolutions(parse_program(src), {})
+    assert seen
+    assert all(member is body for member, body in seen)
+
+
+def test_table_names_the_closure_on_generated_programs():
+    cfg = GenConfig(seed=0)
+    apps = 0
+    for i in range(300):
+        t = gen_program(replace(cfg, seed=derive_seed(43, i)))
+        seen = _resolutions(t, initial_env(t, cfg, random.Random(i)))
+        assert all(member is body for member, body in seen)
+        apps += len(seen)
+    assert apps > 1000
 
 
 def test_closures_capture_definition_env():

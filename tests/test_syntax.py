@@ -16,11 +16,11 @@ from il.syntax import (
     Fun,
     FunDef,
     Let,
+    Nodes,
     ParseError,
     SysCall,
     Unop,
     Var,
-    ann_walk,
     constants_of,
     eval_expr,
     eval_expr_list,
@@ -30,12 +30,10 @@ from il.syntax import (
     parse_sidecar,
     print_program,
     sidecar_text,
-    strip,
     term_size,
     truthy,
     well_formed,
     wrap,
-    zip_ann,
 )
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
@@ -309,47 +307,66 @@ def test_term_size():
 
 
 def test_zip_strip_roundtrip():
+    # a term paired with its facts in pre-order, and the term back
     t = parse_program("if x then 1 else 2")
-    at = zip_ann(t, (True, ((True, ()), (False, ()))))
-    assert strip(at) == t
-    assert [n.fact for n in ann_walk(at)] == [True, True, False]
+    at = Annotated(Nodes(t), (True, True, False))
+    assert at.term is t
+    assert at.nodes.terms == [t, t.then, t.orelse]
+    assert list(at.facts) == [True, True, False]
 
 
 def test_zip_leaf():
-    at = zip_ann(Exp(Const(3)), ("a", ()))
-    assert at.fact == "a"
-    assert at.children == ()
+    at = Annotated(Nodes(Exp(Const(3))), ("a",))
+    assert at.facts[0] == "a"
+    assert at.nodes.kids == [()]
 
 
 def test_zip_shape_mismatch():
-    with pytest.raises(ValueError):
-        zip_ann(Exp(Const(3)), (True, ((True, ()),)))
+    # a fact count that differs from the node count
+    from il.reach import check_reach
+
+    rej = check_reach({}, Annotated(Nodes(Exp(Const(3))), (True, True)))
+    assert (rej.path, rej.rule) == ((), "Shape")
 
 
 def test_annotated_children_follow_bodies_then_cont():
     t = parse_program("fun f() = 1 and g() = 2 in 3")
-    at = zip_ann(t, (True, ((False, ()), (True, ()), (True, ()))))
-    assert isinstance(at.term, Fun)
-    assert [c.term for c in at.children] == [t.defs[0].body, t.defs[1].body, t.cont]
+    nodes = Nodes(t)
+    assert isinstance(nodes.terms[0], Fun)
+    assert nodes.kids[0] == (1, 2, 3)
+    assert [nodes.terms[k] for k in nodes.kids[0]] == [t.defs[0].body, t.defs[1].body, t.cont]
+    assert nodes.parent == [-1, 0, 0, 0]
+
+
+def test_table_resolves_applications_to_the_innermost_group():
+    t = parse_program("fun f() = g() and g() = 1 in fun f() = f() in if x then f() else h()")
+    nodes = Nodes(t)
+    # 0 outer group, 1 g(), 2 1, 3 inner group, 4 f(), 5 cond, 6 f(), 7 h()
+    assert nodes.callee[1] == (2, t.defs[1])
+    assert nodes.callee[4] == nodes.callee[6] == (4, t.cont.defs[0])
+    assert nodes.callee[7] is None
+    assert [nodes.callee[i] for i in (0, 2, 3, 5)] == [None] * 4
+    assert nodes.path(7) == (2, 1, 1)
+    assert nodes.path(0) == ()
 
 
 def test_sidecar_roundtrip_bool():
     t = parse_program("if x then 1 else 2")
-    at = zip_ann(t, (True, ((True, ()), (False, ()))))
+    at = Annotated(Nodes(t), (True, True, False))
     text = sidecar_text(at)
     assert text == "true\ntrue\nfalse\n"
     back = parse_sidecar(t, text)
-    assert [n.fact for n in ann_walk(back)] == [True, True, False]
+    assert list(back.facts) == [True, True, False]
 
 
 def test_sidecar_roundtrip_sets():
     t = parse_program("let x = a in x")
-    at = zip_ann(t, (frozenset({"a"}), ((frozenset({"x"}), ()),)))
+    at = Annotated(Nodes(t), (frozenset({"a"}), frozenset({"x"})))
     text = sidecar_text(at)
     assert text == "{a}\n{x}\n"
     back = parse_sidecar(t, text)
-    assert back.fact == {"a"}
-    assert back.children[0].fact == {"x"}
+    assert back.facts[0] == {"a"}
+    assert back.facts[1] == {"x"}
 
 
 def test_sidecar_count_mismatch():

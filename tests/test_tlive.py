@@ -16,14 +16,12 @@ from il.syntax import (
     Fun,
     FunDef,
     Let,
+    Nodes,
     SysCall,
     Var,
-    ann_walk,
     free_vars,
     free_vars_list,
     parse_program,
-    strip,
-    zip_ann,
 )
 from il.tlive import check_tlive, infer_tlive
 
@@ -31,7 +29,12 @@ LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 
 
 def root_fact(src):
-    return infer_tlive(parse_program(src)).fact
+    return infer_tlive(parse_program(src)).facts[0]
+
+
+def annotate(t, facts):
+    """t with one fact per node, in pre-order."""
+    return Annotated(Nodes(t), tuple(facts))
 
 
 # -- inference
@@ -70,21 +73,21 @@ def test_cond_reads_scrutinee_only_when_open():
 
 def test_left_figure_facts():
     at = infer_tlive(parse_program(LEFT))
-    body, cont = at.children
-    assert body.fact == {"x"}
-    assert at.fact == frozenset()
+    body, cont = at.nodes.kids[0]
+    assert at.facts[body] == {"x"}
+    assert at.facts[0] == frozenset()
     # y feeds only itself around the loop, so it is live nowhere
-    assert all("y" not in n.fact for n in ann_walk(at))
+    assert all("y" not in f for f in at.facts)
 
 
 def test_mutual_recursion_fixpoint():
     src = "fun f(x, y) = g(y) and g(z) = if z then f(z, z) else 0 in f(a, b)"
     at = infer_tlive(parse_program(src))
-    f_body, g_body, cont = at.children
+    f_body, g_body, cont = at.nodes.kids[0]
     # f forwards y into g's read; x is dead in f
-    assert f_body.fact == {"y"}
-    assert g_body.fact == {"z"}
-    assert at.fact == {"b"}
+    assert at.facts[f_body] == {"y"}
+    assert at.facts[g_body] == {"z"}
+    assert at.facts[0] == {"b"}
 
 
 def test_unknown_callee_requires_nothing():
@@ -93,19 +96,21 @@ def test_unknown_callee_requires_nothing():
 
 def test_annotation_is_isomorphic():
     t = parse_program(LEFT)
-    assert strip(infer_tlive(t)) == t
+    at = infer_tlive(t)
+    assert at.term is t
+    assert len(at.facts) == len(at.nodes.terms) == 5
 
 
 # -- checker
 
 
 def test_check_accepts_empty_leaf():
-    at = zip_ann(parse_program("3"), (frozenset(), ()))
+    at = annotate(parse_program("3"), [frozenset()])
     assert check_tlive({}, {}, at) is None
 
 
 def test_check_leaf_must_cover_reads():
-    at = zip_ann(parse_program("x + y"), (frozenset({"x"}), ()))
+    at = annotate(parse_program("x + y"), [frozenset({'x'})])
     rej = check_tlive({}, {}, at)
     assert rej is not None
     assert rej.rule == "TLive-Exp"
@@ -113,33 +118,33 @@ def test_check_leaf_must_cover_reads():
 
 def test_check_overapproximation_is_fine():
     # larger sets still satisfy the inclusion premises
-    at = zip_ann(parse_program("x"), (frozenset({"x", "q"}), ()))
+    at = annotate(parse_program("x"), [frozenset({'x', 'q'})])
     assert check_tlive({}, {}, at) is None
 
 
 def test_check_app_requires_argument_reads():
-    at = zip_ann(parse_program("f(z)"), (frozenset(), ()))
+    at = annotate(parse_program("f(z)"), [frozenset()])
     rej = check_tlive({"f": ("x",)}, {"f": frozenset({"x"})}, at)
     assert rej is not None
     assert rej.rule == "TLive-App"
 
 
 def test_check_app_dead_param_argument_ignored():
-    at = zip_ann(parse_program("f(z)"), (frozenset(), ()))
+    at = annotate(parse_program("f(z)"), [frozenset()])
     assert check_tlive({"f": ("x",)}, {"f": frozenset()}, at) is None
 
 
 def test_check_app_unknown_callee_rejected():
     # the rule needs the callee's parameter list, so out-of-scope
     # applications are not derivable; transforms rely on this
-    at = zip_ann(parse_program("f(z)"), (frozenset(), ()))
+    at = annotate(parse_program("f(z)"), [frozenset()])
     rej = check_tlive({}, {}, at)
     assert rej is not None
     assert rej.rule == "TLive-App"
 
 
 def test_check_app_arity_mismatch_rejected():
-    at = zip_ann(parse_program("f(z, w)"), (frozenset({"z", "w"}), ()))
+    at = annotate(parse_program("f(z, w)"), [frozenset({'w', 'z'})])
     rej = check_tlive({"f": ("x",)}, {"f": frozenset({"x"})}, at)
     assert rej is not None
     assert rej.rule == "TLive-App"
@@ -147,7 +152,7 @@ def test_check_app_arity_mismatch_rejected():
 
 def test_check_let_requires_value_reads_when_live():
     t = parse_program("let x = y in x")
-    at = zip_ann(t, (frozenset(), ((frozenset({"x"}), ()),)))
+    at = annotate(t, [frozenset(), frozenset({'x'})])
     rej = check_tlive({}, {}, at)
     assert rej is not None
     assert rej.rule in ("TLive-Op", "TLive-Call")
@@ -155,13 +160,13 @@ def test_check_let_requires_value_reads_when_live():
 
 def test_check_let_dead_binding_needs_no_value_reads():
     t = parse_program("let x = y in 3")
-    at = zip_ann(t, (frozenset(), ((frozenset(), ()),)))
+    at = annotate(t, [frozenset(), frozenset()])
     assert check_tlive({}, {}, at) is None
 
 
 def test_check_extern_args_required_even_when_dead():
     t = parse_program("let x = extern w(z) in 3")
-    at = zip_ann(t, (frozenset(), ((frozenset(), ()),)))
+    at = annotate(t, [frozenset(), frozenset()])
     rej = check_tlive({}, {}, at)
     assert rej is not None
     assert rej.rule == "TLive-Call"
@@ -170,13 +175,13 @@ def test_check_extern_args_required_even_when_dead():
 def test_check_cond_skips_excluded_branch_entirely():
     # garbage annotation inside the dead branch is never examined
     t = parse_program("if 0 then x + y else 2")
-    at = zip_ann(t, (frozenset(), ((frozenset(), ()), (frozenset(), ()))))
+    at = annotate(t, [frozenset(), frozenset(), frozenset()])
     assert check_tlive({}, {}, at) is None
 
 
 def test_check_open_cond_requires_scrutinee():
     t = parse_program("if c then 1 else 2")
-    at = zip_ann(t, (frozenset(), ((frozenset(), ()), (frozenset(), ()))))
+    at = annotate(t, [frozenset(), frozenset(), frozenset()])
     rej = check_tlive({}, {}, at)
     assert rej is not None
     assert rej.rule == "TLive-Cond"
@@ -184,17 +189,17 @@ def test_check_open_cond_requires_scrutinee():
 
 def test_check_fun_extends_both_contexts():
     t = parse_program("fun f(x) = x in f(a)")
-    good = zip_ann(t, (frozenset({"a"}), ((frozenset({"x"}), ()), (frozenset({"a"}), ()))))
+    good = annotate(t, [frozenset({'a'}), frozenset({'x'}), frozenset({'a'})])
     assert check_tlive({}, {}, good) is None
     # root set that misses the live argument's reads is rejected
-    bad = zip_ann(t, (frozenset(), ((frozenset({"x"}), ()), (frozenset(), ()))))
+    bad = annotate(t, [frozenset(), frozenset({'x'}), frozenset()])
     rej = check_tlive({}, {}, bad)
     assert rej is not None
 
 
 def test_check_reports_first_preorder_violation():
     t = parse_program("let x = a in x + b")
-    at = zip_ann(t, (frozenset(), ((frozenset(), ()),)))
+    at = annotate(t, [frozenset(), frozenset()])
     rej = check_tlive({}, {}, at)
     assert rej is not None
     assert rej.path == (0,)
@@ -209,7 +214,7 @@ def test_inferred_left_figure_is_accepted():
 def test_inferred_annotations_always_accepted(n):
     t = gen_program(GenConfig(seed=derive_seed(19, n)))
     at = infer_tlive(t)
-    assert strip(at) == t
+    assert at.term is t
     assert check_tlive({}, {}, at) is None
 
 
@@ -220,7 +225,7 @@ def test_root_fact_contains_only_free_vars(n):
 
     t = gen_program(GenConfig(seed=derive_seed(23, n)))
     at = infer_tlive(t)
-    assert at.fact <= free_term_vars(t)
+    assert at.facts[0] <= free_term_vars(t)
 
 
 # -- the worklist against the round-based inference it replaced
@@ -229,33 +234,34 @@ def test_root_fact_contains_only_free_vars(n):
 def rounds_infer_tlive(t):
     """Test-only reference: the round-based inference.  Each round
     re-annotates the whole tree with the member-body sets of the round
-    before (pushing liveness back one call link), until no set grows."""
+    before (pushing liveness back one call link), until no set grows.
+    Returns the facts in pre-order; a member's estimate is keyed by its
+    group's pre-order index and its position in the group."""
     estimates = {}
 
-    def annotate(term, path, zeta, lam):
+    def annotate(term, zeta, lam, out):
+        index = len(out)
+        out.append(None)
         if isinstance(term, Let):
-            body = annotate(term.body, path + (0,), zeta, lam)
-            after = body.fact
+            after = annotate(term.body, zeta, lam, out)
             if isinstance(term.value, SysCall):
                 fact = (after - {term.var}) | free_vars_list(term.value.args)
             else:
                 fact = after - {term.var}
                 if term.var in after:
                     fact |= free_vars(term.value)
-            return Annotated(term, fact, (body,))
-        if isinstance(term, Cond):
+        elif isinstance(term, Cond):
             sb = static_branch(term.cond)
-            then = annotate(term.then, path + (0,), zeta, lam)
-            orelse = annotate(term.orelse, path + (1,), zeta, lam)
+            then = annotate(term.then, zeta, lam, out)
+            orelse = annotate(term.orelse, zeta, lam, out)
             fact = frozenset()
             if sb is None:
                 fact |= free_vars(term.cond)
             if sb is not False:
-                fact |= then.fact
+                fact |= then
             if sb is not True:
-                fact |= orelse.fact
-            return Annotated(term, fact, (then, orelse))
-        if isinstance(term, App):
+                fact |= orelse
+        elif isinstance(term, App):
             params = zeta.get(term.fun)
             live = lam.get(term.fun)
             fact = frozenset()
@@ -263,47 +269,37 @@ def rounds_infer_tlive(t):
                 for x, e in zip(params, term.args):
                     if x in live:
                         fact |= free_vars(e)
-            return Annotated(term, fact, ())
-        if isinstance(term, Fun):
+        elif isinstance(term, Fun):
             zeta2 = dict(zeta)
             zeta2.update((d.name, d.params) for d in term.defs)
             lam2 = dict(lam)
-            lam2.update((d.name, estimates.get(path + (g,), frozenset())) for g, d in enumerate(term.defs))
+            lam2.update((d.name, estimates.get((index, g), frozenset())) for g, d in enumerate(term.defs))
             bodies = []
             for g, d in enumerate(term.defs):
-                body = annotate(d.body, path + (g,), zeta2, lam2)
+                body = annotate(d.body, zeta2, lam2, out)
                 bodies.append(body)
-                key = path + (g,)
-                estimates[key] = estimates.get(key, frozenset()) | body.fact
-            cont = annotate(term.cont, path + (len(term.defs),), zeta2, lam2)
-            fact = cont.fact
+                estimates[index, g] = estimates.get((index, g), frozenset()) | body
+            fact = annotate(term.cont, zeta2, lam2, out)
             for d, body in zip(term.defs, bodies):
-                fact |= body.fact - set(d.params)
-            return Annotated(term, fact, tuple(bodies) + (cont,))
-        assert isinstance(term, Exp)
-        return Annotated(term, free_vars(term.expr), ())
+                fact |= body - set(d.params)
+        else:
+            assert isinstance(term, Exp)
+            fact = free_vars(term.expr)
+        out[index] = fact
+        return fact
 
     while True:
         before = dict(estimates)
-        result = annotate(t, (), {}, {})
+        out = []
+        annotate(t, {}, {}, out)
         if estimates == before:
-            return result
-
-
-def first_difference(a, b):
-    """Path of the first node where two annotations of one term differ,
-    or None; an explicit stack, since == on Annotated recurses."""
-    stack = [((), a, b)]
-    while stack:
-        path, x, y = stack.pop()
-        if x.term is not y.term or x.fact != y.fact or len(x.children) != len(y.children):
-            return path
-        stack.extend((path + (i,), u, v) for i, (u, v) in enumerate(zip(x.children, y.children)))
-    return None
+            return out
 
 
 def assert_matches_rounds(t):
-    assert first_difference(infer_tlive(t), rounds_infer_tlive(t)) is None
+    at = infer_tlive(t)
+    assert at.term is t
+    assert list(at.facts) == rounds_infer_tlive(t)
 
 
 @pytest.fixture(scope="module")
