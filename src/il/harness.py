@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from hashlib import blake2b
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim, default_probes
 from .reach import Rejection
@@ -46,24 +46,29 @@ from .syntax import (
 from .transform import run_pass
 
 
+# The generator's vocabulary.  INPUT_NAMES are free variables the
+# harness binds in initial environments; UNBOUND_NAMES are left unbound
+# on purpose to exercise stuck executions.
+EXTERN_PROB = 0.25
+CONST_COND_PROB = 0.3
+UNBOUND_PROB = 0.04
+VAR_NAMES = ("x", "y", "z", "w")
+FUN_NAMES = ("f", "g", "h")
+INPUT_NAMES = ("a", "b", "c")
+UNBOUND_NAMES = ("u0", "u1")
+ACTION_NAMES = ("rd", "wr")
+CONSTS = (0, 1, 2, 9)
+
+SHRINK_STEPS = 200  # most greedy steps one shrink takes
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for the program generator. input_names are free variables
-    the harness binds in initial environments; unbound_names are left
-    unbound on purpose to exercise stuck executions."""
+    """Knobs for the program generator."""
 
     seed: int
     max_depth: int = 5
     max_group_size: int = 3
-    extern_prob: float = 0.25
-    const_cond_prob: float = 0.3
-    unbound_prob: float = 0.04
-    var_names: tuple[str, ...] = ("x", "y", "z", "w")
-    fun_names: tuple[str, ...] = ("f", "g", "h")
-    input_names: tuple[str, ...] = ("a", "b", "c")
-    unbound_names: tuple[str, ...] = ("u0", "u1")
-    action_names: tuple[str, ...] = ("rd", "wr")
-    consts: tuple[int, ...] = (0, 1, 2, 9)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -72,21 +77,21 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(h, "big") >> 1
 
 
-def _gen_expr(rng: Random, cfg: GenConfig, scope: tuple[str, ...], depth: int) -> Expr:
+def _gen_expr(rng: Random, scope: tuple[str, ...], depth: int) -> Expr:
     roll = rng.random()
     if depth <= 0 or roll < 0.55:
         r = rng.random()
-        if r < cfg.unbound_prob:
-            return Var(rng.choice(cfg.unbound_names))
+        if r < UNBOUND_PROB:
+            return Var(rng.choice(UNBOUND_NAMES))
         if r < 0.45 and scope:
             return Var(rng.choice(scope))
         if r < 0.6:
-            return Var(rng.choice(cfg.input_names))
-        return Const(rng.choice(cfg.consts))
+            return Var(rng.choice(INPUT_NAMES))
+        return Const(rng.choice(CONSTS))
     if roll < 0.65:
-        return Unop(rng.choice(("neg", "not")), _gen_expr(rng, cfg, scope, depth - 1))
+        return Unop(rng.choice(("neg", "not")), _gen_expr(rng, scope, depth - 1))
     op = rng.choice(("+", "-", "*", "/", "=", "<", "<="))
-    return Binop(op, _gen_expr(rng, cfg, scope, depth - 1), _gen_expr(rng, cfg, scope, depth - 1))
+    return Binop(op, _gen_expr(rng, scope, depth - 1), _gen_expr(rng, scope, depth - 1))
 
 
 def _gen_term(
@@ -97,7 +102,7 @@ def _gen_term(
     funs: dict[str, int],
 ) -> Term:
     def expr() -> Expr:
-        return _gen_expr(rng, cfg, scope, rng.randrange(1, 3))
+        return _gen_expr(rng, scope, rng.randrange(1, 3))
 
     def leaf() -> Term:
         if funs and rng.random() < 0.5:
@@ -109,16 +114,16 @@ def _gen_term(
         return leaf()
     roll = rng.random()
     if roll < 0.34:
-        var = rng.choice(cfg.var_names)
-        if rng.random() < cfg.extern_prob:
-            action = rng.choice(cfg.action_names)
+        var = rng.choice(VAR_NAMES)
+        if rng.random() < EXTERN_PROB:
+            action = rng.choice(ACTION_NAMES)
             value: object = SysCall(action, tuple(expr() for _ in range(rng.randrange(0, 3))))
         else:
             value = expr()
         return Let(var, value, _gen_term(rng, cfg, depth - 1, scope + (var,), funs))
     if roll < 0.54:
-        if rng.random() < cfg.const_cond_prob:
-            cond: Expr = Const(rng.choice(cfg.consts))
+        if rng.random() < CONST_COND_PROB:
+            cond: Expr = Const(rng.choice(CONSTS))
         else:
             cond = expr()
         return Cond(
@@ -128,12 +133,12 @@ def _gen_term(
         )
     if roll < 0.72:
         size = rng.randrange(1, cfg.max_group_size + 1)
-        names = rng.sample(cfg.fun_names, min(size, len(cfg.fun_names)))
+        names = rng.sample(FUN_NAMES, min(size, len(FUN_NAMES)))
         defs = []
         inner = dict(funs)
         params_by_name = {}
         for name in names:
-            params = tuple(rng.sample(cfg.var_names, rng.randrange(0, min(3, len(cfg.var_names)) + 1)))
+            params = tuple(rng.sample(VAR_NAMES, rng.randrange(4)))  # up to three
             params_by_name[name] = params
             inner[name] = len(params)
         for name in names:
@@ -149,7 +154,7 @@ def _gen_term(
 
 def gen_program(cfg: GenConfig) -> Term:
     """Deterministic random program: well-scoped applications with
-    matching arity, about const_cond_prob of conditionals constant,
+    matching arity, about CONST_COND_PROB of conditionals constant,
     occasional references to never-bound names.  Tiny root draws are
     redrawn a few times so trials mostly exercise structured terms."""
     rng = Random(cfg.seed)
@@ -161,13 +166,13 @@ def gen_program(cfg: GenConfig) -> Term:
     return t
 
 
-def initial_env(t: Term, cfg: GenConfig, rng: Random) -> dict[str, int]:
+def initial_env(t: Term, rng: Random) -> dict[str, int]:
     """Bind every free variable of t except the deliberately unbound
     pool to a small random value."""
     return {
         v: rng.randrange(-9, 10)
         for v in sorted(free_term_vars(t))
-        if v not in cfg.unbound_names
+        if v not in UNBOUND_NAMES
     }
 
 
@@ -276,7 +281,7 @@ def _replaced(nodes: Nodes, i: int, repl: Term) -> Term:
     return repl
 
 
-def shrink_term(t: Term, still_failing: Callable[[Term], bool], max_steps: int = 200) -> Term:
+def shrink_term(t: Term, still_failing: Callable[[Term], bool]) -> Term:
     """Greedy shrink: replace a node by one of its subterms or drop a
     group member, as long as the failure reproduces. The result is
     locally minimal for these moves."""
@@ -292,7 +297,7 @@ def shrink_term(t: Term, still_failing: Callable[[Term], bool], max_steps: int =
                     yield _replaced(nodes, i, Fun(node.defs[:g] + node.defs[g + 1 :], node.cont))
 
     current = t
-    for _ in range(max_steps):
+    for _ in range(SHRINK_STEPS):
         size = term_size(current)
         for cand in candidates(current):
             if term_size(cand) < size and still_failing(cand):
@@ -308,7 +313,6 @@ def difftest(
     cfg: GenConfig,
     trials: int,
     depth: int = 8,
-    probes: Optional[Sequence[int]] = None,
     fuel: int = 10_000,
     *,
     stop_early: bool = False,
@@ -331,8 +335,8 @@ def difftest(
             return done
         ann, out = done
         rng = Random(seed ^ salt)
-        env = initial_env(term, cfg, rng)
-        pr = tuple(probes) if probes is not None else default_probes(term, out)
+        env = initial_env(term, rng)
+        pr = default_probes(term, out)
         left = Config((), env, term)
         if pass_name == "uce":
             return check_bisim(left, Config((), dict(env), out), depth, pr, fuel)

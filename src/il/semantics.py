@@ -22,9 +22,10 @@ each step into a strict subterm of the focus, so every silent cycle
 contains an application step; only the configurations right after an
 application are compared.  Those form a deterministic sequence of their
 own, so Brent's method applies to it unchanged.  Configurations are
-compared by what their future can read (Keys): the focused term, the
-values of its free variables, and per closure its body and the values
-of the body's free variables that are not parameters.  Two
+compared by what their future can read (Keys): the focused term's
+index and the values of its free variables, and per closure its body's
+index and the values of the body's free variables that are not
+parameters; indices and free variables come from syntax.Nodes.  Two
 configurations equal in that projection run alike forever, so a repeat
 of it is a silent loop even where a variable never read again still
 changes.  The game's memo uses the same keys.  Fuel still bounds every
@@ -43,12 +44,11 @@ from .syntax import (
     Exp,
     Fun,
     Let,
+    Nodes,
     SysCall,
     Term,
     eval_expr,
     eval_expr_list,
-    node_free_vars,
-    term_children,
     truthy,
     wrap,
 )
@@ -219,46 +219,31 @@ class Keys:
     keys step to configurations with equal keys, reach the same anchor
     kind after the same number of steps, and have the same events.
 
-    Indices and free variables come from a table of subterms, filled
-    as terms are keyed: a term not yet in it is added with its whole
-    subtree by one explicit-stack walk that numbers the subtree in
-    pre-order.  So a run or a game folds only the subterms it keys.
-    The table and the group cache are looked up by id() and hold the
-    object they describe, so no id() in them can be reused while they
-    live; no key holds an id().
+    Indices and free variables are registered as terms are keyed: a
+    term not yet registered brings its syntax.Nodes table, and each of
+    its nodes not yet registered gets the next index and the table's
+    free variables.  A registered term's whole subtree is registered,
+    so a run or a game folds only the subterms it keys, and a term
+    object shared by two programs, as a pass's output shares subterms
+    with its input, keeps the one index it got first.  The registry
+    and the group cache are looked up by id() and hold the object they
+    describe, so no id() in them can be reused while they live; no key
+    holds an id().
     """
 
     def __init__(self) -> None:
         self.facts: dict[int, tuple[Term, int, tuple[str, ...]]] = {}
         self.groups: dict[int, tuple[Group, tuple]] = {}
 
-    def _add(self, root: Term) -> None:
-        # Free variables are folded when a term is popped the second
-        # time, after all its children.  That is bottom-up even where
-        # two parents share a subterm object, as a pass's output shares
-        # subterms with its input; reverse pre-order would not be.
-        facts = self.facts
-        stack = [(root, False)]
-        while stack:
-            t, folded = stack.pop()
-            if folded:
-                facts[id(t)] = (t, facts[id(t)][1], self._free(t))
-            elif id(t) not in facts:
-                facts[id(t)] = (t, len(facts), ())
-                stack.append((t, True))
-                stack.extend((c, False) for c in reversed(term_children(t)))
-
-    def _free(self, t: Term) -> tuple[str, ...]:
-        """t's free variables from its children's, which are in the table."""
-        facts = self.facts
-        return tuple(sorted(node_free_vars(t, [facts[id(c)][2] for c in term_children(t)])))
-
     def fact(self, t: Term) -> tuple[Term, int, tuple[str, ...]]:
         """(t, its index, its free variables in sorted order)."""
         hit = self.facts.get(id(t))
         if hit is None:
-            self._add(t)
-            hit = self.facts[id(t)]
+            facts, nodes = self.facts, Nodes(t)
+            for term, free in zip(nodes.terms, nodes.free):
+                if id(term) not in facts:
+                    facts[id(term)] = (term, len(facts), free)
+            hit = facts[id(t)]
         return hit
 
     def group(self, g: Group) -> tuple:

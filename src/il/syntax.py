@@ -24,7 +24,10 @@ Concrete grammar (whitespace-insensitive)::
 Nodes numbers a term's nodes once, in pre-order, with one explicit-stack
 walk: each node's term, parent and children (a function group's
 children are its member bodies, then its continuation) and, for an
-application, the group member its name resolves to.  An annotation
+application, the group member its name resolves to.  It is the one
+numbering of terms: the analyses, the checkers, the passes and the
+interpreter's configuration keys (semantics.Keys) all read it, and
+each node's free variables are folded once, on first use.  An annotation
 (Annotated) is that table with one analysis fact per node in pre-order,
 which is also the sidecar format: one fact per line, "true"/"false" for
 booleans, "{x,y}" for variable sets.  Only the parser and the printer
@@ -242,9 +245,11 @@ class Nodes:
     name no enclosing group defines.  That is the one statement of the
     scoping rule for function names: a group binds its names in all its
     bodies and its continuation, and an inner group shadows an outer one.
+    free[i], node i's free variables in sorted order, is folded for the
+    whole table through node_free_vars on first use.
     """
 
-    __slots__ = ("terms", "parent", "kids", "callee")
+    __slots__ = ("terms", "parent", "kids", "callee", "_free")
 
     def __init__(self, t: Term):
         terms: list[Term] = []
@@ -298,6 +303,16 @@ class Nodes:
         for i, group, g in apps:
             callee[i] = (kids[group][g], terms[group].defs[g])
         self.terms, self.parent, self.kids, self.callee = terms, parent, kids, callee
+        self._free: Optional[list[tuple[str, ...]]] = None
+
+    @property
+    def free(self) -> list[tuple[str, ...]]:
+        if self._free is None:  # children follow their parent in pre-order
+            free: list = [()] * len(self.terms)
+            for i in reversed(range(len(free))):
+                free[i] = tuple(sorted(node_free_vars(self.terms[i], [free[k] for k in self.kids[i]])))
+            self._free = free
+        return self._free
 
     def path(self, i: int) -> tuple[int, ...]:
         """Node i's child positions from the root."""
@@ -310,7 +325,11 @@ class Nodes:
 
 
 def term_size(t: Term) -> int:
-    return len(Nodes(t).terms)
+    n, stack = 0, [t]
+    while stack:
+        n += 1
+        stack += term_children(stack.pop())
+    return n
 
 
 def well_formed(t: Term) -> bool:
@@ -355,13 +374,8 @@ def node_free_vars(t: Term, kids: Sequence[Iterable[str]]) -> set[str]:
 
 
 def free_term_vars(t: Term) -> frozenset[str]:
-    """Variables a whole program reads from its initial environment,
-    folded over its nodes in reverse pre-order."""
-    nodes = Nodes(t)
-    free: list = [None] * len(nodes.terms)
-    for i in reversed(range(len(free))):
-        free[i] = node_free_vars(nodes.terms[i], [free[k] for k in nodes.kids[i]])
-    return frozenset(free[0])
+    """Variables a whole program reads from its initial environment."""
+    return frozenset(Nodes(t).free[0])
 
 
 def constants_of(*terms: Term) -> frozenset[int]:

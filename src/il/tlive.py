@@ -114,9 +114,10 @@ def infer_tlive(t: Term) -> Annotated:
     return Annotated(nodes, tuple(facts))
 
 
-def _derivable(nodes: Nodes) -> list[int]:
+def derivable(nodes: Nodes) -> list[int]:
     """Node indices in pre-order, less the statically excluded branches
-    of conditionals: those need no derivation."""
+    of conditionals: those need no derivation, and dve builds its
+    output from exactly these nodes."""
     out, stack = [], [0]
     while stack:
         i = stack.pop()
@@ -134,7 +135,7 @@ def check_tlive(zeta: ParamCtx, lam: LiveCtx, at: Annotated) -> Optional[Rejecti
     nodes, facts = at.nodes, at.facts
     if len(facts) != len(nodes.terms):
         return Rejection((), "Shape", f"{len(facts)} facts for a term with {len(nodes.terms)} nodes")
-    for i in _derivable(nodes):
+    for i in derivable(nodes):
         term, kids = nodes.terms[i], nodes.kids[i]
         live: frozenset[str] = facts[i]
         bad = None

@@ -7,16 +7,17 @@ loses all members.  dve removes pure lets whose variable is dead after
 the binding (system-call lets always stay), folds decided conditionals
 the same way, and filters parameter lists and the matching argument
 positions through the callee's live set.  Both fold in reverse
-pre-order over the nodes their output is built from, which leaves out
-statically excluded branches: check_tlive skips them, and one may apply
-a function bound nowhere, so dve must never enter one.  run_pass
-is the one checked pipeline: it infers the pass's annotation, has the
-independent checker accept or reject it, and transforms only an
-accepted annotation.
+pre-order.  uce folds every node and decides each conditional itself,
+so a fault in that decision stays in the pass and no checker shares
+it.  dve folds over the nodes check_tlive checks (tlive.derivable),
+which leave out statically excluded branches: one may apply a function
+bound nowhere, so dve must never enter one.  run_pass is the one
+checked pipeline: it infers the pass's annotation, has the independent
+checker accept or reject it, and transforms only an accepted annotation.
 """
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 from .reach import Rejection, check_reach, infer_reach, static_branch
 from .syntax import (
@@ -26,11 +27,10 @@ from .syntax import (
     Fun,
     FunDef,
     Let,
-    Nodes,
     SysCall,
     Term,
 )
-from .tlive import check_tlive, infer_tlive
+from .tlive import check_tlive, derivable, infer_tlive
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -46,42 +46,17 @@ def filter_list(pred: Callable[[K], bool], xs: Sequence[K]) -> tuple[K, ...]:
     return filterby(pred, xs, xs)
 
 
-def _sources(nodes: Nodes, keep_member: Callable[[int], bool]) -> list[int]:
-    """Pre-order indices of the nodes a pass builds its output from: a
-    decided conditional's taken branch only, and of a group's members
-    only the bodies keep_member accepts."""
-    out, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        out.append(i)
-        term, kids = nodes.terms[i], nodes.kids[i]
-        if isinstance(term, Cond):
-            sb = static_branch(term.cond)
-            kids = kids if sb is None else (kids[0] if sb else kids[1],)
-        elif isinstance(term, Fun):
-            kids = [k for k in kids[:-1] if keep_member(k)] + [kids[-1]]
-        stack += reversed(kids)
-    return out
-
-
-def _fold_cond(term: Cond, then: Optional[Term], orelse: Optional[Term]) -> Term:
-    """A conditional's output from its branches' outputs.  A decided
-    conditional's other branch is no source, so it has no output."""
-    if then is None:
-        return orelse
-    return then if orelse is None else Cond(term.cond, then, orelse)
-
-
 def uce(at: Annotated) -> Term:
     """Unreachable code elimination over a reachability annotation."""
     nodes, facts = at.nodes, at.facts
     out: list = [None] * len(facts)
-    for i in reversed(_sources(nodes, facts.__getitem__)):
+    for i in reversed(range(len(facts))):
         term, kids = nodes.terms[i], nodes.kids[i]
         if isinstance(term, Let):
             out[i] = Let(term.var, term.value, out[kids[0]])
         elif isinstance(term, Cond):
-            out[i] = _fold_cond(term, out[kids[0]], out[kids[1]])
+            sb, then, orelse = static_branch(term.cond), out[kids[0]], out[kids[1]]
+            out[i] = Cond(term.cond, then, orelse) if sb is None else then if sb else orelse
         elif isinstance(term, Fun):
             kept = tuple(FunDef(d.name, d.params, out[k]) for d, k in zip(term.defs, kids) if facts[k])
             out[i] = Fun(kept, out[kids[-1]]) if kept else out[kids[-1]]
@@ -99,13 +74,14 @@ def dve(zeta: Mapping[str, tuple[str, ...]], lam: Mapping[str, frozenset[str]], 
     """
     nodes, facts = at.nodes, at.facts
     out: list = [None] * len(facts)
-    for i in reversed(_sources(nodes, lambda body: True)):
+    for i in reversed(derivable(nodes)):
         term, kids = nodes.terms[i], nodes.kids[i]
         if isinstance(term, Let):
             keep = isinstance(term.value, SysCall) or term.var in facts[kids[0]]
             out[i] = Let(term.var, term.value, out[kids[0]]) if keep else out[kids[0]]
-        elif isinstance(term, Cond):
-            out[i] = _fold_cond(term, out[kids[0]], out[kids[1]])
+        elif isinstance(term, Cond):  # an excluded branch has no output
+            then, orelse = out[kids[0]], out[kids[1]]
+            out[i] = orelse if then is None else then if orelse is None else Cond(term.cond, then, orelse)
         elif isinstance(term, App):
             hit = nodes.callee[i]
             if hit is None:

@@ -3,7 +3,7 @@ the harness and acceptance tests."""
 
 from random import Random
 
-from il.harness import GenConfig, initial_env, perturbed_env
+from il.harness import INPUT_NAMES, UNBOUND_NAMES, VAR_NAMES, initial_env, perturbed_env
 from il.reach import infer_reach
 from il.semantics import (
     Config,
@@ -54,7 +54,7 @@ def reach_audit(t: Term, env: dict[str, int], oracle: Oracle, fuel: int, max_eve
     return True
 
 
-def tlive_audit(t: Term, cfg: GenConfig, seed: int, fuel: int, max_events: int = 32) -> bool:
+def tlive_audit(t: Term, seed: int, fuel: int, max_events: int = 32) -> bool:
     """Perturb the initial environment outside the root live set and
     confirm the observable trace is byte-identical.  A dead variable
     can decide whether a silent loop repeats a configuration, so one
@@ -62,7 +62,7 @@ def tlive_audit(t: Term, cfg: GenConfig, seed: int, fuel: int, max_events: int =
     mean no further event within the bounds, and they count as equal."""
     ann = infer_tlive(t)
     rng = Random(seed)
-    env = initial_env(t, cfg, rng)
+    env = initial_env(t, rng)
     env2 = perturbed_env(env, ann.facts[0], rng)
     oracle = SeededOracle(seed)
     left = run_trace(Config((), env, t), oracle, fuel, max_events)
@@ -73,7 +73,7 @@ def tlive_audit(t: Term, cfg: GenConfig, seed: int, fuel: int, max_events: int =
     return trace_text(left) == trace_text(right)
 
 
-def generator_audit(t: Term, cfg: GenConfig) -> bool:
+def generator_audit(t: Term) -> bool:
     """Well-formedness plus harness-level scoping: applications hit
     in-scope functions with the right arity, and every variable read is
     a binder, an input, or from the unbound pool."""
@@ -83,5 +83,4 @@ def generator_audit(t: Term, cfg: GenConfig) -> bool:
     for term, hit in zip(nodes.terms, nodes.callee):
         if isinstance(term, App) and (hit is None or len(hit[1].params) != len(term.args)):
             return False
-    ok_free = set(cfg.var_names) | set(cfg.input_names) | set(cfg.unbound_names)
-    return free_term_vars(t) <= ok_free
+    return free_term_vars(t) <= {*VAR_NAMES, *INPUT_NAMES, *UNBOUND_NAMES}

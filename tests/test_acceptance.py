@@ -181,8 +181,8 @@ def _random_pair(tag: int, n: int):
     cfg = GenConfig(seed=derive_seed(tag, n))
     t1 = gen_program(cfg)
     t2 = gen_program(GenConfig(seed=derive_seed(tag + 1, n)))
-    env = initial_env(t1, cfg, random.Random(n))
-    env.update(initial_env(t2, cfg, random.Random(n + 1)))
+    env = initial_env(t1, random.Random(n))
+    env.update(initial_env(t2, random.Random(n + 1)))
     return t1, t2, env
 
 
@@ -193,7 +193,7 @@ def test_05_game_checker_properties():
     for i in range(200):
         cfg = GenConfig(seed=derive_seed(500, i))
         t = gen_program(cfg)
-        env = initial_env(t, cfg, random.Random(i))
+        env = initial_env(t, random.Random(i))
         v = check_bisim(
             Config((), dict(env), t), Config((), dict(env), t), depth=6, probes=default_probes(t), fuel=4000
         )
@@ -242,7 +242,7 @@ def test_06_constant_condition_folding():
         k = rng.choice([0, 1, 2, 9])
         original = Cond(Const(k), t1, t2)
         folded = t1 if k else t2
-        env = initial_env(original, GenConfig(seed=0), rng)
+        env = initial_env(original, rng)
         v = check_bisim(
             Config((), dict(env), original),
             Config((), dict(env), folded),
@@ -269,17 +269,16 @@ def test_06_constant_condition_folding():
 
 def test_07_semantic_audits():
     start = time.monotonic()
-    cfg = GenConfig(seed=0)
 
     live_ok = 0
     for i in range(200):
         t = gen_program(GenConfig(seed=derive_seed(0, i)))
-        live_ok += tlive_audit(t, cfg, seed=i, fuel=4000)
+        live_ok += tlive_audit(t, seed=i, fuel=4000)
 
     reach_ok = 0
     for i in range(200):
         t = gen_program(GenConfig(seed=derive_seed(1, i)))
-        env = initial_env(t, cfg, random.Random(i))
+        env = initial_env(t, random.Random(i))
         reach_ok += reach_audit(t, env, SeededOracle(i), fuel=4000)
 
     ok = live_ok == 200 and reach_ok == 200

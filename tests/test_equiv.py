@@ -320,7 +320,7 @@ def test_trace_sets_equal_iff_bisimilar_spotcheck():
 def test_reflexivity_on_generated_programs(n):
     cfg = GenConfig(seed=derive_seed(43, n))
     t = gen_program(cfg)
-    env = initial_env(t, cfg, random.Random(n))
+    env = initial_env(t, random.Random(n))
     c = Config((), env, t)
     v = check_bisim(c, Config((), dict(env), t), depth=6, probes=default_probes(t), fuel=4000)
     assert not isinstance(v, Distinguished)
@@ -332,8 +332,8 @@ def test_verdict_symmetry_on_generated_pairs(n):
     cfg = GenConfig(seed=derive_seed(47, n))
     t1 = gen_program(cfg)
     t2 = gen_program(GenConfig(seed=derive_seed(53, n)))
-    env = initial_env(t1, cfg, random.Random(n))
-    env.update(initial_env(t2, cfg, random.Random(n + 1)))
+    env = initial_env(t1, random.Random(n))
+    env.update(initial_env(t2, random.Random(n + 1)))
     probes = default_probes(t1, t2)
     a = check_bisim(Config((), dict(env), t1), Config((), dict(env), t2), depth=5, probes=probes, fuel=3000)
     b = check_bisim(Config((), dict(env), t2), Config((), dict(env), t1), depth=5, probes=probes, fuel=3000)
@@ -347,8 +347,8 @@ def test_bisimilarity_implies_similarity(n):
     cfg = GenConfig(seed=derive_seed(59, n))
     t1 = gen_program(cfg)
     t2 = gen_program(GenConfig(seed=derive_seed(61, n)))
-    env = initial_env(t1, cfg, random.Random(n))
-    env.update(initial_env(t2, cfg, random.Random(n + 1)))
+    env = initial_env(t1, random.Random(n))
+    env.update(initial_env(t2, random.Random(n + 1)))
     probes = default_probes(t1, t2)
     b = check_bisim(Config((), dict(env), t1), Config((), dict(env), t2), depth=5, probes=probes, fuel=3000)
     if isinstance(b, EquivalentToDepth):

@@ -45,10 +45,9 @@ def test_depth_zero_gives_expression_leaf():
 
 def test_generated_batch_is_well_scoped():
     for i in range(1000):
-        cfg = GenConfig(seed=derive_seed(5, i))
-        t = gen_program(cfg)
+        t = gen_program(GenConfig(seed=derive_seed(5, i)))
         assert well_formed(t)
-        assert generator_audit(t, cfg)
+        assert generator_audit(t)
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -61,9 +60,8 @@ def test_derive_seed_is_stable_and_spread():
 def test_initial_env_covers_free_vars():
     from il.syntax import free_term_vars
 
-    cfg = GenConfig(seed=3)
     t = parse_program("if a then b + x else c")
-    env = initial_env(t, cfg, random.Random(0))
+    env = initial_env(t, random.Random(0))
     assert free_term_vars(t) <= set(env)
     assert all(-9 <= v <= 9 for v in env.values())
 
@@ -144,20 +142,19 @@ def test_record_json_keeps_applied_key_equal_to_accepted():
 
 
 def test_tlive_audit_left_figure():
-    assert tlive_audit(parse_program(LEFT), GenConfig(seed=0), seed=0, fuel=1000)
+    assert tlive_audit(parse_program(LEFT), seed=0, fuel=1000)
 
 
 def test_tlive_audit_dead_variable_decides_repeat():
     # a is dead; a in {-1, 0, 1} makes the loop repeat, other values
     # grow y until fuel runs out
     t = parse_program("fun f(y) = f(y * a) in f(1)")
-    assert all(tlive_audit(t, GenConfig(seed=0), seed=i, fuel=500) for i in range(40))
+    assert all(tlive_audit(t, seed=i, fuel=500) for i in range(40))
 
 
 def test_tlive_audit_batch():
-    cfg = GenConfig(seed=0)
     ok = sum(
-        tlive_audit(gen_program(GenConfig(seed=derive_seed(0, i))), cfg, seed=i, fuel=4000)
+        tlive_audit(gen_program(GenConfig(seed=derive_seed(0, i))), seed=i, fuel=4000)
         for i in range(60)
     )
     assert ok == 60
@@ -174,10 +171,9 @@ def test_reach_audit_shared_subterm_counts_any_reachable_occurrence():
 
 
 def test_reach_audit_batch():
-    cfg = GenConfig(seed=0)
     for i in range(60):
         t = gen_program(GenConfig(seed=derive_seed(1, i)))
-        env = initial_env(t, cfg, random.Random(i))
+        env = initial_env(t, random.Random(i))
         assert reach_audit(t, env, SeededOracle(i), fuel=4000)
 
 

@@ -15,6 +15,7 @@ from il.semantics import (
     Diverges,
     Done,
     Event,
+    Keys,
     ListOracle,
     OutOfFuel,
     Ready,
@@ -31,7 +32,23 @@ from il.semantics import (
     trace_text,
 )
 from il.semantics import Trace
-from il.syntax import App, Const, Exp, Nodes, eval_expr_list, parse_program
+from il.syntax import (
+    App,
+    Cond,
+    Const,
+    Exp,
+    Fun,
+    Let,
+    Nodes,
+    SysCall,
+    eval_expr_list,
+    free_vars,
+    free_vars_list,
+    parse_program,
+    term_children,
+)
+from il.reach import Rejection
+from il.transform import run_pass
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -162,7 +179,7 @@ def test_table_names_the_closure_on_generated_programs():
     apps = 0
     for i in range(300):
         t = gen_program(replace(cfg, seed=derive_seed(43, i)))
-        seen = _resolutions(t, initial_env(t, cfg, random.Random(i)))
+        seen = _resolutions(t, initial_env(t, random.Random(i)))
         assert all(member is body for member, body in seen)
         apps += len(seen)
     assert apps > 1000
@@ -398,7 +415,7 @@ def test_generated_programs_run_without_crashing(n):
     t = gen_program(cfg)
     import random
 
-    env = initial_env(t, cfg, random.Random(n))
+    env = initial_env(t, random.Random(n))
     tr = run_trace(Config((), env, t), SeededOracle(n), fuel=2000)
     assert isinstance(tr.outcome, (Terminated, Cutoff, Diverged))
     for ev in tr.events:
@@ -416,7 +433,7 @@ def test_diverges_config_repeats_silently(n):
     for k in range(20):
         cfg = GenConfig(seed=derive_seed(12, n * 20 + k))
         t = gen_program(cfg)
-        c = Config((), initial_env(t, cfg, random.Random(k)), t)
+        c = Config((), initial_env(t, random.Random(k)), t)
         oracle = SeededOracle(n)
         for i in range(16):
             a = run_to_anchor(c, 2000)
@@ -491,7 +508,7 @@ def test_projected_repeat_check_agrees_with_full_equality(n):
     for k in range(10):
         cfg = GenConfig(seed=derive_seed(13, n * 10 + k))
         t = gen_program(cfg)
-        c = Config((), initial_env(t, cfg, random.Random(k)), t)
+        c = Config((), initial_env(t, random.Random(k)), t)
         oracle = SeededOracle(n)
         for i in range(16):
             a = run_to_anchor(c, 500)
@@ -505,3 +522,48 @@ def test_projected_repeat_check_agrees_with_full_equality(n):
             if not isinstance(a, Ready):
                 break
             _, c = apply_extern(a.config, oracle(i, a.action, a.args))
+
+
+def _reference_free(t):
+    """A term's free variables by plain structural recursion."""
+    if isinstance(t, Let):
+        own = free_vars_list(t.value.args) if isinstance(t.value, SysCall) else free_vars(t.value)
+        return own | (_reference_free(t.body) - {t.var})
+    if isinstance(t, Cond):
+        return free_vars(t.cond) | _reference_free(t.then) | _reference_free(t.orelse)
+    if isinstance(t, Fun):
+        out = _reference_free(t.cont)
+        for d in t.defs:
+            out |= _reference_free(d.body) - set(d.params)
+        return out
+    return free_vars_list(t.args) if isinstance(t, App) else free_vars(t.expr)
+
+
+def _subterms(t):
+    yield t
+    for c in term_children(t):
+        yield from _subterms(c)
+
+
+def test_keys_give_each_term_object_one_index_across_programs():
+    # A pass's output shares subterm objects with its input.  One Keys
+    # registers the input and then each output, each after one of its
+    # own subterms, as a run keys a closure body before its program.
+    sharing = 0
+    for n in range(200):
+        t = gen_program(GenConfig(seed=derive_seed(71, n)))
+        outs = [done[1] for done in (run_pass("uce", t), run_pass("dve", t)) if not isinstance(done, Rejection)]
+        keys = Keys()
+        index = {}
+        for root in (t, *outs):
+            keys.fact(random.Random(n).choice(list(_subterms(root))))
+            keys.fact(root)
+            for s in _subterms(root):
+                term, k, free = keys.fact(s)
+                assert term is s
+                assert index.setdefault(id(s), k) == k
+                assert free == tuple(sorted(_reference_free(s)))
+        assert len(set(index.values())) == len(index)
+        inputs = {id(s) for s in _subterms(t)}
+        sharing += any(id(s) in inputs for out in outs for s in _subterms(out) if s is not t)
+    assert sharing > 100
