@@ -5,10 +5,11 @@ condition evaluates in the empty environment propagate reachability
 only into the branch that can actually be taken; a function body is
 reachable only if some application of it sits in reachable code.  The
 checker verifies an annotation against the judgment rules and reports
-the first violated premise in pre-order (rule "Shape", at the root,
-when the fact count differs from the node count); the inference
-computes the annotation the checker accepts, marking excluded branches
-and unused function bodies false throughout.
+the first violated premise in pre-order (at the root, rule "Shape" when
+the fact count differs from the node count and rule "Reach-Root" when
+the root, where execution starts, is not marked reachable); the
+inference computes the annotation the checker accepts, marking excluded
+branches and unused function bodies false throughout.
 """
 from __future__ import annotations
 
@@ -93,6 +94,8 @@ def check_reach(ctx: ReachCtx, at: Annotated) -> Optional[Rejection]:
     nodes, facts = at.nodes, at.facts
     if len(facts) != len(nodes.terms):
         return Rejection((), "Shape", f"{len(facts)} facts for a term with {len(nodes.terms)} nodes")
+    if not facts[0]:
+        return Rejection((), "Reach-Root", "the root is not marked reachable")
     for i, term in enumerate(nodes.terms):
         bit = facts[i]
         kids = nodes.kids[i]

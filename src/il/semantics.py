@@ -31,24 +31,56 @@ of it is a silent loop even where a variable never read again still
 changes.  The game's memo uses the same keys.  Fuel still bounds every
 run, and a loop that never repeats a key, such as a counter, still
 runs out of fuel.
+
+Compiled segments.  A segment is the code from an entry term up to the
+next application, system call or leaf: the term a run starts from (the
+root, or the body after a system-call let) or the body an application
+enters.  A segment entered HOT_ENTRIES times (entries by an application
+or from a cut count; a run's start does not, so code the game only
+resumes after system calls stays interpreted) is compiled into one
+Python function and kept on its entry term (Term._segment).  The
+function runs the segment's Let, Cond and Fun steps with let-bound
+values in locals, builds an environment only where a configuration
+needs one (a closure, a Ready anchor, the callee's environment, a cut),
+and returns the anchor it reached or the configuration after its last
+step with the number of steps taken.  Generated code holds only
+generated names and 64-bit integer literals; names, actions, terms and
+other constants come from a tuple.  Its size is bounded (MAX_NESTING
+nested conditionals, MAX_SIZE lines, INLINE_NODES expression nodes
+inlined per step): where a bound is reached the code is cut, returning
+the configuration at that term, which is a new entry.  run_to_anchor
+runs compiled code only when the remaining fuel covers the segment's
+longest path, application included, and otherwise steps the segment
+with step_silent, which stays the reference semantics.  So every
+anchor, OutOfFuel and Diverges included, comes at the same step with an
+equal configuration either way, and Brent's check sees the same
+post-application configurations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .syntax import (
+    INT_MAX,
     App,
+    Binop,
     Cond,
+    Const,
     Exp,
+    Expr,
     Fun,
     Let,
     Nodes,
     SysCall,
     Term,
+    Unop,
+    Var,
+    _div,
     eval_expr,
     eval_expr_list,
+    term_exprs,
     truthy,
     wrap,
 )
@@ -267,7 +299,11 @@ class Keys:
 def run_to_anchor(config: Config, fuel: int, keys: Optional[Keys] = None) -> Anchor:
     """Run silent steps (at most fuel of them) to the next anchor, or
     to the first repeat of a configuration's key (Diverges).  keys only
-    saves work: any table gives the same anchor."""
+    saves work: any table gives the same anchor.
+
+    One segment at a time: its compiled code when the segment is hot and
+    the fuel covers its longest path, else step_silent up to the next
+    application or anchor."""
     remaining = fuel
     # Brent's cycle finder over the post-application configurations:
     # saved is compared with each of them and replaced by the current
@@ -277,36 +313,330 @@ def run_to_anchor(config: Config, fuel: int, keys: Optional[Keys] = None) -> Anc
     saved_key = None
     since = 0
     power = 1
+    seg = config.term._segment  # a run's start is not counted as an entry
     while True:
-        step = step_silent(config)
-        if not isinstance(step, Stepped):
-            if isinstance(step, Terminal):
-                return Done(result_of(config))
-            call = config.term.value  # AtExtern
-            args = eval_expr_list(call.args, config.env)
-            assert args is not None
-            return Ready(call.action, args, config)
-        if remaining <= 0:
-            return OutOfFuel(config)
-        remaining -= 1
-        applied = type(config.term) is App
-        config = step.config
+        if seg.__class__ is Segment and seg.longest <= remaining:
+            if config is not None:
+                funs, env = config.funs, config.env
+            out = seg.run(funs, env)
+            if out.__class__ is not tuple:
+                return out
+            steps, funs, env, term, applied = out
+            remaining -= steps
+            config = None  # funs, env and term hold it; a Config is built only where needed
+        else:
+            if config is None:
+                config = Config(funs, env, term)
+            while True:
+                step = step_silent(config)
+                if not isinstance(step, Stepped):
+                    if isinstance(step, Terminal):
+                        return Done(result_of(config))
+                    call = config.term.value  # AtExtern
+                    args = eval_expr_list(call.args, config.env)
+                    assert args is not None
+                    return Ready(call.action, args, config)
+                if remaining <= 0:
+                    return OutOfFuel(config)
+                remaining -= 1
+                applied = type(config.term) is App
+                config = step.config
+                if applied:
+                    break
+            term, env = config.term, config.env
         if applied:
             # keys differ whenever the focus does, so only an equal
             # focus needs them; and they differ whenever a bound free
             # variable of saved changes, which is cheaper to test first
-            if config.term is saved.term:
+            if term is saved.term:
                 if saved_key is None:
                     if keys is None:
                         keys = Keys()
                     saved_key = keys.config(saved)
                     free = keys.fact(saved.term)[2]
                     bound = {v: x for v, x in zip(free, saved_key[1]) if x is not None}.items()
-                if bound <= config.env.items() and keys.config(config) == saved_key:
-                    return Diverges(config)
+                if bound <= env.items():
+                    if config is None:
+                        config = Config(funs, env, term)
+                    if keys.config(config) == saved_key:
+                        return Diverges(config)
             since += 1
             if since == power:
+                if config is None:
+                    config = Config(funs, env, term)
                 saved, saved_key, since, power = config, None, 0, power * 2
+        seg = term._segment
+        if seg.__class__ is int:
+            if seg + 1 < HOT_ENTRIES:
+                _setattr(term, "_segment", seg + 1)
+            else:
+                seg = compile_segment(term)
+
+
+# -- compiled segments
+
+HOT_ENTRIES = 32  # a segment is compiled on its 32nd counted entry
+MAX_NESTING = 24  # conditionals nested in one segment's code
+MAX_SIZE = 256  # lines of one segment's code, plus entries of the environments it builds
+INLINE_NODES = 32  # expression nodes a step inlines; a larger first step calls eval_expr
+
+_MIN = -INT_MAX - 1
+_COMPARE = {"=": "==", "<": "<", "<=": "<="}
+_WRAPPED = frozenset("+-*")
+_setattr = object.__setattr__  # terms are frozen; _segment is not a field
+
+
+class Segment:
+    """A segment's compiled code.  run(funs, env) returns an anchor
+    (Done or Ready), or (steps, funs, env, term, applied): the
+    configuration the segment's last step reached, after an application
+    when applied is true, else at a new entry where the code was cut.
+    longest is the most silent steps any path through it takes."""
+
+    __slots__ = ("longest", "run")
+
+    def __init__(self, longest: int, run: Callable):
+        self.longest = longest
+        self.run = run
+
+
+def _group(defs: tuple, env: Env) -> Group:
+    return tuple((d.name, Closure(env, d.params, d.body)) for d in defs)
+
+
+# The only names generated code reads besides its own v<n> locals, its
+# c<n> constants and its funs and env parameters.
+_HELPERS = {
+    "__builtins__": {},
+    "len": len,
+    "dict": dict,
+    "zip": zip,
+    "_BOT": Done(None),
+    "_Done": Done,
+    "_Ready": Ready,
+    "_Config": Config,
+    "_resolve": ctx_resolve,
+    "_group": _group,
+    "_wrap": wrap,
+    "_div": _div,
+    "_eval": eval_expr,
+    "_evals": eval_expr_list,
+}
+
+
+def _inlinable(t: Term) -> bool:
+    """Whether t's expressions are small and built of known operators."""
+    stack, n = list(term_exprs(t)), 0
+    while stack:
+        e = stack.pop()
+        n += 1
+        if n > INLINE_NODES:
+            return False
+        if isinstance(e, Binop):
+            if e.op not in _COMPARE and e.op not in _WRAPPED and e.op != "/":
+                return False
+            stack += (e.left, e.right)
+        elif isinstance(e, Unop):
+            stack.append(e.arg)
+        elif not isinstance(e, (Const, Var)):
+            return False
+    return True
+
+
+class _Path:
+    """Where code generation stands on one path through a segment:
+    indent, silent steps so far, the locals holding the function context
+    and the last environment built, the operand of each variable read or
+    bound so far (scope) and the let-bound ones not yet in that
+    environment (pending)."""
+
+    __slots__ = ("indent", "steps", "funs", "env", "scope", "pending")
+
+    def __init__(self, indent: int, steps: int, funs: str, env: str, scope: dict, pending: dict):
+        self.indent, self.steps, self.funs, self.env = indent, steps, funs, env
+        self.scope, self.pending = scope, pending
+
+    def branch(self) -> "_Path":
+        return _Path(self.indent + 1, self.steps + 1, self.funs, self.env, dict(self.scope), dict(self.pending))
+
+
+class _Source:
+    """Python source for one segment.  Every IL name, action, term and
+    constant outside the 64-bit range is a constant c<n>, bound from a
+    tuple; the source holds only generated names and 64-bit integers."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.size = 0
+        self.consts: list = []
+        self.index: dict = {}
+        self.locals = 0
+        self.longest = 0
+
+    def const(self, obj: Any) -> str:
+        key = obj if type(obj) is str else id(obj)
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.consts)
+            self.consts.append(obj)
+        return f"c{i}"
+
+    def local(self) -> str:
+        self.locals += 1
+        return f"v{self.locals - 1}"
+
+    def emit(self, path: _Path, line: str, size: int = 1) -> None:
+        self.lines.append("    " * (path.indent + 2) + line)
+        self.size += size
+
+    def leave(self, path: _Path, value: str, steps: int) -> None:
+        self.emit(path, f"return {value}")
+        self.longest = max(self.longest, steps)
+
+    def wrapped(self, path: _Path, line: str) -> str:
+        v = self.local()
+        self.emit(path, f"{v} = {line}")
+        self.emit(path, f"if not {_MIN} <= {v} <= {INT_MAX}: {v} = _wrap({v})")
+        return v
+
+    def operand(self, e: Expr, path: _Path) -> str:
+        """Emit e's evaluation (three-address code, returning _BOT where
+        it is undefined); its value's operand."""
+        if isinstance(e, Const):
+            v = e.value
+            if type(v) is int and _MIN <= v <= INT_MAX:
+                return f"({v})" if v < 0 else str(v)
+            return self.const(v)
+        if isinstance(e, Var):
+            v = path.scope.get(e.name)
+            if v is None:
+                v = path.scope[e.name] = self.local()
+                self.emit(path, f"{v} = env.get({self.const(e.name)})")
+                self.emit(path, f"if {v} is None: return _BOT")
+            return v
+        if isinstance(e, Unop):
+            a = self.operand(e.arg, path)
+            if e.op == "neg":
+                return self.wrapped(path, f"-{a}")
+            v = self.local()
+            self.emit(path, f"{v} = 0 if {a} else 1")
+            return v
+        a, b = self.operand(e.left, path), self.operand(e.right, path)
+        if e.op in _WRAPPED:
+            return self.wrapped(path, f"{a} {e.op} {b}")
+        v = self.local()
+        if e.op == "/":
+            self.emit(path, f"if {b} == 0: return _BOT")
+            self.emit(path, f"{v} = _div({a}, {b})")
+        else:
+            self.emit(path, f"{v} = 1 if {a} {_COMPARE[e.op]} {b} else 0")
+        return v
+
+    def value(self, e: Expr, path: _Path, inline: bool) -> str:
+        if inline:
+            return self.operand(e, path)
+        v = self.local()
+        self.emit(path, f"{v} = _eval({self.const(e)}, env)")
+        self.emit(path, f"if {v} is None: return _BOT")
+        return v
+
+    def values(self, es: tuple, path: _Path, inline: bool) -> str:
+        """A tuple of es's values."""
+        if inline:
+            ops = [self.operand(e, path) for e in es]
+            return f"({', '.join(ops)}{',' if len(ops) == 1 else ''})"
+        v = self.local()
+        self.emit(path, f"{v} = _evals({self.const(es)}, env)")
+        self.emit(path, f"if {v} is None: return _BOT")
+        return v
+
+    def environment(self, path: _Path) -> str:
+        """The local holding path's environment, built if lets are
+        pending."""
+        if path.pending:
+            v = self.local()
+            pairs = ", ".join(f"{self.const(name)}: {op}" for name, op in path.pending.items())
+            self.emit(path, f"{v} = {{**{path.env}, {pairs}}}", 1 + len(path.pending))
+            path.env, path.pending = v, {}
+        return path.env
+
+    def path(self, t: Term, path: _Path) -> None:
+        """Emit the steps from t along path up to its returns.  The
+        first step is always emitted, so every cut is at least one step
+        in and run_to_anchor makes progress."""
+        while True:
+            inline = _inlinable(t)
+            if path.steps and (
+                not inline
+                or self.size >= MAX_SIZE
+                or (isinstance(t, Cond) and path.indent >= MAX_NESTING)
+            ):
+                env = self.environment(path)
+                self.leave(path, f"({path.steps}, {path.funs}, {env}, {self.const(t)}, False)", path.steps)
+                return
+            if isinstance(t, Let):
+                if isinstance(t.value, SysCall):
+                    args = self.values(t.value.args, path, inline)
+                    config = f"_Config({path.funs}, {self.environment(path)}, {self.const(t)})"
+                    self.leave(path, f"_Ready({self.const(t.value.action)}, {args}, {config})", path.steps)
+                    return
+                v = self.value(t.value, path, inline)
+                path.scope[t.var] = path.pending[t.var] = v
+                path.steps += 1
+                t = t.body
+            elif isinstance(t, Cond):
+                e = t.cond
+                if inline and isinstance(e, Binop) and e.op in _COMPARE:
+                    test = f"{self.operand(e.left, path)} {_COMPARE[e.op]} {self.operand(e.right, path)}"
+                else:
+                    test = self.value(e, path, inline)
+                self.emit(path, f"if {test}:")
+                self.path(t.then, path.branch())
+                self.emit(path, "else:")
+                path.indent += 1
+                path.steps += 1
+                t = t.orelse
+            elif isinstance(t, Fun):
+                env, funs = self.environment(path), self.local()
+                self.emit(path, f"{funs} = (_group({self.const(t.defs)}, {env}),) + {path.funs}")
+                path.funs = funs
+                path.steps += 1
+                t = t.cont
+            elif isinstance(t, App):
+                hit, clo, rewound, params, new = (self.local() for _ in range(5))
+                self.emit(path, f"{hit} = _resolve({path.funs}, {self.const(t.fun)})")
+                self.emit(path, f"if {hit} is None: return _BOT")
+                args = self.values(t.args, path, inline)
+                self.emit(path, f"{clo}, {rewound} = {hit}")
+                self.emit(path, f"{params} = {clo}.params")
+                self.emit(path, f"if len({params}) != {len(t.args)}: return _BOT")
+                self.emit(path, f"{new} = dict({clo}.env)")
+                self.emit(path, f"{new}.update(zip({params}, {args}))")
+                steps = path.steps + 1
+                self.leave(path, f"({steps}, {rewound}, {new}, {clo}.body, True)", steps)
+                return
+            elif isinstance(t, Exp):
+                self.leave(path, f"_Done({self.value(t.expr, path, inline)})", path.steps)
+                return
+            else:
+                self.leave(path, "_BOT", path.steps)
+                return
+
+
+def compile_segment(t: Term) -> Segment:
+    """Compile the segment that starts at t and keep it on t."""
+    src = _Source()
+    src.path(t, _Path(0, 0, "funs", "env", {}, {}))
+    head = ["def make(k):"]
+    if src.consts:
+        head.append("    " + "".join(f"c{i}, " for i in range(len(src.consts))) + "= k")
+    head.append("    def seg(funs, env):")
+    code = compile("\n".join(head + src.lines + ["    return seg"]), "<segment>", "exec")
+    scope: dict = {}
+    exec(code, _HELPERS, scope)
+    seg = Segment(src.longest, scope["make"](tuple(src.consts)))
+    _setattr(t, "_segment", seg)
+    return seg
 
 
 # -- traces

@@ -169,9 +169,15 @@ def eval_expr_list(es: Sequence[Expr], env: Mapping[str, int]) -> Optional[tuple
 
 
 class Term:
-    """Base class for IL terms."""
+    """Base class for IL terms.
+
+    _segment belongs to the interpreter (semantics.run_to_anchor): how
+    often execution has entered the segment that starts at this term,
+    then that segment's compiled code.  It is not a field, so equality,
+    hashing and printing never see it."""
 
     __slots__ = ()
+    _segment: Any = 0
 
 
 @dataclass(frozen=True)

@@ -124,13 +124,22 @@ def test_check_context_form_accepts_live_callee():
 
 
 def test_check_false_bits_are_consistent():
-    # the judgment is relative to each node's own bit; an all-false
-    # annotation claims nothing and is derivable
-    assert check_reach({}, annotate(parse_program("3"), [False])) is None
-    t = parse_program("let x = 1 in 3")
-    assert check_reach({}, annotate(t, [False, False])) is None
-    # an unreachable application needs no reachable body
-    assert check_reach({}, annotate(parse_program("f()"), [False])) is None
+    # below the root the judgment is relative to each node's own bit:
+    # a false body may hold false nodes, and an unreachable application
+    # needs no reachable body
+    t = parse_program("fun f() = let x = 1 in g() in 3")
+    assert check_reach({}, annotate(t, [True, False, False, True])) is None
+
+
+@pytest.mark.parametrize("src", ["3", "let x = 1 in 3", "f()", "fun f() = 1 in f()"])
+def test_check_rejects_an_unreachable_root(src):
+    # execution starts at the root; with its bit false every node could
+    # be false, and uce would drop the whole program
+    t = parse_program(src)
+    rej = check_reach({}, annotate(t, [False] * len(Nodes(t).terms)))
+    assert isinstance(rej, Rejection)
+    assert (rej.rule, rej.path) == ("Reach-Root", ())
+    assert str(rej) == "at <root>: Reach-Root: the root is not marked reachable"
 
 
 def test_check_excluded_branch_bit_is_unconstrained():

@@ -1,5 +1,6 @@
 """Small-step execution, anchors, and trace collection."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from il.harness import GenConfig, derive_seed, gen_program, initial_env
+from il import semantics
 from il.semantics import (
     AtExtern,
     Config,
@@ -20,10 +22,12 @@ from il.semantics import (
     OutOfFuel,
     Ready,
     SeededOracle,
+    Segment,
     Stepped,
     Terminal,
     Terminated,
     apply_extern,
+    compile_segment,
     ctx_resolve,
     result_of,
     run_to_anchor,
@@ -34,18 +38,22 @@ from il.semantics import (
 from il.semantics import Trace
 from il.syntax import (
     App,
+    Binop,
     Cond,
     Const,
     Exp,
     Fun,
+    FunDef,
     Let,
     Nodes,
     SysCall,
+    Var,
     eval_expr_list,
     free_vars,
     free_vars_list,
     parse_program,
     term_children,
+    wrap,
 )
 from il.reach import Rejection
 from il.transform import run_pass
@@ -567,3 +575,159 @@ def test_keys_give_each_term_object_one_index_across_programs():
         inputs = {id(s) for s in _subterms(t)}
         sharing += any(id(s) in inputs for out in outs for s in _subterms(out) if s is not t)
     assert sharing > 100
+
+
+# -- compiled segments
+
+
+@pytest.fixture(params=[1, math.inf], ids=["hot", "never"])
+def hot_entries(request, monkeypatch):
+    """Compile every segment on its first counted entry, or never."""
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", request.param)
+
+
+@pytest.mark.usefixtures("hot_entries")
+class TestAnchorsAndTracesAtEveryThreshold:
+    """The anchor and trace tests above, run again with every segment
+    compiled on its first entry and with no segment compiled."""
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith(("test_anchor_", "test_trace_")):
+        setattr(TestAnchorsAndTracesAtEveryThreshold, _name, staticmethod(_test))
+
+
+def reference_anchor(config, fuel):
+    """run_to_anchor as a plain step_silent loop with the same repeat
+    check; also the silent steps it took."""
+    remaining, saved, saved_key, since, power, keys = fuel, config, None, 0, 1, Keys()
+    while True:
+        step = step_silent(config)
+        if isinstance(step, Terminal):
+            return Done(result_of(config)), fuel - remaining
+        if isinstance(step, AtExtern):
+            call = config.term.value
+            return Ready(call.action, eval_expr_list(call.args, config.env), config), fuel - remaining
+        if remaining <= 0:
+            return OutOfFuel(config), fuel - remaining
+        remaining -= 1
+        applied = isinstance(config.term, App)
+        config = step.config
+        if applied:
+            if saved_key is None:
+                saved_key = keys.config(saved)
+            if keys.config(config) == saved_key:
+                return Diverges(config), fuel - remaining
+            since += 1
+            if since == power:
+                saved, saved_key, since, power = config, None, 0, power * 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_compiled_segments_agree_with_step_silent_at_every_fuel(n):
+    # every node compiled as an entry; each anchor compared at every
+    # fuel up to one past the steps the reference took to reach it
+    t = gen_program(GenConfig(seed=derive_seed(14, n)))
+    for term in Nodes(t).terms:
+        compile_segment(term)
+    c = Config((), initial_env(t, random.Random(n)), t)
+    oracle = SeededOracle(n)
+    for i in range(6):
+        a, steps = reference_anchor(c, 120)
+        assert run_to_anchor(c, 120) == a
+        for fuel in range(steps + 2):
+            assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
+        if not isinstance(a, Ready):
+            break
+        _, c = apply_extern(a.config, oracle(i, a.action, a.args))
+
+
+def _hot_and_reference(monkeypatch, build, env=None, fuel=10**6):
+    """run_trace over one copy of a program with every segment compiled
+    on its first entry, and over another with none compiled; the first
+    copy, for a look at its compiled segments."""
+    hot, cold = build(), build()
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    got = run_trace(Config((), dict(env or {}), hot), SeededOracle(3), fuel)
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    assert got == run_trace(Config((), dict(env or {}), cold), SeededOracle(3), fuel)
+    return got, hot
+
+
+def test_segment_with_200_nested_conditionals(monkeypatch):
+    ifs = "".join(f"if i < {1000 + k} then " for k in range(200))
+    elses = "".join(f" else acc - {k}" for k in range(200))
+    src = f"fun f(i, acc) = if 50 < i then acc else {ifs}f(i + 1, acc + i){elses} in f(0, 0)"
+    got, t = _hot_and_reference(monkeypatch, lambda: parse_program(src))
+    assert got.outcome == Terminated(sum(range(51)))
+    body = t.defs[0].body
+    assert isinstance(body._segment, Segment)
+    assert body._segment.longest <= semantics.MAX_NESTING + 1
+
+
+def test_segment_with_a_chain_of_ten_thousand_lets(monkeypatch):
+    def build():
+        body = App("f", (Binop("+", Var("i"), Const(1)), Var("x9999")))
+        for k in reversed(range(10_000)):
+            body = Let(f"x{k}", Binop("+", Var(f"x{k - 1}" if k else "acc"), Const(k % 7)), body)
+        loop = Cond(Binop("<", Var("i"), Const(4)), body, Exp(Var("acc")))
+        return Fun((FunDef("f", ("i", "acc"), loop),), App("f", (Const(0), Const(0))))
+
+    got, t = _hot_and_reference(monkeypatch, build)
+    assert got.outcome == Terminated(4 * sum(k % 7 for k in range(10_000)))
+    body = t.defs[0].body
+    assert isinstance(body._segment, Segment)
+    assert body._segment.longest < semantics.MAX_SIZE
+
+
+def test_segment_names_are_never_python_text(monkeypatch):
+    # IL names that are Python keywords, builtins or the generated
+    # code's own names reach it only as constants
+    src = """
+    fun lambda(None, env) =
+      if None < 40 then
+        let v0 = env + funs in let k = v0 * 2 in let make = k / 3 in
+        fun seg(c0) = lambda(None + 1, c0 + make) in seg(v0)
+      else let _BOT = extern print(env, None) in _BOT
+    in lambda(0, 1)
+    """
+    got, t = _hot_and_reference(monkeypatch, lambda: parse_program(src), env={"funs": 5})
+    assert [e.action for e in got.events] == ["print"]
+    assert isinstance(t.defs[0].body._segment, Segment)
+
+
+def test_segment_with_constants_outside_the_64_bit_range(monkeypatch):
+    # a constant is used as it is; arithmetic on it wraps
+    big = Const(2**70 + 5)
+
+    def build():
+        step = App("f", (Binop("+", Var("i"), Const(1)), Binop("+", Binop("*", Var("acc"), Const(3)), big)))
+        done = Let("r", big, Cond(Var("acc"), Exp(Binop("-", Var("acc"), Var("r"))), Exp(Var("r"))))
+        loop = Cond(Binop("<", Var("i"), Const(40)), step, done)
+        return Fun((FunDef("f", ("i", "acc"), loop),), App("f", (Const(0), Const(-(2**65)))))
+
+    got, t = _hot_and_reference(monkeypatch, build)
+    acc = -(2**65)
+    for _ in range(40):
+        acc = wrap(wrap(acc * 3) + 2**70 + 5)
+    assert got.outcome == Terminated(wrap(acc - 2**70 - 5))
+    assert isinstance(t.defs[0].body._segment, Segment)
+    assert run_to_anchor(Config((), {}, Exp(big)), 0) == Done(2**70 + 5)
+
+
+def test_cut_segments_agree_with_step_silent_at_every_fuel(monkeypatch):
+    # a let chain long enough to be cut twice, then an application:
+    # fuel runs out at the same step whichever segments run compiled
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    body = App("g", (Var("x299"),))
+    for k in reversed(range(300)):
+        body = Let(f"x{k}", Binop("+", Var(f"x{k - 1}" if k else "a"), Const(k)), body)
+    t = Fun((FunDef("g", ("y",), Exp(Var("y"))),), body)
+    compile_segment(t)
+    c = Config((), {"a": 2}, t)
+    a, steps = reference_anchor(c, 1000)
+    assert a == Done(2 + sum(range(300))) and steps == 302
+    for fuel in range(steps + 2):
+        assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
+    assert isinstance(t._segment, Segment) and t._segment.longest < steps
