@@ -4,8 +4,8 @@ Subcommands: parse, run, analyze, optimize, check, difftest.
 
 Exit codes: 0 success (for check: equivalent), 1 distinguished or
 rejected, 2 parse error, exhausted check, or an input that nests too
-deeply for the recursive parser or printer (one line on stderr, no
-traceback), 64 usage error, 66 file not readable or not valid UTF-8.
+deeply for the recursive walks (one line on stderr, no traceback), 64
+usage error, 66 file not readable or not valid UTF-8.
 Integer options are spelled in ASCII digits, seeds with an optional
 leading "-".  Output is plain text, byte-stable for a fixed input and
 seed.

@@ -11,12 +11,15 @@ and counts as equivalent to depth 0; enumerate_traces truncates at the
 same point, which keeps game verdicts and trace-set equality aligned.
 
 The game memoizes each pair of configurations and depth under the
-configurations' semantics.Keys: what their futures can read, not their
-whole environments, so pairs that differ only in variables never read
-again share an entry.  run_to_anchor's repeat check compares the same
-keys, so a memo hit returns exactly what running the pair would.  The
-game and enumerate_traces walk the tree of probe choices on explicit
-stacks, so their depth is not bounded by Python's recursion limit.
+configurations' keys (semantics.config_key): what their futures can
+read, not their whole environments, so pairs that differ only in
+variables never read again share an entry.  The keys are built from
+facts kept on the terms and closures they describe, so a game folds
+only terms no earlier run or game has keyed.  run_to_anchor's repeat
+check compares the same keys, so a memo hit returns exactly what
+running the pair would.  The game and enumerate_traces walk the tree
+of probe choices on explicit stacks, so their depth is not bounded by
+Python's recursion limit.
 
 Silent divergence is decided, not cut off: run_to_anchor returns a
 Diverges anchor when a silent run repeats a configuration (see
@@ -56,8 +59,8 @@ from .semantics import (
     Trace,
     Terminated,
     Cutoff,
-    Keys,
     apply_extern,
+    config_key,
     run_to_anchor,
 )
 from .syntax import Term, constants_of, wrap
@@ -91,15 +94,14 @@ class Distinguished:
 
 @dataclass(frozen=True)
 class Exhausted:
-    reason: str  # 'fuel' | 'depth'
+    reason: str  # always 'fuel': some branch ran out of fuel
 
 
 Verdict = Union[EquivalentToDepth, Distinguished, Exhausted]
 
-_EQ_FULL = 0  # every explored branch ended in matching terminals
-_EQ_DEPTH = 1  # some branch was cut at depth 0
-_FUEL = 2  # some branch ran out of fuel; inconclusive
-_DIST = 3
+_EQ = 0  # every explored branch ended in matching anchors or was cut at depth 0
+_FUEL = 1  # some branch ran out of fuel; inconclusive
+_DIST = 2
 
 
 def _judge(a1: Anchor, a2: Anchor, depth: int) -> tuple[Optional[int], str]:
@@ -108,20 +110,20 @@ def _judge(a1: Anchor, a2: Anchor, depth: int) -> tuple[Optional[int], str]:
     if isinstance(a1, OutOfFuel) or isinstance(a2, OutOfFuel):
         return _FUEL, ""
     if isinstance(a1, Diverges) and isinstance(a2, Diverges):
-        return _EQ_FULL, ""
+        return _EQ, ""
     if isinstance(a1, Diverges) or isinstance(a2, Diverges):
         side = "left" if isinstance(a1, Diverges) else "right"
         return _DIST, f"{side} side diverges silently while the other does not"
     if isinstance(a1, Done) and isinstance(a2, Done):
         if a1.result == a2.result:
-            return _EQ_FULL, ""
+            return _EQ, ""
         return _DIST, f"terminal results differ: {_val(a1.result)} vs {_val(a2.result)}"
     if isinstance(a1, Done) or isinstance(a2, Done):
         side = "left" if isinstance(a1, Done) else "right"
         return _DIST, f"{side} side terminates while the other is at a system call"
     assert isinstance(a1, Ready) and isinstance(a2, Ready)
     if depth == 0:
-        return _EQ_DEPTH, ""
+        return _EQ, ""
     if a1.action != a2.action or a1.args != a2.args:
         return _DIST, (
             f"pending system calls differ: {a1.action}({','.join(map(str, a1.args))})"
@@ -135,13 +137,13 @@ class _Frame:
 
     __slots__ = ("key", "left", "right", "depth", "probe", "worst", "event")
 
-    def __init__(self, key: tuple, left: Config, right: Config, depth: int) -> None:
+    def __init__(self, key: tuple, left: Ready, right: Ready, depth: int) -> None:
         self.key = key
-        self.left = left  # the ready configurations
+        self.left = left  # the two anchors at matching pending calls
         self.right = right
         self.depth = depth  # of the successors
         self.probe = 0  # index of the probe being explored
-        self.worst = _EQ_FULL  # over the probes explored so far
+        self.worst = _EQ  # over the probes explored so far
         self.event: Optional[Event] = None  # the left event of that probe
 
 
@@ -153,28 +155,27 @@ def _game(
     prefix is read off the open frames once, and the memo holds only
     the kinds of finished nodes."""
     root_depth = depth
-    keys = Keys()
     memo: dict[Optional[tuple], int] = {}
     frames: list[_Frame] = []
     while True:
         # Only the root has no open frame.  No other node has its depth,
         # so its key could never hit, and not keying it saves folding
         # the whole program when the game ends before any system call.
-        key = (keys.config(left), keys.config(right), depth) if frames else None
+        key = (config_key(left), config_key(right), depth) if frames else None
         kind = memo.get(key)
         if kind is None:
-            a1 = run_to_anchor(left, fuel, keys)
+            a1 = run_to_anchor(left, fuel)
             if sim and isinstance(a1, Done) and a1.result is None:
-                kind = _EQ_FULL  # left failed: similar to anything
+                kind = _EQ  # left failed: similar to anything
             else:
-                a2 = run_to_anchor(right, fuel, keys)
+                a2 = run_to_anchor(right, fuel)
                 kind, reason = _judge(a1, a2, depth)
                 if kind == _DIST:
                     return Distinguished(
                         tuple(f.event for f in frames), tuple(probes[f.probe] for f in frames), reason
                     )
             if kind is None:
-                frames.append(_Frame(key, a1.config, a2.config, depth - 1))
+                frames.append(_Frame(key, a1, a2, depth - 1))
             else:
                 memo[key] = kind
         if kind is not None:
@@ -226,10 +227,10 @@ def enumerate_traces(
     terminating programs.
 
     This is the oracle the game is checked against, so it keeps no
-    memo.  It does share run_to_anchor's projected repeat check (Keys)
-    with the game; tests/test_semantics.py checks that check against a
-    full-equality reference.  It walks the tree
-    of probe choices depth first on an explicit stack and keeps the
+    memo.  It does share run_to_anchor's projected repeat check
+    (config_key) with the game; tests/test_semantics.py checks that
+    check against a full-equality reference.  It walks the tree of
+    probe choices depth first on an explicit stack and keeps the
     current path's events in one list, oldest first."""
     p = make_probes(probes)
     out: set[Trace] = set()
@@ -249,6 +250,6 @@ def enumerate_traces(
             out.add(Trace(tuple(events), Cutoff()))
         else:
             for value in p:
-                event, succ = apply_extern(anchor.config, value)
+                event, succ = apply_extern(anchor, value)
                 stack.append((succ, d - 1, event))
     return frozenset(out)

@@ -6,8 +6,10 @@ application rewinds it by dropping every group more recent than the
 first group defining the callee, which is what makes recursion work
 without a call stack.  Silent steps cover binding, conditionals, group
 definition, and application.  System calls are the only observable
-transitions; their result value is supplied from outside the stepper
-(apply_extern), so execution is deterministic up to those results.
+transitions: step_silent evaluates a system call's arguments once,
+the Ready anchor holds them, and apply_extern resolves the call from
+that anchor with a result value supplied from outside the stepper, so
+execution is deterministic up to those results.
 
 Environments are plain dicts treated as immutable: every step builds a
 fresh one and nothing mutates an existing binding.
@@ -22,15 +24,17 @@ each step into a strict subterm of the focus, so every silent cycle
 contains an application step; only the configurations right after an
 application are compared.  Those form a deterministic sequence of their
 own, so Brent's method applies to it unchanged.  Configurations are
-compared by what their future can read (Keys): the focused term's
-index and the values of its free variables, and per closure its body's
-index and the values of the body's free variables that are not
-parameters; indices and free variables come from syntax.Nodes.  Two
-configurations equal in that projection run alike forever, so a repeat
-of it is a silent loop even where a variable never read again still
-changes.  The game's memo uses the same keys.  Fuel still bounds every
-run, and a loop that never repeats a key, such as a counter, still
-runs out of fuel.
+compared by what their future can read (config_key): the focused
+term's number and the values of its free variables, and per closure its
+name and its own key (Closure.key): its body's number, its parameters
+and the values of the body's free variables that are not parameters.
+Numbers and free variables are kept on the terms (syntax.term_fact), a
+closure's key on the closure, so no table is built per run or per game
+and no key holds an id().  Two configurations equal in that projection
+run alike forever, so a repeat of it is a silent loop even where a
+variable never read again still changes.  The game's memo uses the
+same keys.  Fuel still bounds every run, and a loop that never repeats
+a key, such as a counter, still runs out of fuel.
 
 Compiled segments.  A segment is the code from an entry term up to the
 next application, system call or leaf: the term a run starts from (the
@@ -72,15 +76,16 @@ from .syntax import (
     Expr,
     Fun,
     Let,
-    Nodes,
     SysCall,
     Term,
     Unop,
     Var,
     _div,
+    _setattr,
     eval_expr,
     eval_expr_list,
     term_exprs,
+    term_fact,
     truthy,
     wrap,
 )
@@ -91,15 +96,33 @@ Env = dict[str, int]
 @dataclass(frozen=True)
 class Closure:
     """Captured environment, parameter list, and body. Not recursive by
-    itself; recursion comes from context rewinding."""
+    itself; recursion comes from context rewinding.  _key, kept on the
+    closure once asked for, is not a field."""
 
     env: Env
     params: tuple[str, ...]
     body: Term
+    _key = None
+
+    @property
+    def key(self) -> tuple:
+        """What the closure's body can read: its number, the parameters,
+        and the values (None for unbound) of its free variables that are
+        not parameters, in sorted order."""
+        key = self._key
+        if key is None:
+            number, free = term_fact(self.body)
+            key = (number, self.params, tuple(self.env.get(v) for v in free if v not in self.params))
+            _setattr(self, "_key", key)
+        return key
 
 
 Group = tuple[tuple[str, Closure], ...]
 FunContext = tuple[Group, ...]  # most recent group first
+
+
+def _group(defs: tuple, env: Env) -> Group:
+    return tuple((d.name, Closure(env, d.params, d.body)) for d in defs)
 
 
 def ctx_resolve(ctx: FunContext, name: str) -> Optional[tuple[Closure, FunContext]]:
@@ -119,6 +142,18 @@ class Config:
     term: Term
 
 
+def config_key(c: Config) -> tuple:
+    """What c's future reads, as a hashable key: the focus's number, the
+    values of its free variables (None for unbound) in sorted order, and
+    per closure in the function context its name and key.  Two
+    configurations with equal keys step to configurations with equal
+    keys, reach the same anchor kind after the same number of steps, and
+    have the same events."""
+    number, free = term_fact(c.term)
+    funs = tuple(tuple((name, clo.key) for name, clo in g) for g in c.funs)
+    return (number, tuple(map(c.env.get, free)), funs)
+
+
 # -- one silent step
 
 
@@ -129,7 +164,9 @@ class Stepped:
 
 @dataclass(frozen=True)
 class AtExtern:
-    """The focus is a system-call let whose arguments evaluate."""
+    """The focus is a system-call let whose arguments evaluate to args."""
+
+    args: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -137,7 +174,6 @@ class Terminal:
     """No silent successor and not at a system call."""
 
 
-_AT_EXTERN = AtExtern()
 _TERMINAL = Terminal()
 
 
@@ -154,9 +190,8 @@ def step_silent(config: Config) -> Union[Stepped, AtExtern, Terminal]:
     t = config.term
     if isinstance(t, Let):
         if isinstance(t.value, SysCall):
-            if eval_expr_list(t.value.args, config.env) is None:
-                return _TERMINAL
-            return _AT_EXTERN
+            args = eval_expr_list(t.value.args, config.env)
+            return _TERMINAL if args is None else AtExtern(args)
         v = eval_expr(t.value, config.env)
         if v is None:
             return _TERMINAL
@@ -178,8 +213,7 @@ def step_silent(config: Config) -> Union[Stepped, AtExtern, Terminal]:
             return _TERMINAL
         return Stepped(Config(config.funs, config.env, t.then if truthy(v) else t.orelse))
     if isinstance(t, Fun):
-        group = tuple((d.name, Closure(config.env, d.params, d.body)) for d in t.defs)
-        return Stepped(Config((group,) + config.funs, config.env, t.cont))
+        return Stepped(Config((_group(t.defs, config.env),) + config.funs, config.env, t.cont))
     return _TERMINAL  # expression focus
 
 
@@ -226,80 +260,17 @@ class Diverges:
 Anchor = Union[Done, Ready, OutOfFuel, Diverges]
 
 
-def apply_extern(config: Config, result: int) -> tuple[Event, Config]:
-    """Resolve the pending system call of a ready configuration with
-    the given result value."""
-    t = config.term
-    if not (isinstance(t, Let) and isinstance(t.value, SysCall)):
-        raise ValueError("configuration is not at a system call")
-    vals = eval_expr_list(t.value.args, config.env)
-    if vals is None:
-        raise ValueError("system-call arguments do not evaluate")
-    event = Event(t.value.action, vals, result)
-    return event, Config(config.funs, {**config.env, t.var: result}, t.body)
+def apply_extern(ready: Ready, result: int) -> tuple[Event, Config]:
+    """Resolve the pending system call of a Ready anchor with the given
+    result value: the event, and the configuration after the let."""
+    c = ready.config
+    t = c.term
+    return Event(ready.action, ready.args, result), Config(c.funs, {**c.env, t.var: result}, t.body)
 
 
-class Keys:
-    """What a configuration's future reads, as a hashable key.
-
-    A silent step reads only the focus's free variables, and a closure
-    reads only its body's free variables that are not parameters, so
-    the key is the focus's index, the values of its free variables
-    (None for unbound) in sorted order, and per closure in the function
-    context its name, body index, parameters and the values of the
-    body's non-parameter free variables.  Two configurations with equal
-    keys step to configurations with equal keys, reach the same anchor
-    kind after the same number of steps, and have the same events.
-
-    Indices and free variables are registered as terms are keyed: a
-    term not yet registered brings its syntax.Nodes table, and each of
-    its nodes not yet registered gets the next index and the table's
-    free variables.  A registered term's whole subtree is registered,
-    so a run or a game folds only the subterms it keys, and a term
-    object shared by two programs, as a pass's output shares subterms
-    with its input, keeps the one index it got first.  The registry
-    and the group cache are looked up by id() and hold the object they
-    describe, so no id() in them can be reused while they live; no key
-    holds an id().
-    """
-
-    def __init__(self) -> None:
-        self.facts: dict[int, tuple[Term, int, tuple[str, ...]]] = {}
-        self.groups: dict[int, tuple[Group, tuple]] = {}
-
-    def fact(self, t: Term) -> tuple[Term, int, tuple[str, ...]]:
-        """(t, its index, its free variables in sorted order)."""
-        hit = self.facts.get(id(t))
-        if hit is None:
-            facts, nodes = self.facts, Nodes(t)
-            for term, free in zip(nodes.terms, nodes.free):
-                if id(term) not in facts:
-                    facts[id(term)] = (term, len(facts), free)
-            hit = facts[id(t)]
-        return hit
-
-    def group(self, g: Group) -> tuple:
-        hit = self.groups.get(id(g))
-        if hit is not None:
-            return hit[1]
-        k = []
-        for name, clo in g:
-            _, index, free = self.fact(clo.body)
-            read = tuple(clo.env.get(v) for v in free if v not in clo.params)
-            k.append((name, index, clo.params, read))
-        k = tuple(k)
-        self.groups[id(g)] = (g, k)
-        return k
-
-    def config(self, c: Config) -> tuple:
-        _, index, free = self.fact(c.term)
-        return (index, tuple(map(c.env.get, free)), tuple(map(self.group, c.funs)))
-
-
-def run_to_anchor(config: Config, fuel: int, keys: Optional[Keys] = None) -> Anchor:
+def run_to_anchor(config: Config, fuel: int) -> Anchor:
     """Run silent steps (at most fuel of them) to the next anchor, or
-    to the first repeat of a configuration's key (Diverges).  keys only
-    saves work: any table gives the same anchor.
+    to the first repeat of a configuration's key (Diverges).
 
     One segment at a time: its compiled code when the segment is hot and
     the fuel covers its longest path, else step_silent up to the next
@@ -332,10 +303,7 @@ def run_to_anchor(config: Config, fuel: int, keys: Optional[Keys] = None) -> Anc
                 if not isinstance(step, Stepped):
                     if isinstance(step, Terminal):
                         return Done(result_of(config))
-                    call = config.term.value  # AtExtern
-                    args = eval_expr_list(call.args, config.env)
-                    assert args is not None
-                    return Ready(call.action, args, config)
+                    return Ready(config.term.value.action, step.args, config)
                 if remaining <= 0:
                     return OutOfFuel(config)
                 remaining -= 1
@@ -350,15 +318,13 @@ def run_to_anchor(config: Config, fuel: int, keys: Optional[Keys] = None) -> Anc
             # variable of saved changes, which is cheaper to test first
             if term is saved.term:
                 if saved_key is None:
-                    if keys is None:
-                        keys = Keys()
-                    saved_key = keys.config(saved)
-                    free = keys.fact(saved.term)[2]
+                    saved_key = config_key(saved)
+                    free = term_fact(saved.term)[1]
                     bound = {v: x for v, x in zip(free, saved_key[1]) if x is not None}.items()
                 if bound <= env.items():
                     if config is None:
                         config = Config(funs, env, term)
-                    if keys.config(config) == saved_key:
+                    if config_key(config) == saved_key:
                         return Diverges(config)
             since += 1
             if since == power:
@@ -383,7 +349,6 @@ INLINE_NODES = 32  # expression nodes a step inlines; a larger first step calls 
 _MIN = -INT_MAX - 1
 _COMPARE = {"=": "==", "<": "<", "<=": "<="}
 _WRAPPED = frozenset("+-*")
-_setattr = object.__setattr__  # terms are frozen; _segment is not a field
 
 
 class Segment:
@@ -398,10 +363,6 @@ class Segment:
     def __init__(self, longest: int, run: Callable):
         self.longest = longest
         self.run = run
-
-
-def _group(defs: tuple, env: Env) -> Group:
-    return tuple((d.name, Closure(env, d.params, d.body)) for d in defs)
 
 
 # The only names generated code reads besides its own v<n> locals, its
@@ -696,9 +657,8 @@ def run_trace(config: Config, oracle: Oracle, fuel: int, max_events: int = 256) 
     fuel bounds silent steps per anchor segment; max_events bounds the
     number of resolved calls."""
     events: list[Event] = []
-    keys = Keys()
     while True:
-        anchor = run_to_anchor(config, fuel, keys)
+        anchor = run_to_anchor(config, fuel)
         if isinstance(anchor, Done):
             return Trace(tuple(events), Terminated(anchor.result))
         if isinstance(anchor, OutOfFuel):
@@ -708,7 +668,7 @@ def run_trace(config: Config, oracle: Oracle, fuel: int, max_events: int = 256) 
         if len(events) >= max_events:
             return Trace(tuple(events), Cutoff())
         value = wrap(oracle(len(events), anchor.action, anchor.args))
-        event, config = apply_extern(anchor.config, value)
+        event, config = apply_extern(anchor, value)
         events.append(event)
 
 

@@ -25,18 +25,22 @@ Nodes numbers a term's nodes once, in pre-order, with one explicit-stack
 walk: each node's term, parent and children (a function group's
 children are its member bodies, then its continuation) and, for an
 application, the group member its name resolves to.  It is the one
-numbering of terms: the analyses, the checkers, the passes and the
-interpreter's configuration keys (semantics.Keys) all read it, and
-each node's free variables are folded once, on first use.  An annotation
+table of terms: the analyses, the checkers, the passes and term_fact
+read it.  term_fact folds each node's free variables once and keeps
+them, with the node's number, on the term itself; the interpreter's
+configuration keys and free_term_vars read them there.  An annotation
 (Annotated) is that table with one analysis fact per node in pre-order,
 which is also the sidecar format: one fact per line, "true"/"false" for
-booleans, "{x,y}" for variable sets.  Only the parser and the printer
-recurse on terms; every other walk is a loop over the table.
+booleans, "{x,y}" for variable sets.  The parser and the printer
+recurse on terms, and expression evaluation, free_vars and the printer
+recurse on expressions (down the left operands of a flat sum too);
+every other walk is a loop over the table.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
@@ -171,13 +175,18 @@ def eval_expr_list(es: Sequence[Expr], env: Mapping[str, int]) -> Optional[tuple
 class Term:
     """Base class for IL terms.
 
-    _segment belongs to the interpreter (semantics.run_to_anchor): how
-    often execution has entered the segment that starts at this term,
-    then that segment's compiled code.  It is not a field, so equality,
-    hashing and printing never see it."""
+    Two attributes are kept on a term but are not fields, so equality,
+    hashing and printing never see them.  _segment belongs to the
+    interpreter (semantics.run_to_anchor): how often execution has
+    entered the segment that starts at this term, then that segment's
+    compiled code.  _fact is term_fact's (number, free variables)."""
 
     __slots__ = ()
     _segment: Any = 0
+    _fact: Any = None
+
+
+_setattr = object.__setattr__  # terms are frozen; _segment and _fact are not fields
 
 
 @dataclass(frozen=True)
@@ -251,11 +260,9 @@ class Nodes:
     name no enclosing group defines.  That is the one statement of the
     scoping rule for function names: a group binds its names in all its
     bodies and its continuation, and an inner group shadows an outer one.
-    free[i], node i's free variables in sorted order, is folded for the
-    whole table through node_free_vars on first use.
     """
 
-    __slots__ = ("terms", "parent", "kids", "callee", "_free")
+    __slots__ = ("terms", "parent", "kids", "callee")
 
     def __init__(self, t: Term):
         terms: list[Term] = []
@@ -309,16 +316,6 @@ class Nodes:
         for i, group, g in apps:
             callee[i] = (kids[group][g], terms[group].defs[g])
         self.terms, self.parent, self.kids, self.callee = terms, parent, kids, callee
-        self._free: Optional[list[tuple[str, ...]]] = None
-
-    @property
-    def free(self) -> list[tuple[str, ...]]:
-        if self._free is None:  # children follow their parent in pre-order
-            free: list = [()] * len(self.terms)
-            for i in reversed(range(len(free))):
-                free[i] = tuple(sorted(node_free_vars(self.terms[i], [free[k] for k in self.kids[i]])))
-            self._free = free
-        return self._free
 
     def path(self, i: int) -> tuple[int, ...]:
         """Node i's child positions from the root."""
@@ -379,9 +376,39 @@ def node_free_vars(t: Term, kids: Sequence[Iterable[str]]) -> set[str]:
     return out
 
 
+_numbers = count()
+
+
+def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
+    """t's number and its free variables in sorted order, kept on t.
+
+    A term without a fact brings its Nodes table, whose free variables
+    are folded through node_free_vars in reverse pre-order (children
+    follow their parent), and each node without a fact gets the next
+    number and its free variables.  A term with a fact has one on every
+    node below it, so a caller folds only the subterms it asks about,
+    and a term object shared by two programs, as a pass's output shares
+    subterms with its input, keeps the one number it got first.  Numbers
+    are never reused, so two terms have the same number only if they are
+    the same object."""
+    fact = t._fact
+    if fact is None:
+        nodes = Nodes(t)
+        free: list = [()] * len(nodes.terms)
+        for i in reversed(range(len(free))):
+            term = nodes.terms[i]
+            if term._fact is None:
+                free[i] = tuple(sorted(node_free_vars(term, [free[k] for k in nodes.kids[i]])))
+                _setattr(term, "_fact", (next(_numbers), free[i]))
+            else:
+                free[i] = term._fact[1]
+        fact = t._fact
+    return fact
+
+
 def free_term_vars(t: Term) -> frozenset[str]:
     """Variables a whole program reads from its initial environment."""
-    return frozenset(Nodes(t).free[0])
+    return frozenset(term_fact(t)[1])
 
 
 def constants_of(*terms: Term) -> frozenset[int]:

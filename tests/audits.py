@@ -10,6 +10,7 @@ from il.semantics import (
     Cutoff,
     Diverged,
     Oracle,
+    Ready,
     SeededOracle,
     Stepped,
     Terminal,
@@ -18,7 +19,7 @@ from il.semantics import (
     step_silent,
     trace_text,
 )
-from il.syntax import App, Nodes, Term, eval_expr_list, free_term_vars, well_formed, wrap
+from il.syntax import App, Nodes, Term, free_term_vars, well_formed, wrap
 from il.tlive import infer_tlive
 
 
@@ -45,10 +46,8 @@ def reach_audit(t: Term, env: dict[str, int], oracle: Oracle, fuel: int, max_eve
             continue
         if events >= max_events:
             return True
-        call = config.term.value
-        args = eval_expr_list(call.args, config.env)
-        value = wrap(oracle(events, call.action, args))
-        _, config = apply_extern(config, value)
+        ready = Ready(config.term.value.action, step.args, config)
+        _, config = apply_extern(ready, wrap(oracle(events, ready.action, ready.args)))
         events += 1
         steps += 1
     return True

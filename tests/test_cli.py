@@ -445,8 +445,11 @@ def test_outputs_are_deterministic_across_invocations(files, capsys):
         (("parse",), "(" * 1000 + "1" + ")" * 1000),
         (("optimize", "--uce", "--dve"), "".join(f"let x{i} = {i} in " for i in range(600)) + "x0"),
         (("check",), "(" * 1000 + "1" + ")" * 1000),
+        # flat: the parser builds the sum in a loop, but evaluation
+        # recurses down its left operands
+        (("run",), " + ".join(["a"] * 2000)),
     ],
-    ids=["parse-parens", "optimize-lets", "check-parens"],
+    ids=["parse-parens", "optimize-lets", "check-parens", "run-flat-sum"],
 )
 def test_too_deep_input_exits_2_without_traceback(files, capsys, argv, text):
     path = files("deep.il", text)

@@ -17,8 +17,8 @@ from il.equiv import (
     make_probes,
 )
 from il.harness import GenConfig, derive_seed, gen_program, initial_env
-from il.semantics import Closure, Config, Cutoff, Diverged, Keys, ListOracle, Terminated, run_trace
-from il.syntax import Let, Var, parse_program
+from il.semantics import Closure, Config, Cutoff, Diverged, ListOracle, Terminated, config_key, run_trace
+from il.syntax import Let, Nodes, Var, parse_program, term_fact
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -206,10 +206,9 @@ def keyed(env, captured):
 
 
 def test_keys_ignore_what_the_future_never_reads():
-    keys = Keys()
-    base = keys.config(keyed({"a": 1}, {"c": 5}))
-    assert keys.config(keyed({"a": 1, "b": 2}, {"c": 5})) == base  # b is not free in the focus
-    assert keys.config(keyed({"a": 1}, {"c": 5, "x": 9, "d": 3})) == base  # x is a parameter, d unread
+    base = config_key(keyed({"a": 1}, {"c": 5}))
+    assert config_key(keyed({"a": 1, "b": 2}, {"c": 5})) == base  # b is not free in the focus
+    assert config_key(keyed({"a": 1}, {"c": 5, "x": 9, "d": 3})) == base  # x is a parameter, d unread
 
 
 @pytest.mark.parametrize(
@@ -222,8 +221,7 @@ def test_keys_ignore_what_the_future_never_reads():
     ],
 )
 def test_keys_tell_apart_what_the_future_reads(one, other):
-    keys = Keys()
-    assert keys.config(keyed(*one)) != keys.config(keyed(*other))
+    assert config_key(keyed(*one)) != config_key(keyed(*other))
 
 
 def test_keys_fold_a_shared_subterm_before_its_later_parent():
@@ -231,18 +229,34 @@ def test_keys_fold_a_shared_subterm_before_its_later_parent():
     # side's parent of a shared node is numbered after the node itself
     shared = parse_program("y + b")
     right = Let("y", Var("a"), shared)
-    keys = Keys()
-    keys.fact(shared)
-    assert keys.fact(right)[2] == ("a", "b")
+    term_fact(shared)
+    assert term_fact(right)[1] == ("a", "b")
+    assert term_fact(right.body) == term_fact(shared)
 
 
-def test_group_keys_never_go_stale():
-    # each group is dropped right after it is keyed, so without the
-    # cache holding it a later group can reuse its id()
-    keys = Keys()
+def test_closure_keys_never_go_stale():
+    # each closure and its configuration are dropped right after they
+    # are keyed, so a later closure can reuse their memory
     body = parse_program("x")
-    seen = {keys.group((("f", Closure({"x": i}, (), body)),)) for i in range(1000)}
+    seen = {config_key(Config(((("f", Closure({"x": i}, (), body)),),), {}, body)) for i in range(1000)}
     assert len(seen) == 1000
+
+
+@pytest.mark.parametrize("first", ["game", "trace"])
+def test_a_program_keyed_twice_is_folded_once(monkeypatch, first):
+    # numbers and free variables stay on the terms, so a game after a
+    # game or a run on the same program builds no node table again
+    builds = []
+    init = Nodes.__init__
+    monkeypatch.setattr(Nodes, "__init__", lambda self, t: builds.append(t) or init(self, t))
+    c = conf("fun f(n) = if n then f(n - 1) else let r = extern rd() in f(3) in f(3)")
+    if first == "game":
+        assert check_bisim(c, c, depth=3, probes=(0, 1), fuel=100) == EquivalentToDepth(3)
+    else:
+        assert len(run_trace(c, ListOracle([]), fuel=100, max_events=3).events) == 3
+    assert len(builds) == 1
+    assert check_bisim(c, c, depth=3, probes=(0, 1), fuel=100) == EquivalentToDepth(3)
+    assert len(builds) == 1
 
 
 def test_left_right_figures_bisimilar():

@@ -17,7 +17,6 @@ from il.semantics import (
     Diverges,
     Done,
     Event,
-    Keys,
     ListOracle,
     OutOfFuel,
     Ready,
@@ -28,6 +27,7 @@ from il.semantics import (
     Terminated,
     apply_extern,
     compile_segment,
+    config_key,
     ctx_resolve,
     result_of,
     run_to_anchor,
@@ -48,11 +48,11 @@ from il.syntax import (
     Nodes,
     SysCall,
     Var,
-    eval_expr_list,
     free_vars,
     free_vars_list,
     parse_program,
     term_children,
+    term_fact,
     wrap,
 )
 from il.reach import Rejection
@@ -115,7 +115,9 @@ def test_step_cond_undefined_scrutinee_is_terminal():
 
 def test_step_at_extern_is_not_silent():
     c = conf("let x = extern read() in x")
-    assert step_silent(c) == AtExtern()
+    assert step_silent(c) == AtExtern(())
+    c = conf("let x = extern read(y + 1, 7) in x", {"y": 2})
+    assert step_silent(c) == AtExtern((3, 7))
 
 
 def test_step_at_extern_undefined_argument_is_terminal():
@@ -162,7 +164,7 @@ def _resolutions(t, env, fuel=3000, max_events=16):
         elif isinstance(step, Terminal) or events == max_events:
             break
         else:
-            _, config = apply_extern(config, events % 3)
+            _, config = apply_extern(Ready(config.term.value.action, step.args, config), events % 3)
             events += 1
     return seen
 
@@ -205,9 +207,10 @@ def test_closures_capture_definition_env():
 
 def test_apply_extern_records_arguments_and_result():
     c = conf("let x = extern w(2 + 2) in x")
-    ev, c2 = apply_extern(c, 0)
+    ev, c2 = apply_extern(run_to_anchor(c, 0), 0)
     assert ev == Event("w", (4,), 0)
     assert c2.env == {"x": 0}
+    assert c2.term == parse_program("x")
 
 
 def test_trace_wraps_oracle_results():
@@ -215,18 +218,6 @@ def test_trace_wraps_oracle_results():
     tr = run_trace(conf("let x = extern r() in x"), ListOracle([2**63]), fuel=10)
     assert tr.events[0].result == -(2**63)
     assert tr.outcome == Terminated(-(2**63))
-
-
-def test_apply_extern_rejects_silent_configs():
-    with pytest.raises(ValueError):
-        apply_extern(conf("3"), 0)
-    with pytest.raises(ValueError):
-        apply_extern(conf("let x = 1 in x"), 0)
-
-
-def test_apply_extern_rejects_undefined_argument():
-    with pytest.raises(ValueError):
-        apply_extern(conf("let x = extern w(y) in x"), 0)
 
 
 # -- anchors
@@ -273,7 +264,7 @@ def test_anchor_diverges_on_repeated_configuration(src):
     c = conf(src)
     a = run_to_anchor(c, 1000)
     while isinstance(a, Ready):
-        _, c = apply_extern(a.config, 0)
+        _, c = apply_extern(a, 0)
         a = run_to_anchor(c, 1000)
     assert isinstance(a, Diverges)
 
@@ -447,7 +438,7 @@ def test_diverges_config_repeats_silently(n):
             a = run_to_anchor(c, 2000)
             if not isinstance(a, Ready):
                 break
-            _, c = apply_extern(a.config, oracle(i, a.action, a.args))
+            _, c = apply_extern(a, oracle(i, a.action, a.args))
         if not isinstance(a, Diverges):
             continue
         c = a.config
@@ -462,7 +453,7 @@ def test_diverges_config_repeats_silently(n):
 
 
 def full_equality_anchor(config, fuel):
-    """run_to_anchor without Keys: Brent's method over whole
+    """run_to_anchor without projected keys: Brent's method over whole
     configurations, compared with ==, at the same points and with the
     same fuel accounting, so it reports Diverges no earlier."""
     remaining, saved, since, power = fuel, config, 0, 1
@@ -471,8 +462,7 @@ def full_equality_anchor(config, fuel):
         if isinstance(step, Terminal):
             return Done(result_of(config))
         if isinstance(step, AtExtern):
-            call = config.term.value
-            return Ready(call.action, eval_expr_list(call.args, config.env), config)
+            return Ready(config.term.value.action, step.args, config)
         if remaining <= 0:
             return OutOfFuel(config)
         remaining -= 1
@@ -529,7 +519,7 @@ def test_projected_repeat_check_agrees_with_full_equality(n):
                 assert a == ref
             if not isinstance(a, Ready):
                 break
-            _, c = apply_extern(a.config, oracle(i, a.action, a.args))
+            _, c = apply_extern(a, oracle(i, a.action, a.args))
 
 
 def _reference_free(t):
@@ -553,22 +543,20 @@ def _subterms(t):
         yield from _subterms(c)
 
 
-def test_keys_give_each_term_object_one_index_across_programs():
-    # A pass's output shares subterm objects with its input.  One Keys
-    # registers the input and then each output, each after one of its
+def test_term_facts_give_each_term_object_one_number_across_programs():
+    # A pass's output shares subterm objects with its input.  Facts are
+    # kept for the input and then each output, each after one of its
     # own subterms, as a run keys a closure body before its program.
     sharing = 0
     for n in range(200):
         t = gen_program(GenConfig(seed=derive_seed(71, n)))
         outs = [done[1] for done in (run_pass("uce", t), run_pass("dve", t)) if not isinstance(done, Rejection)]
-        keys = Keys()
         index = {}
         for root in (t, *outs):
-            keys.fact(random.Random(n).choice(list(_subterms(root))))
-            keys.fact(root)
+            term_fact(random.Random(n).choice(list(_subterms(root))))
+            term_fact(root)
             for s in _subterms(root):
-                term, k, free = keys.fact(s)
-                assert term is s
+                k, free = term_fact(s)
                 assert index.setdefault(id(s), k) == k
                 assert free == tuple(sorted(_reference_free(s)))
         assert len(set(index.values())) == len(index)
@@ -600,14 +588,13 @@ for _name, _test in list(globals().items()):
 def reference_anchor(config, fuel):
     """run_to_anchor as a plain step_silent loop with the same repeat
     check; also the silent steps it took."""
-    remaining, saved, saved_key, since, power, keys = fuel, config, None, 0, 1, Keys()
+    remaining, saved, saved_key, since, power = fuel, config, None, 0, 1
     while True:
         step = step_silent(config)
         if isinstance(step, Terminal):
             return Done(result_of(config)), fuel - remaining
         if isinstance(step, AtExtern):
-            call = config.term.value
-            return Ready(call.action, eval_expr_list(call.args, config.env), config), fuel - remaining
+            return Ready(config.term.value.action, step.args, config), fuel - remaining
         if remaining <= 0:
             return OutOfFuel(config), fuel - remaining
         remaining -= 1
@@ -615,8 +602,8 @@ def reference_anchor(config, fuel):
         config = step.config
         if applied:
             if saved_key is None:
-                saved_key = keys.config(saved)
-            if keys.config(config) == saved_key:
+                saved_key = config_key(saved)
+            if config_key(config) == saved_key:
                 return Diverges(config), fuel - remaining
             since += 1
             if since == power:
@@ -640,7 +627,7 @@ def test_compiled_segments_agree_with_step_silent_at_every_fuel(n):
             assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
         if not isinstance(a, Ready):
             break
-        _, c = apply_extern(a.config, oracle(i, a.action, a.args))
+        _, c = apply_extern(a, oracle(i, a.action, a.args))
 
 
 def _hot_and_reference(monkeypatch, build, env=None, fuel=10**6):

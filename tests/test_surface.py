@@ -56,3 +56,6 @@ def test_benchmark_names_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+    # Tracer.install() also wraps step_silent, outside SPANS
+    assert "step_silent" in spans_src
+    assert hasattr(importlib.import_module("il.semantics"), "step_silent")
