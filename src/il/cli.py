@@ -3,9 +3,8 @@
 Subcommands: parse, run, analyze, optimize, check, difftest.
 
 Exit codes: 0 success (for check: equivalent), 1 distinguished or
-rejected, 2 parse error, exhausted check, or an input that nests too
-deeply for the recursive walks (one line on stderr, no traceback), 64
-usage error, 66 file not readable or not valid UTF-8.
+rejected, 2 parse error or exhausted check, 64 usage error, 66 file not
+readable or not valid UTF-8.
 Integer options are spelled in ASCII digits, seeds with an optional
 leading "-".  Output is plain text, byte-stable for a fixed input and
 seed.
@@ -247,9 +246,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse and file errors carry their code
         return exc.code if isinstance(exc.code, int) else EX_USAGE
-    except RecursionError:
-        print("il: input nests too deeply for this implementation", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

@@ -31,16 +31,15 @@ them, with the node's number, on the term itself; the interpreter's
 configuration keys and free_term_vars read them there.  An annotation
 (Annotated) is that table with one analysis fact per node in pre-order,
 which is also the sidecar format: one fact per line, "true"/"false" for
-booleans, "{x,y}" for variable sets.  The parser and the printer
-recurse on terms, and expression evaluation, free_vars and the printer
-recurse on expressions (down the left operands of a flat sum too);
-every other walk is a loop over the table.
+booleans, "{x,y}" for variable sets.  The parser, the printer and
+the walks over expressions are loops on explicit stacks, and every
+other walk is a loop over the table, so no walk recurses.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
@@ -95,13 +94,17 @@ class Binop(Expr):
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Unop):
-        return free_vars(e.arg)
-    if isinstance(e, Binop):
-        return free_vars(e.left) | free_vars(e.right)
-    return frozenset()
+    names: set[str] = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Binop):
+            stack += (e.right, e.left)
+        elif isinstance(e, Unop):
+            stack.append(e.arg)
+        elif isinstance(e, Var):
+            names.add(e.name)
+    return frozenset(names)
 
 
 def free_vars_list(es: Sequence[Expr]) -> frozenset[str]:
@@ -121,40 +124,50 @@ def _div(a: int, b: int) -> Optional[int]:
     return wrap(q)
 
 
+_APPLY: dict[str, Callable[[int, int], Optional[int]]] = {
+    "+": lambda a, b: wrap(a + b),
+    "-": lambda a, b: wrap(a - b),
+    "*": lambda a, b: wrap(a * b),
+    "/": _div,
+    "=": lambda a, b: 1 if a == b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+}
+
+
 def eval_expr(e: Expr, env: Mapping[str, int]) -> Optional[int]:
-    """Evaluate e under env; None means undefined (unbound var, div by 0)."""
-    if isinstance(e, Const):
+    """Evaluate e under env; None means undefined (unbound var, div by 0).
+    A loop goes down left operands to a leaf and back up; an operator
+    waits on the stack as (left value, operator) while its right operand,
+    if not a leaf, is evaluated."""
+    cls = type(e)
+    if cls is Const:
         return e.value
-    if isinstance(e, Var):
+    if cls is Var:
         return env.get(e.name)
-    if isinstance(e, Unop):
-        v = eval_expr(e.arg, env)
-        if v is None:
-            return None
-        return wrap(-v) if e.op == "neg" else (0 if v else 1)
-    assert isinstance(e, Binop)
-    a = eval_expr(e.left, env)
-    if a is None:
-        return None
-    b = eval_expr(e.right, env)
-    if b is None:
-        return None
-    op = e.op
-    if op == "+":
-        return wrap(a + b)
-    if op == "-":
-        return wrap(a - b)
-    if op == "*":
-        return wrap(a * b)
-    if op == "/":
-        return _div(a, b)
-    if op == "=":
-        return 1 if a == b else 0
-    if op == "<":
-        return 1 if a < b else 0
-    if op == "<=":
-        return 1 if a <= b else 0
-    raise ValueError(f"unknown operator {op!r}")
+    stack: list = []
+    while True:
+        while cls is Binop or cls is Unop:
+            stack.append(e)
+            e = e.left if cls is Binop else e.arg
+            cls = type(e)
+        v = e.value if cls is Const else env.get(e.name)
+        while v is not None and stack:
+            top = stack.pop()
+            if type(top) is Unop:
+                v = wrap(-v) if top.op == "neg" else (0 if v else 1)
+            elif type(top) is tuple:
+                v = _APPLY[top[1].op](top[0], v)
+            else:
+                e = top.right
+                cls = type(e)
+                if cls is Binop or cls is Unop:
+                    stack.append((v, top))
+                    break
+                b = e.value if cls is Const else env.get(e.name)
+                v = None if b is None else _APPLY[top.op](v, b)
+        else:
+            return v
 
 
 def eval_expr_list(es: Sequence[Expr], env: Mapping[str, int]) -> Optional[tuple[int, ...]]:
@@ -241,12 +254,12 @@ class App(Term):
 
 def term_children(t: Term) -> tuple[Term, ...]:
     """Subterms in canonical order (fundef: bodies, then continuation)."""
-    if isinstance(t, Let):
+    if type(t) is Let:
         return (t.body,)
-    if isinstance(t, Cond):
+    if type(t) is Cond:
         return (t.then, t.orelse)
-    if isinstance(t, Fun):
-        return tuple(d.body for d in t.defs) + (t.cont,)
+    if type(t) is Fun:
+        return (*[d.body for d in t.defs], t.cont)
     return ()
 
 
@@ -333,17 +346,6 @@ def term_size(t: Term) -> int:
         n += 1
         stack += term_children(stack.pop())
     return n
-
-
-def well_formed(t: Term) -> bool:
-    """Structural invariants: distinct group names, distinct parameters."""
-    for n in Nodes(t).terms:
-        if isinstance(n, Fun):
-            if len({d.name for d in n.defs}) != len(n.defs):
-                return False
-            if any(len(set(d.params)) != len(d.params) for d in n.defs):
-                return False
-    return True
 
 
 def term_exprs(t: Term) -> tuple[Expr, ...]:
@@ -497,11 +499,13 @@ _KEYWORDS = frozenset({"let", "in", "if", "then", "else", "fun", "and", "extern"
 
 _DIGITS = "[0-9]+"  # a literal: ASCII digits only, no sign, no underscores
 
+_TOKENS_RE = re.compile(rf"[A-Za-z_][A-Za-z0-9_']*|{_DIGITS}|<=|[=+*/<!(),-]")
 # Group 1 is a token; group 2 is a character no token can start with.
-_TOKEN_RE = re.compile(rf"([A-Za-z_][A-Za-z0-9_']*|{_DIGITS}|<=|[=+*/<!(),-])|(\S)")
+_TOKEN_RE = re.compile(rf"({_TOKENS_RE.pattern})|(\S)")
 _INT_RE = re.compile(rf"-?{_DIGITS}")
 
 _BIN_PREC = {"=": 1, "<": 1, "<=": 1, "+": 2, "-": 2, "*": 3, "/": 3}
+_PREFIX = {"-": "neg", "!": "not", "(": "("}
 
 
 def _error_at(src: str, off: int, message: str) -> ParseError:
@@ -510,14 +514,15 @@ def _error_at(src: str, off: int, message: str) -> ParseError:
 
 
 def _is_var(tok: str) -> bool:
-    """A name that is not a keyword; every token is ASCII."""
-    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in _KEYWORDS
+    """Whether a token is a name that is not a keyword.  Tokens are
+    ASCII, and exactly the names start at or after "A" (letters and
+    "_"); digits, operators and "" sort before it."""
+    return tok >= "A" and tok not in _KEYWORDS
 
 
 def is_var_name(text: str) -> bool:
     """Whether text is exactly one variable name token."""
-    m = _TOKEN_RE.fullmatch(text)
-    return m is not None and m.group(1) is not None and _is_var(text)
+    return _TOKENS_RE.fullmatch(text) is not None and _is_var(text)
 
 
 def _digits_value(digits: str) -> int:
@@ -537,231 +542,270 @@ def int_literal(text: str) -> Optional[int]:
     return _digits_value(text)
 
 
-class _Parser:
-    """Tokens are their texts, "" ends the input; a token's kind
-    follows from its first character.  Offsets serve error positions."""
+class _Stop(Exception):
+    """A syntax error as (token index, message); parse_program works out
+    its line and column."""
 
-    def __init__(self, src: str):
-        self.src = src
-        self.toks: list[str] = []
-        self.offs: list[int] = []
-        # All of src is tokenized first, so a bad character is reported
-        # before any syntax error that precedes it.
-        for m in _TOKEN_RE.finditer(src):
-            tok = m.group(1)
-            if tok is None:
-                raise _error_at(src, m.start(), f"unexpected character {m.group(2)!r}")
-            self.toks.append(tok)
-            self.offs.append(m.start())
-        self.toks.append("")
-        self.offs.append(len(src))
-        self.pos = 0
 
-    def peek(self) -> str:
-        return self.toks[self.pos]
+def _expect(toks: list[str], i: int, tok: str) -> int:
+    if toks[i] != tok:
+        raise _Stop(i, f"expected {tok!r}")
+    return i + 1
 
-    def advance(self) -> str:
-        tok = self.toks[self.pos]
-        if tok:
-            self.pos += 1
-        return tok
 
-    def error(self, message: str, at: Optional[int] = None) -> ParseError:
-        return _error_at(self.src, self.offs[self.pos if at is None else at], message)
+def _name(toks: list[str], i: int, what: str) -> str:
+    if not _is_var(toks[i]):
+        raise _Stop(i, f"expected {what}")
+    return toks[i]
 
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise self.error(f"expected {tok!r}")
-        self.advance()
 
-    def expect_name(self, what: str) -> str:
-        if not _is_var(self.peek()):
-            raise self.error(f"expected {what}")
-        return self.advance()
+def _expr(toks: list[str], i: int, leaves: dict) -> tuple[Expr, int]:
+    """The expression from token i, and the index after it.  Operands
+    wait on vals, operators on ops: binary ones, which first reduce those
+    before them that bind at least as tightly (all are left-associative),
+    "neg" and "not", and "(".  leaves keeps one leaf per token text."""
+    vals: list[Expr] = []
+    ops: list[str] = []
+    while True:
+        tok = toks[i]
+        e = leaves.get(tok)
+        if e is None:
+            if tok == "-" and toks[i + 1].isdigit():
+                i += 1
+                tok = "-" + toks[i]
+                e = leaves.get(tok) or Const(wrap(-_digits_value(toks[i])))
+            elif tok in _PREFIX:
+                ops.append(_PREFIX[tok])
+                i += 1
+                continue
+            elif tok.isdigit():
+                e = Const(_digits_value(tok))
+            elif _is_var(tok):
+                e = Var(tok)
+            else:
+                raise _Stop(i, "expected an expression")
+            leaves[tok] = e
+        i += 1
+        while True:  # e is a complete operand
+            while ops and ops[-1] in ("neg", "not"):
+                e = Unop(ops.pop(), e)
+            prec = _BIN_PREC.get(toks[i])
+            if prec is not None:
+                while ops and _BIN_PREC.get(ops[-1], 0) >= prec:
+                    e = Binop(ops.pop(), vals.pop(), e)
+                vals.append(e)
+                ops.append(toks[i])
+                i += 1
+                break
+            while ops and ops[-1] != "(":
+                e = Binop(ops.pop(), vals.pop(), e)
+            if not ops:
+                return e, i
+            ops.pop()
+            i = _expect(toks, i, ")")
 
-    def comma_list(self, item: Callable[[], Any]) -> tuple:
-        self.expect("(")
-        out = []
-        if self.peek() != ")":
-            out.append(item())
-            while self.peek() == ",":
-                self.advance()
-                out.append(item())
-        self.expect(")")
-        return tuple(out)
 
-    # -- terms
-
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok == "let":
-            return self.let_term()
-        if tok == "if":
-            return self.cond_term()
-        if tok == "fun":
-            return self.fun_term()
-        # a name is never the last token, so pos + 1 is in range
-        if _is_var(tok) and self.toks[self.pos + 1] == "(":
-            self.advance()
-            return App(tok, self.comma_list(self.expr))
-        return Exp(self.expr())
-
-    def let_term(self) -> Term:
-        self.advance()
-        var = self.expect_name("a variable name")
-        self.expect("=")
-        value: Union[Expr, SysCall]
-        if self.peek() == "extern":
-            self.advance()
-            action = self.expect_name("an action name")
-            value = SysCall(action, self.comma_list(self.expr))
-        else:
-            value = self.expr()
-        self.expect("in")
-        return Let(var, value, self.term())
-
-    def cond_term(self) -> Term:
-        self.advance()
-        cond = self.expr()
-        self.expect("then")
-        then = self.term()
-        self.expect("else")
-        return Cond(cond, then, self.term())
-
-    def fun_term(self) -> Term:
-        self.advance()
-        defs = [self.fundef()]
-        while self.peek() == "and":
-            self.advance()
-            defs.append(self.fundef())
-        seen: set[str] = set()
-        for d in defs:
-            if d.name in seen:
-                raise self.error(f"duplicate function name {d.name!r} in group")
-            seen.add(d.name)
-        self.expect("in")
-        return Fun(tuple(defs), self.term())
-
-    def fundef(self) -> FunDef:
-        name = self.expect_name("a function name")
-        seen: set[str] = set()
-
-        def param() -> str:
-            at = self.pos
-            p = self.expect_name("a parameter name")
-            if p in seen:
-                raise self.error(f"duplicate parameter {p!r}", at)
-            seen.add(p)
-            return p
-
-        params = self.comma_list(param)
-        self.expect("=")
-        return FunDef(name, params, self.term())
-
-    # -- expressions (precedence climbing, all binops left-associative)
-
-    def expr(self, min_prec: int = 1) -> Expr:
-        e = self.unary()
+def _items(toks: list[str], i: int, leaves: Optional[dict]) -> tuple[tuple, int]:
+    """A parenthesized list from token i, and the index after it: of
+    expressions, or with leaves None, of distinct names."""
+    i = _expect(toks, i, "(")
+    out: list = []
+    seen: set[str] = set()
+    if toks[i] != ")":
         while True:
-            op = self.peek()
-            prec = _BIN_PREC.get(op)
-            if prec is None or prec < min_prec:
-                return e
-            self.advance()
-            e = Binop(op, e, self.expr(prec + 1))
+            if leaves is None:
+                e = _name(toks, i, "a parameter name")
+                if e in seen:
+                    raise _Stop(i, f"duplicate parameter {e!r}")
+                seen.add(e)
+                i += 1
+            else:
+                e, i = _expr(toks, i, leaves)
+            out.append(e)
+            if toks[i] != ",":
+                break
+            i += 1
+    return tuple(out), _expect(toks, i, ")")
 
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok == "-":
-            self.advance()
-            if self.peek().isdigit():
-                return Const(wrap(-_digits_value(self.advance())))
-            return Unop("neg", self.unary())
-        if tok == "!":
-            self.advance()
-            return Unop("not", self.unary())
-        return self.atom()
 
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.isdigit():
-            self.advance()
-            return Const(_digits_value(tok))
-        if _is_var(tok):
-            self.advance()
-            return Var(tok)
-        if tok == "(":
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise self.error("expected an expression")
+def _parse(toks: list[str]) -> Term:
+    """The program in toks, which end with "".  A term waits on frames
+    while its last subterm is parsed: ("let", var, value), ("then", cond),
+    ("else", cond, then), and for a group ("defs", definitions so far)
+    under ("def", name, params), then ("in", definitions)."""
+    leaves: dict = {}
+    frames: list[tuple] = []
+    i = 0
+    while True:
+        tok = toks[i]
+        if tok == "let":
+            var = _name(toks, i + 1, "a variable name")
+            i = _expect(toks, i + 2, "=")
+            if toks[i] == "extern":
+                action = _name(toks, i + 1, "an action name")
+                args, i = _items(toks, i + 2, leaves)
+                value: Union[Expr, SysCall] = SysCall(action, args)
+            else:
+                value, i = _expr(toks, i, leaves)
+            frames.append(("let", var, value))
+            i = _expect(toks, i, "in")
+        elif tok == "if":
+            cond, i = _expr(toks, i + 1, leaves)
+            frames.append(("then", cond))
+            i = _expect(toks, i, "then")
+        elif tok == "fun" or (tok == "and" and frames and frames[-1][0] == "defs"):
+            if tok == "fun":
+                frames.append(("defs", []))
+            name = _name(toks, i + 1, "a function name")
+            params, i = _items(toks, i + 2, None)
+            frames.append(("def", name, params))
+            i = _expect(toks, i, "=")
+        else:
+            # a name is never the last token, so i + 1 is in range
+            if _is_var(tok) and toks[i + 1] == "(":
+                args, i = _items(toks, i + 1, leaves)
+                t: Term = App(tok, args)
+            else:
+                e, i = _expr(toks, i, leaves)
+                t = Exp(e)
+            while frames:  # t completes the innermost frame
+                f = frames.pop()
+                if f[0] == "let":
+                    t = Let(f[1], f[2], t)
+                elif f[0] == "else":
+                    t = Cond(f[1], f[2], t)
+                elif f[0] == "in":
+                    t = Fun(f[1], t)
+                elif f[0] == "then":
+                    frames.append(("else", f[1], t))
+                    i = _expect(toks, i, "else")
+                    break
+                else:
+                    defs = frames[-1][1]
+                    defs.append(FunDef(f[1], f[2], t))
+                    if toks[i] == "and":
+                        break  # the loop reads the next definition
+                    seen: set[str] = set()
+                    for d in defs:
+                        if d.name in seen:
+                            raise _Stop(i, f"duplicate function name {d.name!r} in group")
+                        seen.add(d.name)
+                    frames[-1] = ("in", tuple(defs))
+                    i = _expect(toks, i, "in")
+                    break
+            else:
+                if toks[i]:
+                    raise _Stop(i, "expected end of input")
+                return t
 
 
 def parse_program(src: str) -> Term:
-    """Parse a program; raises ParseError with line/column on failure."""
-    p = _Parser(src)
-    t = p.term()
-    if p.peek():
-        raise p.error("expected end of input")
-    return t
+    """Parse a program; raises ParseError with line/column on failure.
+    All of src is tokenized first, so a bad character is reported
+    before any syntax error that precedes it."""
+    toks = _TOKENS_RE.findall(src)
+    if len("".join(toks)) != len("".join(src.split())):  # a character no token covers
+        m = next(m for m in _TOKEN_RE.finditer(src) if m.group(1) is None)
+        raise _error_at(src, m.start(), f"unexpected character {m.group(2)!r}")
+    try:
+        return _parse(toks + [""])
+    except _Stop as stop:
+        index, message = stop.args
+        m = next(islice(_TOKENS_RE.finditer(src), index, None), None)
+        raise _error_at(src, len(src) if m is None else m.start(), message) from None
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
 
-def _expr_str(e: Expr, min_prec: int = 0) -> str:
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
+def _expr_str(e: Expr) -> str:
+    """e's text, parenthesized only where precedence needs it.  A loop
+    goes down left operands; what follows one waits on the stack: text,
+    or (right operand, the least precedence it may show bare)."""
+    if type(e) is Var:
         return e.name
-    if isinstance(e, Unop):
-        if e.op == "neg":
-            # -5 would re-parse as a literal; parenthesize constant operands
-            if isinstance(e.arg, Const) and e.arg.value >= 0:
-                return f"-({e.arg.value})"
-            return "-" + _expr_str(e.arg, 4)
-        return "!" + _expr_str(e.arg, 4)
-    assert isinstance(e, Binop)
-    p = _BIN_PREC[e.op]
-    s = f"{_expr_str(e.left, p)} {e.op} {_expr_str(e.right, p + 1)}"
-    return f"({s})" if p < min_prec else s
-
-
-def _ext_str(value: Union[Expr, SysCall]) -> str:
-    if isinstance(value, SysCall):
-        return f"extern {value.action}({', '.join(_expr_str(a) for a in value.args)})"
-    return _expr_str(value)
-
-
-def _term_str(t: Term, ind: int) -> str:
-    pad = " " * ind
-    if isinstance(t, Exp):
-        return _expr_str(t.expr)
-    if isinstance(t, App):
-        return f"{t.fun}({', '.join(_expr_str(a) for a in t.args)})"
-    if isinstance(t, Let):
-        return f"let {t.var} = {_ext_str(t.value)} in\n{pad}{_term_str(t.body, ind)}"
-    if isinstance(t, Cond):
-        s1 = _term_str(t.then, ind + 2)
-        s2 = _term_str(t.orelse, ind + 2)
-        cond = _expr_str(t.cond)
-        inline = f"if {cond} then {s1} else {s2}"
-        if "\n" not in inline and len(inline) + ind <= 72:
-            return inline
-        pad2 = " " * (ind + 2)
-        return f"if {cond} then\n{pad2}{s1}\n{pad}else\n{pad2}{s2}"
-    assert isinstance(t, Fun)
-    pad2 = " " * (ind + 2)
-    defs = []
-    for d in t.defs:
-        head = f"{d.name}({', '.join(d.params)}) ="
-        defs.append(f"{head}\n{pad2}{_term_str(d.body, ind + 2)}")
-    joined = f"\n{pad}and ".join(defs)
-    return f"fun {joined}\n{pad}in\n{pad}{_term_str(t.cont, ind)}"
+    out: list[str] = []
+    stack: list = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, min_prec = item
+        while True:
+            if type(e) is Binop:
+                p, right = _BIN_PREC[e.op], e.right
+                if p < min_prec:
+                    out.append("(")
+                    stack.append(")")
+                if type(right) is Var or type(right) is Const:
+                    stack.append(f" {e.op} {right.name if type(right) is Var else right.value}")
+                else:
+                    stack += ((right, p + 1), f" {e.op} ")
+                e, min_prec = e.left, p
+            elif type(e) is Unop and not (e.op == "neg" and type(e.arg) is Const and e.arg.value >= 0):
+                out.append("-" if e.op == "neg" else "!")
+                e, min_prec = e.arg, 4
+            else:
+                break
+        if type(e) is Unop:  # -5 would re-parse as a literal
+            out.append(f"-({e.arg.value})")
+        else:
+            out.append(e.name if type(e) is Var else str(e.value))
+    return "".join(out)
 
 
 def print_program(t: Term) -> str:
-    """Deterministic pretty-printer; parse_program inverts it exactly."""
-    return _term_str(t, 0)
+    """Deterministic pretty-printer; parse_program inverts it exactly.
+    A conditional is on one line when it and its indent fit in 72
+    columns; lets and groups break lines.  One-line widths (None: breaks
+    lines) are folded in reverse pre-order, then text appended in order."""
+    order: list[Term] = []
+    stack: list = [t]
+    while stack:
+        order.append(stack.pop())
+        stack += reversed(term_children(order[-1]))
+    text: list = [None] * len(order)  # a leaf's text, a conditional's condition
+    width: list = [None] * len(order)  # a leaf's or a conditional's one-line width
+    widths: list = []  # the widths of the terms after this one, the next on top
+    for k in range(len(order) - 1, -1, -1):
+        u = order[k]
+        if type(u) is Cond:
+            text[k] = _expr_str(u.cond)
+            a, b = widths.pop(), widths.pop()
+            if a is not None and b is not None:
+                width[k] = len(text[k]) + 15 + a + b  # "if " c " then " a " else " b
+        elif type(u) is Exp or type(u) is App:
+            text[k] = _expr_str(u.expr) if type(u) is Exp else f"{u.fun}({', '.join(map(_expr_str, u.args))})"
+            width[k] = len(text[k])
+        else:
+            del widths[len(widths) - (len(u.defs) + 1 if type(u) is Fun else 1) :]
+        widths.append(width[k])
+    out: list[str] = []
+    stack = [0]  # text to append, or the indent of the next term in pre-order
+    for k, u in enumerate(order):
+        ind = stack.pop()
+        while type(ind) is str:
+            out.append(ind)
+            ind = stack.pop()
+        pad = "\n" + " " * ind
+        if type(u) is Exp or type(u) is App:
+            out.append(text[k])
+        elif type(u) is Let:
+            v = u.value
+            v = f"extern {v.action}({', '.join(map(_expr_str, v.args))})" if type(v) is SysCall else _expr_str(v)
+            out.append(f"let {u.var} = {v} in{pad}")
+            stack.append(ind)
+        elif type(u) is Cond:
+            inline = width[k] is not None and width[k] + ind <= 72
+            out.append(f"if {text[k]} then" + (" " if inline else f"{pad}  "))
+            stack += (ind + 2, " else " if inline else f"{pad}else{pad}  ", ind + 2)
+        else:
+            parts: list = []
+            for g, d in enumerate(u.defs):
+                parts += (f"{pad}and " if g else "fun ") + f"{d.name}({', '.join(d.params)}) ={pad}  ", ind + 2
+            parts += f"{pad}in{pad}", ind
+            stack += reversed(parts)
+    out += reversed(stack)
+    return "".join(out)

@@ -1,7 +1,9 @@
 """Semantic audits of the analyses and the program generator, used by
-the harness and acceptance tests."""
+the harness and acceptance tests, and the reference the parser is
+tested against."""
 
 from random import Random
+from typing import Any, Callable, Optional, Union
 
 from il.harness import INPUT_NAMES, UNBOUND_NAMES, VAR_NAMES, initial_env, perturbed_env
 from il.reach import infer_reach
@@ -19,7 +21,29 @@ from il.semantics import (
     step_silent,
     trace_text,
 )
-from il.syntax import App, Nodes, Term, free_term_vars, well_formed, wrap
+from il.syntax import (
+    _BIN_PREC,
+    _TOKEN_RE,
+    App,
+    Binop,
+    Cond,
+    Const,
+    Exp,
+    Expr,
+    Fun,
+    FunDef,
+    Let,
+    Nodes,
+    SysCall,
+    Term,
+    Unop,
+    Var,
+    _digits_value,
+    _error_at,
+    _is_var,
+    free_term_vars,
+    wrap,
+)
 from il.tlive import infer_tlive
 
 
@@ -83,3 +107,229 @@ def generator_audit(t: Term) -> bool:
         if isinstance(term, App) and (hit is None or len(hit[1].params) != len(term.args)):
             return False
     return free_term_vars(t) <= {*VAR_NAMES, *INPUT_NAMES, *UNBOUND_NAMES}
+
+
+def well_formed(t: Term) -> bool:
+    """Structural invariants: distinct group names, distinct parameters."""
+    for n in Nodes(t).terms:
+        if isinstance(n, Fun):
+            if len({d.name for d in n.defs}) != len(n.defs):
+                return False
+            if any(len(set(d.params)) != len(d.params) for d in n.defs):
+                return False
+    return True
+
+
+def flatten(t: Term) -> list[tuple]:
+    """t's nodes and expressions in pre-order, one tuple each, built
+    without recursion: two terms are equal exactly when their
+    flattenings are, and comparing these never recurses."""
+    out: list[tuple] = []
+    for term in Nodes(t).terms:
+        if isinstance(term, Let):
+            value = term.value
+            if isinstance(value, SysCall):
+                out.append(("let", term.var, "extern", value.action, len(value.args)))
+                exprs: list[Expr] = list(value.args)
+            else:
+                out.append(("let", term.var))
+                exprs = [value]
+        elif isinstance(term, Cond):
+            out.append(("if",))
+            exprs = [term.cond]
+        elif isinstance(term, Fun):
+            out.append(("fun", tuple((d.name, d.params) for d in term.defs)))
+            exprs = []
+        elif isinstance(term, App):
+            out.append(("app", term.fun, len(term.args)))
+            exprs = list(term.args)
+        else:
+            out.append(("exp",))
+            exprs = [term.expr]
+        stack = exprs[::-1]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Binop):
+                out.append(("binop", e.op))
+                stack += (e.right, e.left)
+            elif isinstance(e, Unop):
+                out.append(("unop", e.op))
+                stack.append(e.arg)
+            else:
+                out.append((type(e).__name__, e.value if isinstance(e, Const) else e.name))
+    return out
+
+
+class ReferenceParser:
+    """The recursive-descent parser il.syntax.parse_program replaced,
+    kept as the reference it is tested against.  It recurses once per
+    nesting level, so it takes only shallow programs.  Tokens are their
+    texts, "" ends the input; a token's kind follows from its first
+    character.  Offsets serve error positions."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.toks: list[str] = []
+        self.offs: list[int] = []
+        # All of src is tokenized first, so a bad character is reported
+        # before any syntax error that precedes it.
+        for m in _TOKEN_RE.finditer(src):
+            tok = m.group(1)
+            if tok is None:
+                raise _error_at(src, m.start(), f"unexpected character {m.group(2)!r}")
+            self.toks.append(tok)
+            self.offs.append(m.start())
+        self.toks.append("")
+        self.offs.append(len(src))
+        self.pos = 0
+
+    def program(self) -> Term:
+        t = self.term()
+        if self.peek():
+            raise self.error("expected end of input")
+        return t
+
+    def peek(self) -> str:
+        return self.toks[self.pos]
+
+    def advance(self) -> str:
+        tok = self.toks[self.pos]
+        if tok:
+            self.pos += 1
+        return tok
+
+    def error(self, message: str, at: Optional[int] = None):
+        return _error_at(self.src, self.offs[self.pos if at is None else at], message)
+
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise self.error(f"expected {tok!r}")
+        self.advance()
+
+    def expect_name(self, what: str) -> str:
+        if not _is_var(self.peek()):
+            raise self.error(f"expected {what}")
+        return self.advance()
+
+    def comma_list(self, item: Callable[[], Any]) -> tuple:
+        self.expect("(")
+        out = []
+        if self.peek() != ")":
+            out.append(item())
+            while self.peek() == ",":
+                self.advance()
+                out.append(item())
+        self.expect(")")
+        return tuple(out)
+
+    # -- terms
+
+    def term(self) -> Term:
+        tok = self.peek()
+        if tok == "let":
+            return self.let_term()
+        if tok == "if":
+            return self.cond_term()
+        if tok == "fun":
+            return self.fun_term()
+        # a name is never the last token, so pos + 1 is in range
+        if _is_var(tok) and self.toks[self.pos + 1] == "(":
+            self.advance()
+            return App(tok, self.comma_list(self.expr))
+        return Exp(self.expr())
+
+    def let_term(self) -> Term:
+        self.advance()
+        var = self.expect_name("a variable name")
+        self.expect("=")
+        value: Union[Expr, SysCall]
+        if self.peek() == "extern":
+            self.advance()
+            action = self.expect_name("an action name")
+            value = SysCall(action, self.comma_list(self.expr))
+        else:
+            value = self.expr()
+        self.expect("in")
+        return Let(var, value, self.term())
+
+    def cond_term(self) -> Term:
+        self.advance()
+        cond = self.expr()
+        self.expect("then")
+        then = self.term()
+        self.expect("else")
+        return Cond(cond, then, self.term())
+
+    def fun_term(self) -> Term:
+        self.advance()
+        defs = [self.fundef()]
+        while self.peek() == "and":
+            self.advance()
+            defs.append(self.fundef())
+        seen: set[str] = set()
+        for d in defs:
+            if d.name in seen:
+                raise self.error(f"duplicate function name {d.name!r} in group")
+            seen.add(d.name)
+        self.expect("in")
+        return Fun(tuple(defs), self.term())
+
+    def fundef(self) -> FunDef:
+        name = self.expect_name("a function name")
+        seen: set[str] = set()
+
+        def param() -> str:
+            at = self.pos
+            p = self.expect_name("a parameter name")
+            if p in seen:
+                raise self.error(f"duplicate parameter {p!r}", at)
+            seen.add(p)
+            return p
+
+        params = self.comma_list(param)
+        self.expect("=")
+        return FunDef(name, params, self.term())
+
+    # -- expressions (precedence climbing, all binops left-associative)
+
+    def expr(self, min_prec: int = 1) -> Expr:
+        e = self.unary()
+        while True:
+            op = self.peek()
+            prec = _BIN_PREC.get(op)
+            if prec is None or prec < min_prec:
+                return e
+            self.advance()
+            e = Binop(op, e, self.expr(prec + 1))
+
+    def unary(self) -> Expr:
+        tok = self.peek()
+        if tok == "-":
+            self.advance()
+            if self.peek().isdigit():
+                return Const(wrap(-_digits_value(self.advance())))
+            return Unop("neg", self.unary())
+        if tok == "!":
+            self.advance()
+            return Unop("not", self.unary())
+        return self.atom()
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if tok.isdigit():
+            self.advance()
+            return Const(_digits_value(tok))
+        if _is_var(tok):
+            self.advance()
+            return Var(tok)
+        if tok == "(":
+            self.advance()
+            e = self.expr()
+            self.expect(")")
+            return e
+        raise self.error("expected an expression")
+
+
+def reference_parse(src: str) -> Term:
+    """parse_program as the reference parser reads src."""
+    return ReferenceParser(src).program()

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from audits import generator_audit, reach_audit, tlive_audit
+from audits import generator_audit, reach_audit, tlive_audit, well_formed
 from il.harness import (
     GenConfig,
     TrialRecord,
@@ -19,7 +19,7 @@ from il.harness import (
     shrink_term,
 )
 from il.semantics import SeededOracle
-from il.syntax import Cond, Const, Exp, parse_program, term_size, well_formed
+from il.syntax import Cond, Const, Exp, parse_program, term_size
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 

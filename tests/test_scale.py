@@ -1,16 +1,20 @@
 """Every analysis, checker and pass on terms of 10^5 nodes, one per
-benchmark shape, at the default recursion limit.  Results are compared
-by fact arrays and node counts: == on a term this deep would recurse."""
+benchmark shape, and every subcommand on texts of that size, at the
+default recursion limit.  Results are compared by fact arrays, node
+counts and pre-order flattenings: == on a term this deep would recurse."""
 
 import importlib.util
+import sys
 from pathlib import Path
 from random import Random
 
 import pytest
 
+from audits import flatten
+from il.cli import main
 from il.harness import GenConfig, _gen_term
 from il.reach import check_reach, infer_reach, static_branch
-from il.syntax import App, Binop, Cond, Const, Exp, Fun, FunDef, Let, Nodes, SysCall, Var, parse_program
+from il.syntax import App, Binop, Cond, Const, Exp, Fun, FunDef, Let, Nodes, SysCall, Var, parse_program, print_program
 from il.tlive import check_tlive, infer_tlive
 from il.transform import dve, uce
 
@@ -23,8 +27,8 @@ _spec.loader.exec_module(corpus)
 
 
 def let_chain(n):
-    """corpus.let_chain(n), built directly: its text nests too deeply
-    for the parser, and building is faster than parsing."""
+    """corpus.let_chain(n), built directly, which is faster than
+    parsing its text."""
     names = []
     last = "a"
     for i in range(n):
@@ -184,3 +188,91 @@ def _excluded_leaf(nodes, i):
     """Whether node i is the then branch of a constant false conditional."""
     up = nodes.parent[i]
     return up >= 0 and isinstance(nodes.terms[up], Cond) and static_branch(nodes.terms[up].cond) is False
+
+
+# -- every subcommand on texts of 10^5 nodes
+
+DEEP = 10_000
+
+COMMANDS = {
+    "parse": ("parse",),
+    "run": ("run",),
+    "reach": ("analyze", "--reach"),
+    "tlive": ("analyze", "--tlive"),
+    "optimize": ("optimize", "--uce", "--dve"),
+    "check": ("check",),
+}
+
+
+def chain_text(t):
+    """t's text with its chain of else branches on one line.  Printed,
+    each link of the chain would indent two columns more, so n links
+    would take n^2 bytes."""
+    parts = []
+    while isinstance(t, Cond):
+        parts.append(f"if {print_program(Exp(t.cond))} then {print_program(t.then)} else ")
+        t = t.orelse
+    return "".join(parts) + print_program(t)
+
+
+def group_text(t):
+    """A function group's text with its continuation's chain on one line."""
+    defs = "\nand ".join(f"{d.name}({', '.join(d.params)}) =\n{print_program(d.body)}" for d in t.defs)
+    return f"fun {defs}\nin\n{chain_text(t.cont)}"
+
+
+TEXTS = {
+    "flat_sum": lambda: " + ".join(["a", "1"] * (N // 2)),
+    "parens_difference": lambda: "(" * DEEP + "1 - (" * DEEP + "a" + ")" * (2 * DEEP),
+    "parens_negation": lambda: "(" * DEEP + "-" * DEEP + "a" + ")" * DEEP,
+    "nested_lets": lambda: "".join(f"let x{i} = {i} in " for i in range(N)) + "x0",
+    "let_chain": lambda: print_program(let_chain(N)),
+    "forward_chain": lambda: print_program(forward_chain(N // 3)),
+    "reverse_chain": lambda: print_program(reverse_chain(N // 3 + 1)),
+    "nested_conds": lambda: chain_text(nested_conds(N // 2)),
+    "typical_group": lambda: group_text(typical_group(N // 14)),
+}
+
+# Their printed forms take n^2 bytes, so parse and optimize, which print
+# the program, take them at 2000 and 1000 nested conditionals, past the
+# recursive printer's limit of about 990 nested terms.
+QUADRATIC = {"nested_conds": lambda: nested_conds(2000), "typical_group": lambda: typical_group(1000)}
+
+
+# 10^5 silent steps are more than check's default fuel of 10^4, and
+# the game says so.
+EXHAUSTED = {"nested_lets": "EXHAUSTED fuel\n"}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_every_subcommand_at_scale(name, tmp_path, capsys):
+    assert sys.getrecursionlimit() <= 1000
+    text = TEXTS[name]()
+    path = tmp_path / "p.il"
+    path.write_text(text)
+    for command, argv in COMMANDS.items():
+        if command in ("parse", "optimize") and name in QUADRATIC:
+            continue
+        code = main([*argv, str(path), str(path)] if command == "check" else [*argv, str(path)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        if command == "check" and name in EXHAUSTED:
+            assert (code, out) == (2, EXHAUSTED[name])
+            continue
+        assert (command, code) == (command, 0)
+        if command == "parse" and out != text + "\n":  # text is not in printed form
+            assert flatten(parse_program(out)) == flatten(parse_program(text))
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC))
+def test_parse_and_optimize_deep_conditionals(name, tmp_path, capsys):
+    t = QUADRATIC[name]()
+    text = print_program(t)
+    assert flatten(parse_program(text)) == flatten(t)
+    path = tmp_path / "p.il"
+    path.write_text(text)
+    assert main(["parse", str(path)]) == 0
+    assert capsys.readouterr() == (text + "\n", "")
+    assert main(["optimize", "--uce", "--dve", str(path)]) == 0
+    optimized = dve({}, {}, infer_tlive(uce(infer_reach(t))))
+    assert capsys.readouterr() == (print_program(optimized) + "\n", "")

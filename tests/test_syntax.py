@@ -3,8 +3,9 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from audits import flatten, reference_parse, well_formed
 from il.harness import GenConfig, derive_seed, gen_program
 from il.syntax import (
     Annotated,
@@ -21,6 +22,7 @@ from il.syntax import (
     SysCall,
     Unop,
     Var,
+    _TOKEN_RE,
     constants_of,
     eval_expr,
     eval_expr_list,
@@ -32,7 +34,6 @@ from il.syntax import (
     sidecar_text,
     term_size,
     truthy,
-    well_formed,
     wrap,
 )
 
@@ -267,6 +268,70 @@ def test_parse_keywords_not_names():
 
 def test_parse_primed_identifiers():
     assert parse_program("x'") == Exp(Var("x'"))
+
+
+# -- the parser against the recursive-descent reference it replaced
+
+BAD_CHARACTERS = ("'", " ' ", "@", "é", "#", "\u00a0")
+
+
+def _outcome(parse, src):
+    try:
+        return flatten(parse(src))
+    except ParseError as err:
+        return (err.line, err.col, err.message)
+
+
+def _mutate(src, kind, at, char):
+    """One token-level edit of src: drop, duplicate or swap tokens, or
+    insert a bad character before or after one (a "'" after a literal
+    is a bad character, after a name it extends the name)."""
+    spans = [m.span() for m in _TOKEN_RE.finditer(src)]
+    if not spans:
+        return src + char
+    a, b = spans[at % len(spans)]
+    if kind == "drop":
+        return src[:a] + src[b:]
+    if kind == "duplicate":
+        return src[:b] + " " + src[a:b] + src[b:]
+    if kind == "swap" and at % len(spans) + 1 < len(spans):
+        c, d = spans[at % len(spans) + 1]
+        return src[:a] + src[c:d] + src[b:c] + src[a:b] + src[d:]
+    if kind == "before":
+        return src[:a] + char + src[a:]
+    return src[:b] + char + src[b:]
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("drop", "duplicate", "swap", "before", "after")),
+            st.integers(0, 10**4),
+            st.sampled_from(BAD_CHARACTERS),
+        ),
+        max_size=3,
+    ),
+)
+@example(0, [("after", 0, "'")])
+def test_parser_agrees_with_the_reference(seed, edits):
+    src = print_program(gen_program(GenConfig(seed=derive_seed(11, seed))))
+    for kind, at, char in edits:
+        src = _mutate(src, kind, at, char)
+    assert _outcome(parse_program, src) == _outcome(reference_parse, src)
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["", "  \n ", "'", "1'", "x'", "-", "--1", "- -x", "!-1", "(", ")", "-(", "((1)", "(1))", "1 +", "1 + * 2",
+     "let", "let x", "let x =", "let x = extern", "let x = extern r", "let x = extern r(", "if", "if 1 then",
+     "fun", "fun f", "fun f(", "fun f(x,", "fun f(x) = 1", "fun f(x) = 1 and", "f(", "f(1,)", "f(,1)",
+     "fun f() = 1 and g() = 2 and f() = 3 in 4", "fun f(x, y, x) = 1 in 2", "1 < 2 < 3 = 4 <= 5",
+     "-9223372036854775808", "-(5)", "!(!x)", "x @"],
+)
+def test_parser_agrees_with_the_reference_on_fragments(src):
+    assert _outcome(parse_program, src) == _outcome(reference_parse, src)
 
 
 # -- printing

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from audits import well_formed
 from il.harness import GenConfig, derive_seed, gen_program
 from il.reach import Rejection, infer_reach
 from il.syntax import Term, parse_program, print_program, term_children
@@ -185,8 +186,6 @@ def test_dve_never_adds_nodes(n):
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 10_000))
 def test_transforms_preserve_well_formedness(n):
-    from il.syntax import well_formed
-
     t = gen_program(GenConfig(seed=derive_seed(37, n)))
     assert well_formed(uce(infer_reach(t)))
     assert well_formed(dve({}, {}, infer_tlive(t)))
