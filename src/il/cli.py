@@ -8,10 +8,15 @@ readable or not valid UTF-8.
 Integer options are spelled in ASCII digits, seeds with an optional
 leading "-".  Output is plain text, byte-stable for a fixed input and
 seed.
+
+The parser is built on the first main call and kept, so it holds the
+_cmd_* handlers it was built with: wrap main, or the functions they look
+up when called, not the handlers.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Optional, Sequence
@@ -192,7 +197,8 @@ def _cmd_difftest(args) -> int:
     return 1 if (report.distinguished or report.rejected) else 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
     parser = _Parser(prog="il", description="mini compiler for the IL language")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,9 +246,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--depth", type=_non_negative, default=8)
     p.add_argument("--fuel", type=_non_negative, default=10_000)
     p.set_defaults(func=_cmd_difftest)
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse and file errors carry their code
         return exc.code if isinstance(exc.code, int) else EX_USAGE

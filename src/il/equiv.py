@@ -137,10 +137,10 @@ class _Frame:
 
     __slots__ = ("key", "left", "right", "depth", "probe", "worst", "event")
 
-    def __init__(self, key: tuple, left: Ready, right: Ready, depth: int) -> None:
+    def __init__(self, key: Optional[tuple], left: Ready, right: Ready, depth: int) -> None:
         self.key = key
-        self.left = left  # the two anchors at matching pending calls
-        self.right = right
+        self.left: Optional[Ready] = left  # the two anchors at matching pending calls,
+        self.right: Optional[Ready] = right  # dropped once the last probe is applied
         self.depth = depth  # of the successors
         self.probe = 0  # index of the probe being explored
         self.worst = _EQ  # over the probes explored so far
@@ -155,13 +155,16 @@ def _game(
     prefix is read off the open frames once, and the memo holds only
     the kinds of finished nodes."""
     root_depth = depth
+    last = len(probes) - 1
     memo: dict[Optional[tuple], int] = {}
     frames: list[_Frame] = []
     while True:
         # Only the root has no open frame.  No other node has its depth,
         # so its key could never hit, and not keying it saves folding
         # the whole program when the game ends before any system call.
-        key = (config_key(left), config_key(right), depth) if frames else None
+        # With one probe the tree is a path and no key can hit either; its
+        # first finished node closes every frame, so the None entry goes unread.
+        key = (config_key(left), config_key(right), depth) if frames and last else None
         kind = memo.get(key)
         if kind is None:
             a1 = run_to_anchor(left, fuel)
@@ -194,6 +197,8 @@ def _game(
         value = probes[top.probe]
         top.event, left = apply_extern(top.left, value)
         _, right = apply_extern(top.right, value)
+        if top.probe == last:
+            top.left = top.right = None  # spent; the event stays for the witness
         depth = top.depth
 
 

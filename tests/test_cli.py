@@ -1,10 +1,14 @@
 """Command-line interface: exit codes and byte-stable output."""
 
 import json
+import os
+import subprocess
+import sys
 from hashlib import blake2b
 
 import pytest
 
+from il import cli
 from il.cli import main
 from il.reach import infer_reach
 from il.syntax import parse_program, print_program, sidecar_text
@@ -29,6 +33,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(*argv, program=("-m", "il.cli")):
+    """Run il in a fresh interpreter; returns exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), COLUMNS="80")
+    done = subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stdout, done.stderr
 
 
 # -- parse
@@ -438,6 +449,33 @@ def test_outputs_are_deterministic_across_invocations(files, capsys):
     assert a == b
 
 
+# -- the parser is built once per process and keeps no state between calls
+
+
+def test_reused_parser_matches_a_fresh_process(files, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps to, as in run_fresh
+    left = files("l.il", "fun f(x) = if 9 < x then 1 else let y = extern r(x) in f(x + y) in f(3)")
+    right = files("r.il", "fun f(x) = if 9 < x then 2 else let y = extern r(x) in f(x + 1) in f(3)")
+    sequence = [
+        ("parse", "--frob", left),
+        ("check", "--sim", "--bisim", left, right),
+        ("--help",),
+        ("check", "--help"),
+        ("parse", str(tmp_path / "absent.il")),
+        ("parse", left),
+        ("run", left),
+        ("analyze", "--reach", left),
+        ("analyze", "--tlive", left),
+        ("optimize", "--uce", "--dve", left),
+        ("check", left, right),
+        ("difftest", "--pass", "uce", "--trials", "3"),
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in sequence]
+    for argv, got in zip(sequence, in_process):
+        assert got == run_fresh(*argv), argv
+    assert cli._parser() is cli._parser()
+
+
 # -- inputs deeper than the recursion limit: no walk recurses, and each
 # expected output is the one the recursive front end printed for the
 # same input at a raised recursion limit
@@ -485,3 +523,21 @@ def test_deep_game_witness_has_one_line_per_call(files, capsys):
     lines = out.splitlines()
     assert lines[:-1] == ["EVT r()=0 [probe 0]"] * 99_999
     assert lines[-1] == "DISTINGUISHED right side terminates while the other is at a system call"
+
+
+def test_one_probe_game_keeps_no_memo(files):
+    # a one-probe game is a path: it keys no node and keeps no spent
+    # anchor, so 10^5 open frames hold little more than their events
+    path = files("deep.il", CALL_LOOP)
+    report_rss = (
+        "import resource, runpy\n"
+        "try:\n"
+        "    runpy.run_module('il.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    argv = ("check", "--probes", "0", "--depth", "100000", path, path)
+    code, out, err = run_fresh(*argv, program=("-c", report_rss))
+    verdict, rss = out.splitlines()
+    assert (code, verdict, err) == (0, "EQUIVALENT to depth 100000", "")
+    assert int(rss) / (1024 * 1024 if sys.platform == "darwin" else 1024) < 80  # MB
