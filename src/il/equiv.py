@@ -17,9 +17,22 @@ variables never read again share an entry.  The keys are built from
 facts kept on the terms and closures they describe, so a game folds
 only terms no earlier run or game has keyed.  run_to_anchor's repeat
 check compares the same keys, so a memo hit returns exactly what
-running the pair would.  The game and enumerate_traces walk the tree
-of probe choices on explicit stacks, so their depth is not bounded by
-Python's recursion limit.
+running the pair would.
+
+A result that neither side's continuation reads is not in either
+successor's key, so every probe gives the same pair of keys, and every
+probe after the first would only hit the first one's entry.  The game
+therefore feeds only the first probe to such a pair of pending calls;
+the verdict and the witness are the ones exploring every probe gives.
+A node is keyed only while some open node explores more than one
+probe: below nodes that explore one probe each, the tree is a path
+whose depth falls at every node, so no key can come back.  That holds
+for every game with one probe, and for any probe set on a loop that
+never reads its results.  enumerate_traces is the oracle the game is
+checked against, so it still branches on every probe and keeps no
+memo.  The game and enumerate_traces walk the tree of probe choices on
+explicit stacks, so their depth is not bounded by Python's recursion
+limit.
 
 Silent divergence is decided, not cut off: run_to_anchor returns a
 Diverges anchor when a silent run repeats a configuration (see
@@ -63,7 +76,7 @@ from .semantics import (
     config_key,
     run_to_anchor,
 )
-from .syntax import Term, constants_of, wrap
+from .syntax import Term, constants_of, term_fact, wrap
 
 
 def make_probes(values: Iterable[int]) -> tuple[int, ...]:
@@ -135,13 +148,14 @@ def _judge(a1: Anchor, a2: Anchor, depth: int) -> tuple[Optional[int], str]:
 class _Frame:
     """A game node whose probes are being explored."""
 
-    __slots__ = ("key", "left", "right", "depth", "probe", "worst", "event")
+    __slots__ = ("key", "left", "right", "depth", "last", "probe", "worst", "event")
 
-    def __init__(self, key: Optional[tuple], left: Ready, right: Ready, depth: int) -> None:
+    def __init__(self, key: Optional[tuple], left: Ready, right: Ready, depth: int, last: int) -> None:
         self.key = key
         self.left: Optional[Ready] = left  # the two anchors at matching pending calls,
         self.right: Optional[Ready] = right  # dropped once the last probe is applied
         self.depth = depth  # of the successors
+        self.last = last  # index of the last probe to explore: 0 when neither side reads the result
         self.probe = 0  # index of the probe being explored
         self.worst = _EQ  # over the probes explored so far
         self.event: Optional[Event] = None  # the left event of that probe
@@ -155,16 +169,15 @@ def _game(
     prefix is read off the open frames once, and the memo holds only
     the kinds of finished nodes."""
     root_depth = depth
-    last = len(probes) - 1
     memo: dict[Optional[tuple], int] = {}
     frames: list[_Frame] = []
+    branching = 0  # open frames with more than one probe to explore
     while True:
-        # Only the root has no open frame.  No other node has its depth,
-        # so its key could never hit, and not keying it saves folding
-        # the whole program when the game ends before any system call.
-        # With one probe the tree is a path and no key can hit either; its
-        # first finished node closes every frame, so the None entry goes unread.
-        key = (config_key(left), config_key(right), depth) if frames and last else None
+        # While no open frame branches, the tree is a path whose depth
+        # falls at every node, so no key can come back (the root, with
+        # no open frame, included).  The first finished node on a path
+        # closes every frame, so the None entry goes unread.
+        key = (config_key(left), config_key(right), depth) if branching else None
         kind = memo.get(key)
         if kind is None:
             a1 = run_to_anchor(left, fuel)
@@ -178,7 +191,14 @@ def _game(
                         tuple(f.event for f in frames), tuple(probes[f.probe] for f in frames), reason
                     )
             if kind is None:
-                frames.append(_Frame(key, a1, a2, depth - 1))
+                # A result neither side reads is not in its successor's
+                # key, so every probe after the first would hit the
+                # first one's memo entry with the same kind.
+                t1, t2 = a1.config.term, a2.config.term
+                reads = t1.var in term_fact(t1.body)[1] or t2.var in term_fact(t2.body)[1]
+                last = len(probes) - 1 if reads else 0
+                frames.append(_Frame(key, a1, a2, depth - 1, last))
+                branching += last > 0
             else:
                 memo[key] = kind
         if kind is not None:
@@ -187,9 +207,10 @@ def _game(
                 top = frames[-1]
                 top.worst = max(top.worst, kind)
                 top.probe += 1
-                if top.probe < len(probes):
+                if top.probe <= top.last:
                     break
                 frames.pop()
+                branching -= top.last > 0
                 kind = memo[top.key] = top.worst
             else:
                 return Exhausted("fuel") if kind == _FUEL else EquivalentToDepth(root_depth)
@@ -197,7 +218,7 @@ def _game(
         value = probes[top.probe]
         top.event, left = apply_extern(top.left, value)
         _, right = apply_extern(top.right, value)
-        if top.probe == last:
+        if top.probe == top.last:
             top.left = top.right = None  # spent; the event stays for the witness
         depth = top.depth
 

@@ -25,15 +25,15 @@ Nodes numbers a term's nodes once, in pre-order, with one explicit-stack
 walk: each node's term, parent and children (a function group's
 children are its member bodies, then its continuation) and, for an
 application, the group member its name resolves to.  It is the one
-table of terms: the analyses, the checkers, the passes and term_fact
-read it.  term_fact folds each node's free variables once and keeps
-them, with the node's number, on the term itself; the interpreter's
-configuration keys and free_term_vars read them there.  An annotation
-(Annotated) is that table with one analysis fact per node in pre-order,
-which is also the sidecar format: one fact per line, "true"/"false" for
-booleans, "{x,y}" for variable sets.  The parser, the printer and
-the walks over expressions are loops on explicit stacks, and every
-other walk is a loop over the table, so no walk recurses.
+table of terms: the analyses, the checkers and the passes read it.
+term_fact folds each node's free variables once and keeps them, with
+the node's number, on the term itself; the interpreter's configuration
+keys and free_term_vars read them there.  An annotation (Annotated) is
+that table with one analysis fact per node in pre-order, which is also
+the sidecar format: one fact per line, "true"/"false" for booleans,
+"{x,y}" for variable sets.  The parser, the printer and every walk
+over terms or expressions loop on explicit stacks or over the table,
+so no walk recurses.
 """
 from __future__ import annotations
 
@@ -384,26 +384,28 @@ _numbers = count()
 def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
     """t's number and its free variables in sorted order, kept on t.
 
-    A term without a fact brings its Nodes table, whose free variables
+    A term without a fact is walked on an explicit stack in pre-order,
+    descending only into subterms without a fact, and the nodes walked
     are folded through node_free_vars in reverse pre-order (children
-    follow their parent), and each node without a fact gets the next
-    number and its free variables.  A term with a fact has one on every
-    node below it, so a caller folds only the subterms it asks about,
-    and a term object shared by two programs, as a pass's output shares
-    subterms with its input, keeps the one number it got first.  Numbers
-    are never reused, so two terms have the same number only if they are
-    the same object."""
+    follow their parent): each node without a fact gets the next number
+    and its free variables.  A term with a fact has one on every node
+    below it, so a caller folds only the subterms it asks about, and a
+    term object shared by two programs, as a pass's output shares
+    subterms with its input, is neither walked again nor renumbered.
+    Numbers are never reused, so two terms have the same number only if
+    they are the same object."""
     fact = t._fact
     if fact is None:
-        nodes = Nodes(t)
-        free: list = [()] * len(nodes.terms)
-        for i in reversed(range(len(free))):
-            term = nodes.terms[i]
-            if term._fact is None:
-                free[i] = tuple(sorted(node_free_vars(term, [free[k] for k in nodes.kids[i]])))
-                _setattr(term, "_fact", (next(_numbers), free[i]))
-            else:
-                free[i] = term._fact[1]
+        order: list[Term] = []
+        stack = [t]
+        while stack:
+            term = stack.pop()
+            order.append(term)
+            stack += [k for k in reversed(term_children(term)) if k._fact is None]
+        for term in reversed(order):
+            if term._fact is None:  # an object met twice is folded once
+                free = node_free_vars(term, [k._fact[1] for k in term_children(term)])
+                _setattr(term, "_fact", (next(_numbers), tuple(sorted(free))))
         fact = t._fact
     return fact
 
@@ -415,16 +417,18 @@ def free_term_vars(t: Term) -> frozenset[str]:
 
 def constants_of(*terms: Term) -> frozenset[int]:
     out: set[int] = set()
-    for t in terms:
-        stack = [e for n in Nodes(t).terms for e in term_exprs(n)]
-        while stack:
-            e = stack.pop()
-            if isinstance(e, Const):
-                out.add(e.value)
-            elif isinstance(e, Unop):
-                stack.append(e.arg)
-            elif isinstance(e, Binop):
-                stack += (e.left, e.right)
+    stack: list = list(terms)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Term):
+            stack += term_children(e)
+            stack += term_exprs(e)
+        elif isinstance(e, Const):
+            out.add(e.value)
+        elif isinstance(e, Unop):
+            stack.append(e.arg)
+        elif isinstance(e, Binop):
+            stack += (e.left, e.right)
     return frozenset(out)
 
 

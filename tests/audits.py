@@ -1,22 +1,38 @@
 """Semantic audits of the analyses and the program generator, used by
-the harness and acceptance tests, and the reference the parser is
-tested against."""
+the harness and acceptance tests, and the references the parser and
+the game are tested against."""
 
 from random import Random
 from typing import Any, Callable, Optional, Union
 
+import il.harness
+from il.equiv import (
+    _DIST,
+    _EQ,
+    _FUEL,
+    Distinguished,
+    EquivalentToDepth,
+    Exhausted,
+    Verdict,
+    _judge,
+    make_probes,
+)
 from il.harness import INPUT_NAMES, UNBOUND_NAMES, VAR_NAMES, initial_env, perturbed_env
 from il.reach import infer_reach
 from il.semantics import (
     Config,
     Cutoff,
     Diverged,
+    Done,
+    Event,
     Oracle,
     Ready,
     SeededOracle,
     Stepped,
     Terminal,
     apply_extern,
+    config_key,
+    run_to_anchor,
     run_trace,
     step_silent,
     trace_text,
@@ -45,6 +61,98 @@ from il.syntax import (
     wrap,
 )
 from il.tlive import infer_tlive
+
+
+class _Frame:
+    """A game node of reference_game whose probes are being explored."""
+
+    __slots__ = ("key", "left", "right", "depth", "probe", "worst", "event")
+
+    def __init__(self, key: Optional[tuple], left: Ready, right: Ready, depth: int) -> None:
+        self.key = key
+        self.left: Optional[Ready] = left  # the two anchors at matching pending calls,
+        self.right: Optional[Ready] = right  # dropped once the last probe is applied
+        self.depth = depth  # of the successors
+        self.probe = 0  # index of the probe being explored
+        self.worst = _EQ  # over the probes explored so far
+        self.event: Optional[Event] = None  # the left event of that probe
+
+
+def reference_game(
+    left: Config, right: Config, depth: int, probes: tuple[int, ...], fuel: int, sim: bool
+) -> Verdict:
+    """The game as il.equiv._game played it before it probed a result
+    neither side reads only once: every probe is explored under every
+    frame, and every node below the root is keyed unless the probe set
+    has one value.  Kept as the reference the game is tested against.
+
+    The game as a loop over an explicit stack of open nodes.  A
+    distinguished node ends the whole game, so its event and probe
+    prefix is read off the open frames once, and the memo holds only
+    the kinds of finished nodes."""
+    root_depth = depth
+    last = len(probes) - 1
+    memo: dict[Optional[tuple], int] = {}
+    frames: list[_Frame] = []
+    while True:
+        # Only the root has no open frame.  No other node has its depth,
+        # so its key could never hit, and not keying it saves folding
+        # the whole program when the game ends before any system call.
+        # With one probe the tree is a path and no key can hit either; its
+        # first finished node closes every frame, so the None entry goes unread.
+        key = (config_key(left), config_key(right), depth) if frames and last else None
+        kind = memo.get(key)
+        if kind is None:
+            a1 = run_to_anchor(left, fuel)
+            if sim and isinstance(a1, Done) and a1.result is None:
+                kind = _EQ  # left failed: similar to anything
+            else:
+                a2 = run_to_anchor(right, fuel)
+                kind, reason = _judge(a1, a2, depth)
+                if kind == _DIST:
+                    return Distinguished(
+                        tuple(f.event for f in frames), tuple(probes[f.probe] for f in frames), reason
+                    )
+            if kind is None:
+                frames.append(_Frame(key, a1, a2, depth - 1))
+            else:
+                memo[key] = kind
+        if kind is not None:
+            # close every frame whose last probe this node finished
+            while frames:
+                top = frames[-1]
+                top.worst = max(top.worst, kind)
+                top.probe += 1
+                if top.probe < len(probes):
+                    break
+                frames.pop()
+                kind = memo[top.key] = top.worst
+            else:
+                return Exhausted("fuel") if kind == _FUEL else EquivalentToDepth(root_depth)
+        top = frames[-1]
+        value = probes[top.probe]
+        top.event, left = apply_extern(top.left, value)
+        _, right = apply_extern(top.right, value)
+        if top.probe == last:
+            top.left = top.right = None  # spent; the event stays for the witness
+        depth = top.depth
+
+
+def refereed(monkeypatch) -> list[Verdict]:
+    """Make il.harness play reference_game beside each of its games and
+    require the same verdict, Distinguished fields included.  Returns
+    the list the compared verdicts are appended to."""
+    seen: list[Verdict] = []
+    for name, sim in (("check_bisim", False), ("check_sim", True)):
+
+        def play(left, right, depth, probes, fuel, game=getattr(il.harness, name), sim=sim):
+            verdict = game(left, right, depth, probes, fuel)
+            assert verdict == reference_game(left, right, depth, make_probes(probes), fuel, sim)
+            seen.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(il.harness, name, play)
+    return seen
 
 
 def reach_audit(t: Term, env: dict[str, int], oracle: Oracle, fuel: int, max_events: int = 32) -> bool:

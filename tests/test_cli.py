@@ -525,9 +525,11 @@ def test_deep_game_witness_has_one_line_per_call(files, capsys):
     assert lines[-1] == "DISTINGUISHED right side terminates while the other is at a system call"
 
 
-def test_one_probe_game_keeps_no_memo(files):
-    # a one-probe game is a path: it keys no node and keeps no spent
-    # anchor, so 10^5 open frames hold little more than their events
+@pytest.mark.parametrize("probes", ["0", "0,1,2"])
+def test_dead_result_game_keeps_no_memo(files, probes):
+    # the call loop never reads its result, so under any probe set its
+    # game is a path: it keys no node and keeps no spent anchor, and
+    # 10^5 open frames hold little more than their events
     path = files("deep.il", CALL_LOOP)
     report_rss = (
         "import resource, runpy\n"
@@ -536,7 +538,7 @@ def test_one_probe_game_keeps_no_memo(files):
         "finally:\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    argv = ("check", "--probes", "0", "--depth", "100000", path, path)
+    argv = ("check", "--probes", probes, "--depth", "100000", path, path)
     code, out, err = run_fresh(*argv, program=("-c", report_rss))
     verdict, rss = out.splitlines()
     assert (code, verdict, err) == (0, "EQUIVALENT to depth 100000", "")

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from il import equiv
+from audits import reference_game, refereed
+
+from il import equiv, syntax
 from il.equiv import (
     Distinguished,
     EquivalentToDepth,
@@ -16,9 +18,10 @@ from il.equiv import (
     enumerate_traces,
     make_probes,
 )
-from il.harness import GenConfig, derive_seed, gen_program, initial_env
+from il.harness import GenConfig, derive_seed, difftest, gen_program, initial_env, shrink_term
 from il.semantics import Closure, Config, Cutoff, Diverged, ListOracle, Terminated, config_key, run_trace
-from il.syntax import Let, Nodes, Var, parse_program, term_fact
+from il.syntax import Let, Nodes, Var, parse_program, print_program, term_fact, term_size
+from il.transform import run_pass
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -242,21 +245,44 @@ def test_closure_keys_never_go_stale():
     assert len(seen) == 1000
 
 
+def folds(monkeypatch) -> list[int]:
+    """The numbers term_fact hands out from now on: one per node it folds."""
+    drawn: list[int] = []
+    monkeypatch.setattr(syntax, "_numbers", (drawn.append(n) or n for n in syntax._numbers))
+    return drawn
+
+
 @pytest.mark.parametrize("first", ["game", "trace"])
 def test_a_program_keyed_twice_is_folded_once(monkeypatch, first):
-    # numbers and free variables stay on the terms, so a game after a
-    # game or a run on the same program builds no node table again
-    builds = []
-    init = Nodes.__init__
-    monkeypatch.setattr(Nodes, "__init__", lambda self, t: builds.append(t) or init(self, t))
+    # numbers and free variables stay on the terms, so the first game or
+    # run folds each node it keys once, and a game after it folds none
+    drawn = folds(monkeypatch)
     c = conf("fun f(n) = if n then f(n - 1) else let r = extern rd() in f(3) in f(3)")
     if first == "game":
         assert check_bisim(c, c, depth=3, probes=(0, 1), fuel=100) == EquivalentToDepth(3)
     else:
         assert len(run_trace(c, ListOracle([]), fuel=100, max_events=3).events) == 3
-    assert len(builds) == 1
+    assert drawn and sorted(drawn) == sorted(n._fact[0] for n in Nodes(c.term).terms if n._fact)
+    folded = len(drawn)
     assert check_bisim(c, c, depth=3, probes=(0, 1), fuel=100) == EquivalentToDepth(3)
-    assert len(builds) == 1
+    assert len(drawn) == folded
+
+
+@pytest.mark.parametrize("name", ["uce", "dve"])
+def test_a_pass_output_folds_only_its_rebuilt_spine(monkeypatch, name):
+    # the output shares its input's unchanged subterms, whose facts it
+    # keeps; only the nodes the pass built are walked and numbered
+    t = parse_program(
+        "fun f(n) = let r = extern rd() in if 1 then f(r) else n in let x = 2 in if a then f(x) else b"
+    )
+    term_fact(t)
+    _, out = run_pass(name, t)
+    old = {id(n) for n in Nodes(t).terms}
+    rebuilt = [n for n in Nodes(out).terms if id(n) not in old]
+    drawn = folds(monkeypatch)
+    free = term_fact(out)[1]
+    assert 0 < len(drawn) == len(rebuilt) < term_size(out)
+    assert free == term_fact(parse_program(print_program(out)))[1]  # as a fresh copy folds
 
 
 def test_left_right_figures_bisimilar():
@@ -379,6 +405,63 @@ def test_memo_shares_configurations_that_differ_in_dead_variables(monkeypatch):
     c = conf("fun f() = let r = extern rd() in let s = extern rd() in f() in f()")
     assert check_bisim(c, c, depth=8, probes=(0, 1, 2), fuel=1000) == EquivalentToDepth(8)
     assert len(calls) == 2 * (8 + 1)
+
+
+DEAD_LOOP = "fun f() = let r = extern rd() in f() in f()"
+LIVE_LOOP = "fun f() = let r = extern rd() in if r then f() else f() in f()"
+
+
+@pytest.mark.parametrize(
+    "left, right, depth, applied",
+    [
+        (DEAD_LOOP, DEAD_LOOP, 8, 2 * 8),  # neither side reads r: one probe a call
+        ("let r = extern rd() in r * 0", "let r = extern rd() in 0", 1, 2 * 3),  # the left reads r
+        ("let r = extern rd() in 0", "let r = extern rd() in r * 0", 1, 2 * 3),  # the right reads r
+        (LIVE_LOOP, LIVE_LOOP, 1, 2 * 3),
+    ],
+    ids=["neither-reads", "left-reads", "right-reads", "both-read"],
+)
+def test_a_result_neither_side_reads_is_probed_once(monkeypatch, left, right, depth, applied):
+    calls = []
+    apply = equiv.apply_extern
+    monkeypatch.setattr(equiv, "apply_extern", lambda *args: calls.append(args[1]) or apply(*args))
+    v = check_bisim(conf(left), conf(right), depth=depth, probes=(0, 1, 2), fuel=1000)
+    assert v == EquivalentToDepth(depth)
+    assert len(calls) == applied
+
+
+@pytest.mark.parametrize("name", ["uce", "dve"])
+def test_game_agrees_with_the_reference_on_difftest_trials(monkeypatch, name):
+    # every game of 300 difftest trials, shrinking included, against the
+    # game that explores every probe and keys every node below the root
+    seen = refereed(monkeypatch)
+    report = difftest(name, GenConfig(seed=13), trials=300)
+    assert report.trials == 300
+    assert len(seen) >= report.accepted
+
+
+@pytest.mark.parametrize("game, sim", [(check_bisim, False), (check_sim, True)])
+def test_game_agrees_with_the_reference_on_related_pairs(game, sim):
+    # each of 300 generated programs against each program its shrinker
+    # tries (a node replaced by a subterm, a group member dropped): most
+    # share a prefix of calls, and about one in seven is distinguished
+    distinguished = 0
+
+    def agrees(t, cand, rng):
+        nonlocal distinguished
+        env = initial_env(t, rng)
+        env.update(initial_env(cand, rng))
+        left, right = Config((), dict(env), t), Config((), dict(env), cand)
+        probes = default_probes(t, cand)
+        verdict = game(left, right, 8, probes, 10_000)
+        assert verdict == reference_game(left, right, 8, probes, 10_000, sim)
+        distinguished += isinstance(verdict, Distinguished)
+        return False  # so the shrinker tries every candidate once
+
+    for i in range(300):
+        t = gen_program(GenConfig(seed=derive_seed(14, i)))
+        shrink_term(t, lambda cand: agrees(t, cand, random.Random(i)))
+    assert distinguished > 300
 
 
 def test_game_and_oracle_decide_at_the_projected_repeat():

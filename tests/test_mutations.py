@@ -4,6 +4,8 @@ import pytest
 
 import il.tlive
 import il.transform
+from audits import refereed
+from il.equiv import Distinguished
 from il.harness import GenConfig, difftest_dve, difftest_uce
 from il.reach import Rejection, check_reach, infer_reach
 from il.syntax import Annotated, Fun, Nodes, parse_program
@@ -27,11 +29,13 @@ def test_dve_dropping_a_live_parameter_is_caught(monkeypatch):
         return out[1:] if out else out
 
     monkeypatch.setattr(il.transform, "filter_list", drop_one_kept)
+    seen = refereed(monkeypatch)  # every game, shrinking included, matches the reference
     rep = difftest_dve(GenConfig(seed=0), trials=BUDGET, stop_early=True)
     rec = first_failure(rep)
     assert rec is not None
     assert rec.verdict == "distinguished"
     assert rec.shrunk  # a witness program was minimized
+    assert any(isinstance(v, Distinguished) for v in seen)
 
 
 def test_uce_folding_the_wrong_branch_is_caught(monkeypatch):
@@ -42,10 +46,12 @@ def test_uce_folding_the_wrong_branch_is_caught(monkeypatch):
         return None if sb is None else not sb
 
     monkeypatch.setattr(il.transform, "static_branch", inverted)
+    seen = refereed(monkeypatch)  # every game, shrinking included, matches the reference
     rep = difftest_uce(GenConfig(seed=0), trials=BUDGET, stop_early=True)
     rec = first_failure(rep)
     assert rec is not None
     assert rec.verdict == "distinguished"
+    assert any(isinstance(v, Distinguished) for v in seen)
 
 
 def test_tlive_skipping_context_extension_is_caught(monkeypatch):
