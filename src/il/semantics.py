@@ -11,8 +11,20 @@ the Ready anchor holds them, and apply_extern resolves the call from
 that anchor with a result value supplied from outside the stepper, so
 execution is deterministic up to those results.
 
-Environments are plain dicts treated as immutable: every step builds a
-fresh one and nothing mutates an existing binding.
+Configurations, events and anchors are immutable records: NamedTuple
+classes whose fields cannot be assigned and which equal only records
+of their own class, so Done(x) != Diverges(x) and no record equals a
+plain tuple.  Environments are plain dicts.  step_silent, the reference
+semantics, builds a fresh one at every let and application.
+run_to_anchor's cold loop applies the same rules in place over funs,
+env and term locals, and writes a segment's let-bound values into one
+private dict, copied from the entry environment at the segment's first
+let.  That dict is never one that something else holds: a fun's
+closures capture it, so the next let copies again; an application's
+fresh environment never becomes it, since Brent's check may have saved
+a configuration holding that environment; and a Config is built from it
+only for an anchor, which ends the run.  So no dict that a caller, a
+closure or a Config holds is ever written.
 
 Divergence.  Because silent stepping is a function of the configuration's
 content, a silent run that comes back to an equal configuration repeats
@@ -54,17 +66,21 @@ nested conditionals, MAX_SIZE lines, INLINE_NODES expression nodes
 inlined per step): where a bound is reached the code is cut, returning
 the configuration at that term, which is a new entry.  run_to_anchor
 runs compiled code only when the remaining fuel covers the segment's
-longest path, application included, and otherwise steps the segment
-with step_silent, which stays the reference semantics.  So every
-anchor, OutOfFuel and Diverges included, comes at the same step with an
-equal configuration either way, and Brent's check sees the same
-post-application configurations.
+longest path, application included, and otherwise runs the segment in
+the cold loop.  That loop makes step_silent's checks in its order (an
+undefined evaluation ends the run with Done(None) before the fuel is
+checked) and, with no fuel left, asks step_silent for the anchor.  So
+every anchor, OutOfFuel and Diverges included, comes at the same step
+with an equal configuration whichever way a segment runs, and Brent's
+check sees the same post-application configurations.  Either way a
+Config is built only for a Ready or OutOfFuel anchor and for the
+configurations Brent's check saves or compares.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from .syntax import (
     INT_MAX,
@@ -135,8 +151,24 @@ def ctx_resolve(ctx: FunContext, name: str) -> Optional[tuple[Closure, FunContex
     return None
 
 
-@dataclass(frozen=True)
-class Config:
+def _same(self, other: object) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _differ(self, other: object) -> bool:
+    return not _same(self, other)
+
+
+def _record(cls: type) -> type:
+    """Make a NamedTuple class equal only to records of its own class,
+    so Done(x) != Diverges(x) and no record equals a plain tuple;
+    hashing stays the tuple's."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same, _differ, tuple.__hash__
+    return cls
+
+
+@_record
+class Config(NamedTuple):
     funs: FunContext
     env: Env
     term: Term
@@ -220,23 +252,23 @@ def step_silent(config: Config) -> Union[Stepped, AtExtern, Terminal]:
 # -- events and anchors
 
 
-@dataclass(frozen=True)
-class Event:
+@_record
+class Event(NamedTuple):
     action: str
     args: tuple[int, ...]
     result: int
 
 
-@dataclass(frozen=True)
-class Done:
+@_record
+class Done(NamedTuple):
     """Terminal anchor; result None means the run got stuck or the
     final expression is undefined."""
 
     result: Optional[int]
 
 
-@dataclass(frozen=True)
-class Ready:
+@_record
+class Ready(NamedTuple):
     """Anchored at a system call, waiting for a result value."""
 
     action: str
@@ -244,13 +276,13 @@ class Ready:
     config: Config
 
 
-@dataclass(frozen=True)
-class OutOfFuel:
+@_record
+class OutOfFuel(NamedTuple):
     config: Config
 
 
-@dataclass(frozen=True)
-class Diverges:
+@_record
+class Diverges(NamedTuple):
     """The silent run reached config twice: it loops forever without
     an observable action."""
 
@@ -268,13 +300,28 @@ def apply_extern(ready: Ready, result: int) -> tuple[Event, Config]:
     return Event(ready.action, ready.args, result), Config(c.funs, {**c.env, t.var: result}, t.body)
 
 
+_BOT = Done(None)
+
+
+def _stopped(config: Config) -> Anchor:
+    """The anchor at config when no fuel is left: the one step_silent
+    finds there, or OutOfFuel where it would step."""
+    step = step_silent(config)
+    if step.__class__ is Stepped:
+        return OutOfFuel(config)
+    if step is _TERMINAL:
+        return Done(result_of(config))
+    return Ready(config.term.value.action, step.args, config)
+
+
 def run_to_anchor(config: Config, fuel: int) -> Anchor:
     """Run silent steps (at most fuel of them) to the next anchor, or
     to the first repeat of a configuration's key (Diverges).
 
     One segment at a time: its compiled code when the segment is hot and
-    the fuel covers its longest path, else step_silent up to the next
+    the fuel covers its longest path, else the cold loop up to the next
     application or anchor."""
+    funs, env, term = config
     remaining = fuel
     # Brent's cycle finder over the post-application configurations:
     # saved is compared with each of them and replaced by the current
@@ -284,46 +331,73 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
     saved_key = None
     since = 0
     power = 1
-    seg = config.term._segment  # a run's start is not counted as an entry
+    seg = term._segment  # a run's start is not counted as an entry
     while True:
         if seg.__class__ is Segment and seg.longest <= remaining:
-            if config is not None:
-                funs, env = config.funs, config.env
             out = seg.run(funs, env)
             if out.__class__ is not tuple:
                 return out
             steps, funs, env, term, applied = out
             remaining -= steps
-            config = None  # funs, env and term hold it; a Config is built only where needed
         else:
-            if config is None:
-                config = Config(funs, env, term)
+            # the cold loop; own is the segment's private dict, once a
+            # let has copied it (see the module docstring)
+            own = None
             while True:
-                step = step_silent(config)
-                if not isinstance(step, Stepped):
-                    if isinstance(step, Terminal):
-                        return Done(result_of(config))
-                    return Ready(config.term.value.action, step.args, config)
                 if remaining <= 0:
-                    return OutOfFuel(config)
+                    return _stopped(Config(funs, env, term))
                 remaining -= 1
-                applied = type(config.term) is App
-                config = step.config
-                if applied:
+                cls = term.__class__
+                if cls is Let:
+                    value = term.value
+                    if value.__class__ is SysCall:
+                        args = eval_expr_list(value.args, env)
+                        if args is None:
+                            return _BOT
+                        return Ready(value.action, args, Config(funs, env, term))
+                    v = eval_expr(value, env)
+                    if v is None:
+                        return _BOT
+                    if env is not own:
+                        env = own = dict(env)
+                    env[term.var] = v
+                    term = term.body
+                elif cls is Cond:
+                    v = eval_expr(term.cond, env)
+                    if v is None:
+                        return _BOT
+                    term = term.then if v else term.orelse
+                elif cls is App:
+                    hit = ctx_resolve(funs, term.fun)
+                    if hit is None:
+                        return _BOT
+                    clo, funs = hit
+                    vals = eval_expr_list(term.args, env)
+                    if vals is None or len(vals) != len(clo.params):
+                        return _BOT
+                    env = dict(clo.env)
+                    env.update(zip(clo.params, vals))
+                    term = clo.body
                     break
-            term, env = config.term, config.env
+                elif cls is Fun:
+                    funs = (_group(term.defs, env),) + funs
+                    own = None
+                    term = term.cont
+                else:
+                    return Done(eval_expr(term.expr, env))
+            applied = True
         if applied:
             # keys differ whenever the focus does, so only an equal
             # focus needs them; and they differ whenever a bound free
             # variable of saved changes, which is cheaper to test first
+            config = None
             if term is saved.term:
                 if saved_key is None:
                     saved_key = config_key(saved)
                     free = term_fact(saved.term)[1]
                     bound = {v: x for v, x in zip(free, saved_key[1]) if x is not None}.items()
                 if bound <= env.items():
-                    if config is None:
-                        config = Config(funs, env, term)
+                    config = Config(funs, env, term)
                     if config_key(config) == saved_key:
                         return Diverges(config)
             since += 1
@@ -372,7 +446,7 @@ _HELPERS = {
     "len": len,
     "dict": dict,
     "zip": zip,
-    "_BOT": Done(None),
+    "_BOT": _BOT,
     "_Done": Done,
     "_Ready": Ready,
     "_Config": Config,

@@ -264,6 +264,15 @@ def test_every_subcommand_at_scale(name, tmp_path, capsys):
             assert flatten(parse_program(out)) == flatten(parse_program(text))
 
 
+def test_run_once_through_nested_lets(tmp_path, capsys):
+    # run once, the chain never compiles: the cold loop writes each
+    # value into one dict instead of copying the environment per let
+    path = tmp_path / "p.il"
+    path.write_text("".join(f"let x{i} = {i} in " for i in range(N)) + f"x{N - 1}")
+    assert main(["run", "--fuel", "200000", str(path)]) == 0
+    assert capsys.readouterr() == (f"END TERM {N - 1}\n", "")
+
+
 @pytest.mark.parametrize("name", sorted(QUADRATIC))
 def test_parse_and_optimize_deep_conditionals(name, tmp_path, capsys):
     t = QUADRATIC[name]()

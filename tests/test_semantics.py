@@ -36,6 +36,7 @@ from il.semantics import (
     trace_text,
 )
 from il.semantics import Trace
+from il.equiv import enumerate_traces
 from il.syntax import (
     App,
     Binop,
@@ -718,3 +719,95 @@ def test_cut_segments_agree_with_step_silent_at_every_fuel(monkeypatch):
     for fuel in range(steps + 2):
         assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
     assert isinstance(t._segment, Segment) and t._segment.longest < steps
+
+
+# -- the cold loop, which runs every segment that is not compiled
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_cold_loop_agrees_with_step_silent_at_every_fuel(n):
+    # the programs of the compiled variant above, with no segment ever
+    # compiled; the caller's environment is never written
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", math.inf)
+        t = gen_program(GenConfig(seed=derive_seed(14, n)))
+        c = Config((), initial_env(t, random.Random(n)), t)
+        oracle = SeededOracle(n)
+        for i in range(6):
+            env = dict(c.env)
+            a, steps = reference_anchor(c, 120)
+            assert run_to_anchor(c, 120) == a
+            for fuel in range(steps + 2):
+                assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
+            assert c.env == env
+            if not isinstance(a, Ready):
+                break
+            _, c = apply_extern(a, oracle(i, a.action, a.args))
+        assert not any(isinstance(s._segment, Segment) for s in Nodes(t).terms)
+
+
+def test_cold_loop_closures_keep_the_values_they_captured(monkeypatch):
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    t = parse_program("let x = 1 in fun f() = x in let x = 2 in f()")
+    assert trace_text(run_trace(Config((), {}, t), SeededOracle(0), 100)) == "END TERM 1\n"
+
+
+def test_cold_loop_leaves_the_callers_environment_alone(monkeypatch):
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    c = conf("let y = x + 1 in let x = y * 2 in fun f(x) = let x = x + 1 in x in f(x)", {"x": 3})
+    assert run_to_anchor(c, 100) == Done(9)
+    assert c.env == {"x": 3}
+
+
+def test_cold_loop_resumes_one_ready_twice_independently(monkeypatch):
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    ready = run_to_anchor(conf("let a = extern r() in let b = a + 1 in let c = extern w(b) in c"), 100)
+    runs = [run_to_anchor(apply_extern(ready, value)[1], 100) for value in (5, 7)]
+    assert [(a.action, a.args, a.config.env) for a in runs] == [
+        ("w", (6,), {"a": 5, "b": 6}),
+        ("w", (8,), {"a": 7, "b": 8}),
+    ]
+    assert ready.config.env == {}
+
+
+@pytest.mark.parametrize(
+    "src, kind",
+    [
+        ("fun f(n) = let n = n * 0 in let m = n + 1 in f(n) in f(5)", Diverges),
+        ("fun f(n) = let n = n + 1 in let m = n in f(m) in f(0)", OutOfFuel),
+    ],
+)
+def test_cold_loop_anchors_loops_that_bind_lets_at_the_reference_step(monkeypatch, src, kind):
+    # each body rebinds the parameter its callee's key reads, in the
+    # environment of the application that entered it
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    c = conf(src)
+    a, steps = reference_anchor(c, 200)
+    assert isinstance(a, kind)
+    for fuel in range(steps + 2):
+        assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
+
+
+# -- records
+
+
+def test_records_are_immutable_and_equal_only_within_their_class():
+    c = conf("let x = extern r(1) in if x then x else 7")
+    ready = run_to_anchor(c, 10)
+    event, _ = apply_extern(ready, 3)
+    for record in (c, event, ready, Done(1), OutOfFuel(c), Diverges(c)):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    assert OutOfFuel(c) != Diverges(c) and not OutOfFuel(c) == Diverges(c)
+    assert Done(None) != Diverges(None) and Done(1) == Done(1)
+    assert Config(c.funs, c.env, c.term) == c
+    assert Config(c.funs, c.env, c.term) != (c.funs, c.env, c.term)
+    assert (c.funs, c.env, c.term) != c and Event("r", (1,), 3) != ("r", (1,), 3)
+    assert repr(Done(1)) == "Done(result=1)" and repr(event) == "Event(action='r', args=(1,), result=3)"
+    assert hash(event) == hash(Event("r", (1,), 3)) and {event, Event("r", (1,), 3)} == {event}
+    assert enumerate_traces(c, depth=2, probes=(0, 1), fuel=100) == {
+        Trace((Event("r", (1,), 0),), Terminated(7)),
+        Trace((Event("r", (1,), 1),), Terminated(1)),
+    }
