@@ -273,6 +273,17 @@ def test_run_once_through_nested_lets(tmp_path, capsys):
     assert capsys.readouterr() == (f"END TERM {N - 1}\n", "")
 
 
+def test_run_a_counter_of_a_million_iterations(tmp_path, capsys):
+    # the loop's body compiles with a loop path, so the iterations run
+    # in its segment, which returns to run_to_anchor once per Brent
+    # save, 15 times
+    text, value = corpus.counter_loop(10**6, 7, 3)
+    path = tmp_path / "p.il"
+    path.write_text(text)
+    assert main(["run", "--fuel", "10000000", str(path)]) == 0
+    assert capsys.readouterr() == (f"END TERM {value}\n", "")
+
+
 @pytest.mark.parametrize("name", sorted(QUADRATIC))
 def test_parse_and_optimize_deep_conditionals(name, tmp_path, capsys):
     t = QUADRATIC[name]()

@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,6 +393,20 @@ def test_seeded_oracle_is_deterministic():
     assert all(-9 <= v <= 9 for v in vals)
 
 
+def test_seeded_oracle_values_are_pinned_to_the_documented_hash():
+    # the docstring's formula, written out, on 1000 calls spread at
+    # random over ten oracles, so each oracle is called many times
+    rng = random.Random(5)
+    oracles = [SeededOracle(rng.randrange(-(2**40), 2**40)) for _ in range(10)]
+    for _ in range(1000):
+        o, index = rng.choice(oracles), rng.randrange(10**6)
+        action = rng.choice(("r", "rd", "wr", "print"))
+        args = tuple(rng.randrange(-(2**63), 2**63) for _ in range(rng.randrange(4)))
+        key = f"{o.seed}:{index}:{action}:{','.join(map(str, args))}"
+        h = blake2b(key.encode(), digest_size=8).digest()
+        assert o(index, action, args) == int.from_bytes(h, "big", signed=True) % 19 - 9
+
+
 def test_seeded_oracle_varies_with_inputs():
     o = SeededOracle(7)
     seen = {o(i, a, args) for i in range(10) for a in ("r", "w") for args in ((), (1,))}
@@ -719,6 +734,130 @@ def test_cut_segments_agree_with_step_silent_at_every_fuel(monkeypatch):
     for fuel in range(steps + 2):
         assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
     assert isinstance(t._segment, Segment) and t._segment.longest < steps
+
+
+# -- loops: a member's application of itself runs on in its segment
+
+
+def _loop_segment(t):
+    """The segment on the body of t's first member, which must loop."""
+    seg = next(s for s in Nodes(t).terms if isinstance(s, Fun)).defs[0].body._segment
+    assert isinstance(seg, Segment) and seg.loops
+    return seg
+
+
+def _every_fuel(c, fuel=10**5):
+    """The reference anchor of c with fuel, checked against
+    run_to_anchor at every fuel up to one past its steps."""
+    a, steps = reference_anchor(c, fuel)
+    for f in range(steps + 2):
+        assert run_to_anchor(c, f) == reference_anchor(c, f)[0]
+    return a
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_compiled_loops_agree_with_step_silent_at_every_fuel(n):
+    # the first generated program whose run compiles a loop, with every
+    # segment compiled on its first entry and its member known; about
+    # one program in eleven does
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", 1)
+        for k in range(200):
+            t = gen_program(GenConfig(seed=derive_seed(15, n * 200 + k)))
+            start = Config((), initial_env(t, random.Random(k)), t)
+            oracle, c, configs = SeededOracle(n), start, []
+            for i in range(6):
+                configs.append(c)
+                a = run_to_anchor(c, 120)
+                assert a == reference_anchor(c, 120)[0]
+                if not isinstance(a, Ready):
+                    break
+                _, c = apply_extern(a, oracle(i, a.action, a.args))
+            if any(isinstance(s._segment, Segment) and s._segment.loops for s in Nodes(t).terms):
+                break
+        else:
+            raise AssertionError("no generated program compiled a loop")
+        for c in configs:
+            _every_fuel(c, 120)
+
+
+@pytest.mark.parametrize(
+    "src, end",
+    [
+        ("fun f(i) = if i < 3 then f(i + 1) else f(0) in f(0)", Diverges),
+        ("fun f(i) = if i < 2 then f(i + 1) else f(0) in f(0)", Diverges),
+        ("fun f(n) = f(n * 0) in f(5)", Diverges),
+        ("fun f(n) = let n = n * 0 in let m = n + 1 in f(n) in f(5)", Diverges),
+        ("fun f(i, k) = f(i + k, k) in f(0, 3)", OutOfFuel),
+        ("fun f(n) = let n = n + 1 in if n < 60 then f(n) else n in f(0)", Done(60)),
+        ("let n = 5 in fun f(i) = if i < n then f(i + 1) else i * n in f(0)", Done(25)),
+        ("fun f(i) = if i < 9 then f(i + 1) else fun f(j) = j * 100 in f(i) in f(0)", Done(900)),
+        ("fun f(i) = if i < 9 then f(i + 1) else fun f(a, b) = a in f(i) in f(0)", Done(None)),
+        ("fun f(i) = if i < 9 then f(i + 1) else f(i, 1) in f(0)", Done(None)),
+        ("fun f(i) = if i < 30 then fun g() = i in f(i + 1) else let x = extern w(i) in x in f(0)", Ready),
+    ],
+)
+def test_loops_anchor_at_the_reference_step(monkeypatch, src, end):
+    # each loop checked at every fuel once its body is compiled: a
+    # repeat (a period of 3 is found only by comparing values with
+    # saved's, as a save comes every power of two), fuel running out,
+    # a parameter rebound by a let, a captured variable, a closure and
+    # a system call in the body, an inner group shadowing the member's
+    # name so the guard fails, and arity mismatches
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    c = conf(src)
+    a = reference_anchor(c, 200)[0]
+    assert run_to_anchor(c, 200) == a
+    _loop_segment(c.term)
+    assert _every_fuel(c, 200) == a
+    assert a == end if isinstance(end, Done) else isinstance(a, end)
+
+
+def test_loop_reads_captured_variables_from_its_callees_environment(monkeypatch):
+    # two live closures of one body with different captured n, as a
+    # pass's output shares subterms with its input: entered through g
+    # (n = 1), the body's application of f (n = 5) passes the guard, so
+    # the loop goes on with f's n
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    params, i, n = ("i",), Var("i"), Var("n")
+    body = Cond(
+        Binop("<", i, n),
+        App("f", (Binop("+", i, Const(1)),)),
+        Exp(Binop("+", Binop("*", i, Const(100)), n)),
+    )
+
+    def program(*rest):
+        return Let("n", Const(5), Fun((FunDef("f", params, body),), *rest))
+
+    c = Config((), {}, program(App("f", (Const(0),))))
+    assert run_to_anchor(c, 100) == Done(505)
+    _loop_segment(c.term)
+    c = Config((), {}, program(Let("n", Const(1), Fun((FunDef("g", params, body),), App("g", (Const(0),))))))
+    assert _every_fuel(c, 100) == Done(505)
+
+
+def test_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
+    # a counter's segment is called once per saved configuration: the
+    # post-application configurations 1, 3, 7, ..., 2**k - 1, which here
+    # are i = 2**k - 2; never where the fuel still covers its longest
+    # path, nor past a save
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    c = conf("fun f(i) = if i < 1000 then f(i + 1) else i in f(0)")
+    a, steps = reference_anchor(c, 10**6)
+    assert run_to_anchor(c, 10**6) == a == Done(1000)
+    seg = _loop_segment(c.term)
+    run, starts = seg.run, []
+
+    def counted(funs, env, *rest):
+        starts.append(env["i"])
+        return run(funs, env, *rest)
+
+    seg.run = counted
+    for fuel in (steps, steps + 1, 10**6):
+        starts.clear()
+        assert run_to_anchor(c, fuel) == a
+        assert starts == [2**k - 2 for k in range(1, 10)]
 
 
 # -- the cold loop, which runs every segment that is not compiled
