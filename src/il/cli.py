@@ -21,7 +21,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim, default_probes, make_probes
+from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim, default_probes
 from .harness import DiffReport, GenConfig, difftest_dve, difftest_uce
 from .reach import Rejection, check_reach, infer_reach
 from .semantics import Config, SeededOracle, run_trace, trace_text
@@ -162,10 +162,7 @@ def _cmd_check(args) -> int:
     left = _parse_file(args.left)
     right = _parse_file(args.right)
     env = _parse_env(args.env)
-    if args.probes:
-        probes = make_probes(args.probes)
-    else:
-        probes = default_probes(left, right)
+    probes = args.probes or default_probes(left, right)
     game = check_sim if args.sim else check_bisim
     verdict = game(
         Config((), dict(env), left),

@@ -6,10 +6,12 @@ only into the branch that can actually be taken; a function body is
 reachable only if some application of it sits in reachable code.  The
 checker verifies an annotation against the judgment rules and reports
 the first violated premise in pre-order (at the root, rule "Shape" when
-the fact count differs from the node count and rule "Reach-Root" when
-the root, where execution starts, is not marked reachable); the
-inference computes the annotation the checker accepts, marking excluded
-branches and unused function bodies false throughout.
+the fact count differs from the node count or a fact is not a bool,
+and rule "Reach-Root" when the root, where execution starts, is not
+marked reachable); the inference computes the annotation the checker
+accepts, marking excluded branches and unused function bodies false
+throughout.  check_shape, the Shape premise, is shared with tlive's
+checker.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .syntax import (
     Nodes,
     Term,
     eval_expr,
+    is_var_name,
     truthy,
 )
 
@@ -51,6 +54,27 @@ class Rejection:
     def __str__(self) -> str:
         where = ".".join(map(str, self.path)) if self.path else "<root>"
         return f"at {where}: {self.rule}: {self.detail}"
+
+
+def check_shape(at: Annotated, kind: type) -> Optional[Rejection]:
+    """The Shape premise both checkers make at the root: one fact per
+    node, each a bool (kind bool, reachability) or a frozenset of
+    variable names (kind frozenset, true liveness)."""
+    nodes, facts = at.nodes, at.facts
+    if len(facts) != len(nodes.terms):
+        return Rejection((), "Shape", f"{len(facts)} facts for a term with {len(nodes.terms)} nodes")
+
+    def fits(fact) -> bool:
+        return fact.__class__ is kind and (kind is bool or all(x.__class__ is str and is_var_name(x) for x in fact))
+
+    # every fact at once first (a union's names are each fact's), then
+    # the first misfit for the message
+    if set(map(type, facts)) == {kind} and (kind is bool or fits(frozenset().union(*facts))):
+        return None
+    i = next(i for i, fact in enumerate(facts) if not fits(fact))
+    where = ".".join(map(str, nodes.path(i))) or "<root>"
+    what = "a bool" if kind is bool else "a set of variable names"
+    return Rejection((), "Shape", f"the fact at {where} is not {what}")
 
 
 def infer_reach(t: Term) -> Annotated:
@@ -91,9 +115,10 @@ def infer_reach(t: Term) -> Annotated:
 def check_reach(ctx: ReachCtx, at: Annotated) -> Optional[Rejection]:
     """Verify a reachability annotation; None means accepted.  ctx gives
     the body bits of functions the term applies but does not define."""
+    rejection = check_shape(at, bool)
+    if rejection is not None:
+        return rejection
     nodes, facts = at.nodes, at.facts
-    if len(facts) != len(nodes.terms):
-        return Rejection((), "Shape", f"{len(facts)} facts for a term with {len(nodes.terms)} nodes")
     if not facts[0]:
         return Rejection((), "Reach-Root", "the root is not marked reachable")
     for i, term in enumerate(nodes.terms):

@@ -66,15 +66,20 @@ function runs the segment's Let, Cond and Fun steps with let-bound
 values in locals, builds an environment only where a configuration
 needs one (a closure, a Ready anchor, the callee's environment, a cut),
 and returns the anchor it reached or the configuration after its last
-step with the number of steps taken.  Generated code holds only
-generated names and 64-bit integer literals; names, actions, terms and
-other constants come from a tuple.  Its size is bounded (MAX_NESTING
-nested conditionals, MAX_SIZE lines, INLINE_NODES expression nodes
-inlined per step): where a bound is reached the code is cut, returning
-the configuration at that term, which is a new entry.  run_to_anchor
-runs compiled code only when the remaining fuel covers the segment's
-longest path, application included, and otherwise runs the segment in
-the cold loop.  That loop makes step_silent's checks in its order (an
+step with the number of steps taken.  Every segment is called the same
+way, run(funs, env, fuel, budget, saved), from one place in
+run_to_anchor.  Each step's expressions are inlined as three-address
+code; generated code holds only generated names and 64-bit integer
+literals, and names, actions, terms and other constants come from a
+tuple.  Its size is bounded (MAX_NESTING nested conditionals, MAX_SIZE
+lines, INLINE_NODES expression nodes per step): where a later step
+reaches a bound the code is cut, returning the configuration at that
+term, which is a new entry.  A segment whose first step has more than
+INLINE_NODES expression nodes is never compiled: its entry term keeps
+_segment None and always runs cold.  run_to_anchor runs compiled code
+only when the remaining fuel covers the segment's longest path,
+application included, and otherwise runs the segment in the cold
+loop.  That loop makes step_silent's checks in its order (an
 undefined evaluation ends the run with Done(None) before the fuel is
 checked) and, with no fuel left, asks step_silent for the anchor.  So
 every anchor, OutOfFuel and Diverges included, comes at the same step
@@ -96,12 +101,12 @@ free variables from the callee's environment, resolves each application
 once per function context, and builds an environment only where one
 escapes: a closure, a Ready, a cut, or an application that leaves the
 loop.  So a counter returns to run_to_anchor once per save, about
-log2 of its iterations.  run_to_anchor computes saved's key for a
-segment only if the segment loops, and only applications named like the
-member get a guard: in a prototype, computing the key for every segment
-that starts at saved's focus made the game about 10% slower, and a guard
-on every application of matching arity made nested groups about 15%
-slower.
+log2 of its iterations.  run_to_anchor passes every segment Brent's
+saved configuration; a segment with a loop path reads the values of its
+entry's free variables from it in its prologue, and only when saved's
+focus is its entry term.  Only applications named like the member get a
+guard: in a prototype, a guard on every application of matching arity
+made nested groups about 15% slower.
 """
 from __future__ import annotations
 
@@ -341,14 +346,6 @@ def _stopped(config: Config) -> Anchor:
     return Ready(config.term.value.action, step.args, config)
 
 
-def _saved(saved: Config) -> tuple:
-    """saved's key, and the bound free variables of its focus with
-    their values as an items view."""
-    key = config_key(saved)
-    free = term_fact(saved.term)[1]
-    return key, {v: x for v, x in zip(free, key[1]) if x is not None}.items()
-
-
 def run_to_anchor(config: Config, fuel: int) -> Anchor:
     """Run silent steps (at most fuel of them) to the next anchor, or
     to the first repeat of a configuration's key (Diverges).
@@ -369,17 +366,9 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
     seg = term._segment  # a run's start is not counted as an entry
     while True:
         if seg.__class__ is Segment and seg.longest <= remaining:
-            if seg.loops:
-                # the loop passes post-application configurations only
-                # where this check would do nothing (see the docstring)
-                values = None
-                if term is saved.term:
-                    if saved_key is None:
-                        saved_key, bound = _saved(saved)
-                    values = saved_key[1]
-                out = seg.run(funs, env, remaining, power - since - 1, values)
-            else:
-                out = seg.run(funs, env)
+            # a loop passes post-application configurations only where
+            # this check would do nothing (see the module docstring)
+            out = seg.run(funs, env, remaining, power - since - 1, saved)
             if out.__class__ is not tuple:
                 return out
             steps, funs, env, term, applied, passed = out
@@ -439,7 +428,8 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
             config = None
             if term is saved.term:
                 if saved_key is None:
-                    saved_key, bound = _saved(saved)
+                    saved_key = config_key(saved)
+                    bound = {v: x for v, x in zip(term_fact(term)[1], saved_key[1]) if x is not None}.items()
                 if bound <= env.items():
                     config = Config(funs, env, term)
                     if config_key(config) == saved_key:
@@ -470,7 +460,7 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
 HOT_ENTRIES = 32  # a segment is compiled on its 32nd counted entry
 MAX_NESTING = 24  # conditionals nested in one segment's code
 MAX_SIZE = 256  # lines of one segment's code, plus entries of the environments it builds
-INLINE_NODES = 32  # expression nodes a step inlines; a larger first step calls eval_expr
+INLINE_NODES = 32  # expression nodes a step inlines; a larger first step leaves the term cold
 
 _MIN = -INT_MAX - 1
 _COMPARE = {"=": "==", "<": "<", "<=": "<="}
@@ -478,17 +468,16 @@ _WRAPPED = frozenset("+-*")
 
 
 class Segment:
-    """A segment's compiled code.  run(funs, env) returns an anchor
-    (Done or Ready), or (steps, funs, env, term, applied, passed): the
-    configuration the segment's last step reached, after an application
-    when applied is true, else at a new entry where the code was cut,
-    and how many post-application configurations it passed on the way.
-    longest is the most silent steps any path through it takes.  When
-    loops is true the segment has a loop path and run takes three more
-    arguments: the remaining fuel, how many post-application
-    configurations it may pass (budget) and the free-variable values
-    of Brent's saved configuration when its focus is the entry term,
-    else None."""
+    """A segment's compiled code.  run(funs, env, fuel, budget, saved)
+    takes the remaining fuel, how many post-application configurations
+    it may pass (budget) and Brent's saved configuration, and returns an
+    anchor (Done or Ready), or (steps, funs, env, term, applied, passed):
+    the configuration the segment's last step reached, after an
+    application when applied is true, else at a new entry where the code
+    was cut, and how many post-application configurations it passed on
+    the way.  longest is the most silent steps any path through it
+    takes.  loops is true when the segment has a loop path; only then
+    does run read fuel, budget and saved."""
 
     __slots__ = ("longest", "run", "loops")
 
@@ -513,13 +502,11 @@ _HELPERS = {
     "_group": _group,
     "_wrap": wrap,
     "_div": _div,
-    "_eval": eval_expr,
-    "_evals": eval_expr_list,
 }
 
 
 def _inlinable(t: Term) -> bool:
-    """Whether t's expressions are small and built of known operators."""
+    """Whether t's expressions have at most INLINE_NODES nodes."""
     stack, n = list(term_exprs(t)), 0
     while stack:
         e = stack.pop()
@@ -527,14 +514,15 @@ def _inlinable(t: Term) -> bool:
         if n > INLINE_NODES:
             return False
         if isinstance(e, Binop):
-            if e.op not in _COMPARE and e.op not in _WRAPPED and e.op != "/":
-                return False
             stack += (e.left, e.right)
         elif isinstance(e, Unop):
             stack.append(e.arg)
-        elif not isinstance(e, (Const, Var)):
-            return False
     return True
+
+
+def _tuple(items: Sequence[str]) -> str:
+    """Python source for a tuple of the given operands."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
 class _Path:
@@ -567,7 +555,9 @@ class _Source:
     copy runs from the segment's entry environment; where a loop site's
     guard holds it falls through into the loop copy, which holds the
     parameters in the locals params and reads other free variables from
-    the callee's environment (cenv)."""
+    the callee's environment (cenv).  A loop site compares free-variable
+    values with the local saved, the values of Brent's saved
+    configuration when its focus is the entry term, else None."""
 
     def __init__(self, entry: Term, member: Optional[tuple]) -> None:
         self.lines: list[str] = []
@@ -581,6 +571,7 @@ class _Source:
         if member is not None:
             self.params = [self.local() for _ in member[1]]
             self.cenv = self.local()
+            self.saved = self.local()
 
     def const(self, obj: Any) -> str:
         key = obj if type(obj) is str else id(obj)
@@ -607,6 +598,14 @@ class _Source:
         which the loop copy adds those of its earlier iterations."""
         count, passed = (f"steps + {steps}", "passed") if self.looping else (str(steps), "0")
         self.leave(path, f"({count}, {funs}, {env}, {term}, {applied}, {passed})", steps)
+
+    def apply(self, path: _Path, clo: str, rewound: str, params: str, args: str, steps: int) -> None:
+        """Return the configuration an application enters: the callee's
+        body under its environment with the parameters bound."""
+        new = self.local()
+        self.emit(path, f"{new} = dict({clo}.env)")
+        self.emit(path, f"{new}.update(zip({params}, {args}))")
+        self.result(path, rewound, new, f"{clo}.body", True, steps)
 
     def wrapped(self, path: _Path, line: str) -> str:
         v = self.local()
@@ -647,24 +646,6 @@ class _Source:
             self.emit(path, f"{v} = 1 if {a} {_COMPARE[e.op]} {b} else 0")
         return v
 
-    def value(self, e: Expr, path: _Path, inline: bool) -> str:
-        if inline:
-            return self.operand(e, path)
-        v = self.local()
-        self.emit(path, f"{v} = _eval({self.const(e)}, {self.environment(path)})")
-        self.emit(path, f"if {v} is None: return _BOT")
-        return v
-
-    def values(self, es: tuple, path: _Path, inline: bool) -> tuple[str, list[str]]:
-        """A tuple of es's values, and an operand for each value."""
-        if inline:
-            ops = [self.operand(e, path) for e in es]
-            return f"({', '.join(ops)}{',' if len(ops) == 1 else ''})", ops
-        v = self.local()
-        self.emit(path, f"{v} = _evals({self.const(es)}, {self.environment(path)})")
-        self.emit(path, f"if {v} is None: return _BOT")
-        return v, [f"{v}[{i}]" for i in range(len(es))]
-
     def environment(self, path: _Path) -> str:
         """The local holding path's environment, built if variables are
         pending."""
@@ -684,15 +665,11 @@ class _Source:
         self.loops = True
         formals = self.member[1]
         by_name = dict(zip(formals, ops))
-        free = [by_name[v] if v in by_name else f"{clo}.env.get({self.const(v)})" for v in term_fact(self.entry)[1]]
-        key = f"({', '.join(free)}{',' if len(free) == 1 else ''})"
+        key = _tuple([by_name[v] if v in by_name else f"{clo}.env.get({self.const(v)})" for v in term_fact(self.entry)[1]])
         guard = f"{clo}.body is {self.const(self.entry)} and {params} is {self.const(formals)}"
-        new = self.local()
-        self.emit(path, f"if not ({guard} and passed < budget and room >= steps + {steps} and {key} != saved):")
+        self.emit(path, f"if not ({guard} and passed < budget and room >= steps + {steps} and {key} != {self.saved}):")
         path.indent += 1
-        self.emit(path, f"{new} = dict({clo}.env)")
-        self.emit(path, f"{new}.update(zip({params}, {args}))")
-        self.result(path, rewound, new, f"{clo}.body", True, steps)
+        self.apply(path, clo, rewound, params, args, steps)
         path.indent -= 1
         if self.params:
             self.emit(path, f"{''.join(f'{p}, ' for p in self.params)}= {args}")
@@ -705,30 +682,29 @@ class _Source:
         first step is always emitted, so every cut is at least one step
         in and run_to_anchor makes progress."""
         while True:
-            inline = _inlinable(t)
             if path.steps and (
-                not inline
-                or self.size >= MAX_SIZE
+                self.size >= MAX_SIZE
                 or (isinstance(t, Cond) and path.indent >= MAX_NESTING)
+                or not _inlinable(t)
             ):
                 self.result(path, path.funs, self.environment(path), self.const(t), False, path.steps)
                 return
             if isinstance(t, Let):
                 if isinstance(t.value, SysCall):
-                    args, _ = self.values(t.value.args, path, inline)
+                    args = _tuple([self.operand(e, path) for e in t.value.args])
                     config = f"_Config({path.funs}, {self.environment(path)}, {self.const(t)})"
                     self.leave(path, f"_Ready({self.const(t.value.action)}, {args}, {config})", path.steps)
                     return
-                v = self.value(t.value, path, inline)
+                v = self.operand(t.value, path)
                 path.scope[t.var] = path.pending[t.var] = v
                 path.steps += 1
                 t = t.body
             elif isinstance(t, Cond):
                 e = t.cond
-                if inline and isinstance(e, Binop) and e.op in _COMPARE:
+                if isinstance(e, Binop) and e.op in _COMPARE:
                     test = f"{self.operand(e.left, path)} {_COMPARE[e.op]} {self.operand(e.right, path)}"
                 else:
-                    test = self.value(e, path, inline)
+                    test = self.operand(e, path)
                 self.emit(path, f"if {test}:")
                 self.path(t.then, path.branch())
                 self.emit(path, "else:")
@@ -753,7 +729,8 @@ class _Source:
                 else:
                     self.emit(path, f"{hit} = _resolve({path.funs}, {self.const(t.fun)})")
                 self.emit(path, f"if {hit} is None: return _BOT")
-                args, ops = self.values(t.args, path, inline)
+                ops = [self.operand(e, path) for e in t.args]
+                args = _tuple(ops)
                 self.emit(path, f"{clo}, {rewound} = {hit}")
                 self.emit(path, f"{params} = {clo}.params")
                 self.emit(path, f"if len({params}) != {len(t.args)}: return _BOT")
@@ -761,40 +738,43 @@ class _Source:
                 member = self.member
                 if member is not None and t.fun == member[0] and len(t.args) == len(member[1]):
                     self.loop_site(path, clo, rewound, params, args, ops, steps)
-                    return
-                new = self.local()
-                self.emit(path, f"{new} = dict({clo}.env)")
-                self.emit(path, f"{new}.update(zip({params}, {args}))")
-                self.result(path, rewound, new, f"{clo}.body", True, steps)
-                return
-            elif isinstance(t, Exp):
-                self.leave(path, f"_Done({self.value(t.expr, path, inline)})", path.steps)
+                else:
+                    self.apply(path, clo, rewound, params, args, steps)
                 return
             else:
-                self.leave(path, "_BOT", path.steps)
+                self.leave(path, f"_Done({self.operand(t.expr, path)})", path.steps)
                 return
 
 
-def compile_segment(t: Term, member: Optional[tuple[str, tuple[str, ...]]] = None) -> Segment:
+def compile_segment(t: Term, member: Optional[tuple[str, tuple[str, ...]]] = None) -> Optional[Segment]:
     """Compile the segment that starts at t and keep it on t.  member is
     the name and parameters of the closure whose body t is, when an
-    application of it entered t."""
+    application of it entered t.  A first step whose expressions do not
+    inline leaves t cold for good: _segment None, which is returned."""
+    if not _inlinable(t):
+        _setattr(t, "_segment", None)
+        return None
     src = _Source(t, member)
     src.path(t, _Path(0, "funs", "env", {}))
+    body = src.lines
     if src.loops:
         # where a loop site's guard holds, the entry copy falls through
         # to here: one iteration of the loop copy per pass
-        entry, src.lines, src.size, src.looping = src.lines, [], 0, True
+        src.lines, src.size, src.looping = [], 0, True
         src.path(t, _Path(0, "funs", src.cenv, dict(zip(member[1], src.params))))
-        head = "    def seg(funs, env, fuel, budget, saved):"
-        start = [f"        room = fuel - {src.longest}", "        steps = passed = 0"]
-        body = start + entry + ["        " + line for line in src.inits] + ["        while True:"] + src.lines
-    else:
-        head, body = "    def seg(funs, env):", src.lines
+        values = _tuple([f"saved.env.get({src.const(v)})" for v in term_fact(t)[1]])
+        start = [
+            f"{src.saved} = {values} if saved.term is {src.const(t)} else None",
+            f"room = fuel - {src.longest}",
+            "steps = passed = 0",
+            *src.inits,
+        ]
+        body = ["        " + line for line in start] + body + ["        while True:"] + src.lines
     lines = ["def make(k):"]
     if src.consts:
         lines.append("    " + "".join(f"c{i}, " for i in range(len(src.consts))) + "= k")
-    code = compile("\n".join(lines + [head] + body + ["    return seg"]), "<segment>", "exec")
+    lines.append("    def seg(funs, env, fuel, budget, saved):")
+    code = compile("\n".join(lines + body + ["    return seg"]), "<segment>", "exec")
     scope: dict = {}
     exec(code, _HELPERS, scope)
     seg = Segment(src.longest, scope["make"](tuple(src.consts)), src.loops)

@@ -192,7 +192,9 @@ class Term:
     hashing and printing never see them.  _segment belongs to the
     interpreter (semantics.run_to_anchor): how often execution has
     entered the segment that starts at this term, then that segment's
-    compiled code.  _fact is term_fact's (number, free variables)."""
+    compiled code, or None when the segment's first step is too large
+    to inline and it always runs interpreted.  _fact is term_fact's
+    (number, free variables)."""
 
     __slots__ = ()
     _segment: Any = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Mapping, Optional, Sequence
 
-from .reach import Rejection, static_branch
+from .reach import Rejection, check_shape, static_branch
 from .syntax import (
     Annotated,
     App,
@@ -132,9 +132,10 @@ def check_tlive(zeta: ParamCtx, lam: LiveCtx, at: Annotated) -> Optional[Rejecti
     """Verify a true-liveness annotation; None means accepted.  zeta and
     lam give the parameters and live sets of functions the term applies
     but does not define."""
+    rejection = check_shape(at, frozenset)
+    if rejection is not None:
+        return rejection
     nodes, facts = at.nodes, at.facts
-    if len(facts) != len(nodes.terms):
-        return Rejection((), "Shape", f"{len(facts)} facts for a term with {len(nodes.terms)} nodes")
     for i in derivable(nodes):
         term, kids = nodes.terms[i], nodes.kids[i]
         live: frozenset[str] = facts[i]

@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from hashlib import blake2b
@@ -10,8 +12,9 @@ import pytest
 
 from il import cli
 from il.cli import main
+from il.harness import GenConfig, derive_seed, gen_program
 from il.reach import infer_reach
-from il.syntax import parse_program, print_program, sidecar_text
+from il.syntax import is_var_name, parse_program, print_program, sidecar_text
 from il.tlive import infer_tlive
 from il.transform import dve, uce
 
@@ -543,3 +546,70 @@ def test_dead_result_game_keeps_no_memo(files, probes):
     verdict, rss = out.splitlines()
     assert (code, verdict, err) == (0, "EQUIVALENT to depth 100000", "")
     assert int(rss) / (1024 * 1024 if sys.platform == "darwin" else 1024) < 80  # MB
+
+
+# -- no input gives a traceback
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|<=|\S")
+_NAMES = ("x", "y", "f", "g", "h", "u1", "rd", "zz'")
+_NUMBERS = ("0", "1", "7", "9223372036854775807", "9223372036854775808", "99999999999999999999999")
+_OPERATORS = ("=", "<", "<=", "+", "-", "*", "/")
+_OTHERS = ("let", "in", "if", "then", "else", "fun", "and", "extern", "!", "(", ")", ",", "#", "\u00e9")
+_COMMANDS = (
+    ("parse",),
+    ("run",),
+    ("analyze", "--reach"),
+    ("analyze", "--tlive"),
+    ("optimize", "--uce", "--dve"),
+    ("check",),
+    ("check", "--sim"),
+)
+
+
+def _own_class(token):
+    """The tokens a name, number or operator may be swapped for."""
+    if token.isdigit():
+        return _NUMBERS
+    if token in _OPERATORS:
+        return _OPERATORS
+    return _NAMES if is_var_name(token) else None
+
+
+def _edited(text, rng):
+    """text with one or two random token edits: a name, number or
+    operator swapped for another of its class (which mostly keeps the
+    program parsing, so later stages see edited programs too), or any
+    token replaced by one of any class, deleted or duplicated."""
+    tokens = _TOKEN.findall(text)
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.randrange(7)
+        if edit < 4:
+            i = rng.choice([j for j, token in enumerate(tokens) if _own_class(token)])
+            tokens[i] = rng.choice(_own_class(tokens[i]))
+            continue
+        i = rng.randrange(len(tokens))
+        if edit == 4:
+            tokens[i] = rng.choice(rng.choice((_NAMES, _NUMBERS, _OPERATORS, _OTHERS)))
+        elif edit == 5:
+            del tokens[i]
+        else:
+            tokens.insert(i, tokens[i])
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_no_edited_program_gives_a_traceback(files, capsys, seed):
+    # generated programs, each with one or two token edits, through
+    # every subcommand that reads a program: each ends with an exit
+    # code from the documented set, never with an exception
+    rng = random.Random(seed)
+    for k in range(40):
+        original = print_program(gen_program(GenConfig(seed=derive_seed(31, seed * 40 + k))))
+        edited = _edited(original, rng)
+        left, right = files("left.il", edited), files("right.il", original)
+        for command in _COMMANDS:
+            paths = (left, right) if command[0] == "check" else (left,)
+            if command[-1] == "--sim":  # the game is asymmetric: the edited side goes right
+                paths = paths[::-1]
+            assert main([*command, *paths]) in (0, 1, 2, 64, 66), (command, edited)
+            capsys.readouterr()

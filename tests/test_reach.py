@@ -15,6 +15,7 @@ from il.syntax import (
     Nodes,
     Var,
     parse_program,
+    parse_sidecar,
 )
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
@@ -185,6 +186,14 @@ def test_rejection_str_root_marker():
     t = parse_program("let x = 1 in 3")
     at = annotate(t, [True, False])
     assert "<root>" in str(check_reach({}, at))
+
+
+def test_check_rejects_liveness_sets_as_reach_facts():
+    # a sidecar of the other analysis: every fact a set, none a bool
+    t = parse_program("let x = 1 in if x then 2 else 3")
+    rej = check_reach({}, parse_sidecar(t, "{x}\n" * 4))
+    assert (rej.path, rej.rule) == ((), "Shape")
+    assert str(rej) == "at <root>: Shape: the fact at <root> is not a bool"
 
 
 def test_inferred_left_figure_is_accepted():

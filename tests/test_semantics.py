@@ -736,6 +736,36 @@ def test_cut_segments_agree_with_step_silent_at_every_fuel(monkeypatch):
     assert isinstance(t._segment, Segment) and t._segment.longest < steps
 
 
+def test_a_first_step_over_the_inline_bound_stays_cold(monkeypatch):
+    # the loop body's condition has more expression nodes than a step
+    # inlines: the body is left uncompiled for good and runs cold
+    sum_ = " + ".join(["i"] * semantics.INLINE_NODES)
+    src = f"fun f(i) = if {sum_} < 5000 then f(i + 1) else i in f(0)"
+    got, t = _hot_and_reference(monkeypatch, lambda: parse_program(src))
+    assert got.outcome == Terminated(5000 // semantics.INLINE_NODES + 1)
+    assert t.defs[0].body._segment is None
+
+
+def test_a_later_step_over_the_inline_bound_cuts_the_segment(monkeypatch):
+    # a let over the bound in the middle of the loop body: f's body is
+    # compiled up to it and cut there, the let stays cold, and g's body
+    # after it is compiled again
+    sum_ = " + ".join(["a"] * semantics.INLINE_NODES)
+    src = f"""
+    fun f(i) = if i < 300 then let a = i + 1 in let b = {sum_} in g(a, b) else i
+    and g(a, b) = let c = b - a * {semantics.INLINE_NODES} in f(a + c)
+    in f(0)
+    """
+    got, t = _hot_and_reference(monkeypatch, lambda: parse_program(src))
+    assert got.outcome == Terminated(300)
+    f, g = t.defs
+    cut = f.body.then.body
+    assert isinstance(cut, Let) and cut.var == "b"
+    assert isinstance(f.body._segment, Segment) and f.body._segment.longest == 2
+    assert cut._segment is None
+    assert isinstance(g.body._segment, Segment)
+
+
 # -- loops: a member's application of itself runs on in its segment
 
 

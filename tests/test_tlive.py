@@ -22,6 +22,7 @@ from il.syntax import (
     free_vars,
     free_vars_list,
     parse_program,
+    parse_sidecar,
 )
 from il.tlive import check_tlive, infer_tlive
 
@@ -170,6 +171,19 @@ def test_check_extern_args_required_even_when_dead():
     rej = check_tlive({}, {}, at)
     assert rej is not None
     assert rej.rule == "TLive-Call"
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    ["true\n" * 4, "{}\n{}\n{x}\n{1}\n"],
+    ids=["bools", "non-name"],
+)
+def test_check_rejects_facts_that_are_not_sets_of_names(sidecar):
+    # reachability bits, or a set holding something other than a name
+    t = parse_program("let x = 1 in if x then 2 else 3")
+    rej = check_tlive({}, {}, parse_sidecar(t, sidecar))
+    assert (rej.path, rej.rule) == ((), "Shape")
+    assert "is not a set of variable names" in rej.detail
 
 
 def test_check_cond_skips_excluded_branch_entirely():
