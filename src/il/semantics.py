@@ -59,22 +59,25 @@ Compiled segments.  A segment is the code from an entry term up to the
 next application, system call or leaf: the term a run starts from (the
 root, or the body after a system-call let) or the body an application
 enters.  A segment entered HOT_ENTRIES times (entries by an application
-or from a cut count; a run's start does not, so code the game only
-resumes after system calls stays interpreted) is compiled into one
-Python function and kept on its entry term (Term._segment).  The
-function runs the segment's Let, Cond and Fun steps with let-bound
-values in locals, builds an environment only where a configuration
-needs one (a closure, a Ready anchor, the callee's environment, a cut),
-and returns the anchor it reached or the configuration after its last
-step with the number of steps taken.  Every segment is called the same
-way, run(funs, env, fuel, budget, saved), from one place in
-run_to_anchor.  Each step's expressions are inlined as three-address
-code; generated code holds only generated names and 64-bit integer
-literals, and names, actions, terms and other constants come from a
-tuple.  Its size is bounded (MAX_NESTING nested conditionals, MAX_SIZE
-lines, INLINE_NODES expression nodes per step): where a later step
-reaches a bound the code is cut, returning the configuration at that
-term, which is a new entry.  A segment whose first step has more than
+or from a cut count; a run's start does not) is compiled into one
+Python function and kept on its entry term (Term._segment).  The body
+of a system-call let is compiled exactly when a segment that reaches
+the let is, from one worklist.  So a run resumed after a system call
+runs compiled only where an application or a cut made the code before
+the call hot: the game's loop-free trees resume many configurations
+but make few bodies hot.  The function runs the segment's Let, Cond
+and Fun steps with let-bound values in locals, builds an environment
+only where a configuration needs one (a closure, a Ready anchor, the
+callee's environment, a cut), and returns the anchor it reached or the
+configuration after its last step with the number of steps taken.
+Every segment is called the same way, run(funs, env, fuel, budget,
+saved), from one place in run_to_anchor.  Each step's expressions are
+inlined as three-address code; generated code holds only generated
+names and 64-bit integer literals, and names, actions, terms and other
+constants come from a tuple.  Its size is bounded (MAX_NESTING nested
+conditionals, MAX_SIZE lines, INLINE_NODES expression nodes per step):
+where a later step reaches a bound the code is cut, returning the
+configuration at that term, which is a new entry.  A segment whose first step has more than
 INLINE_NODES expression nodes is never compiled: its entry term keeps
 _segment None and always runs cold.  run_to_anchor runs compiled code
 only when the remaining fuel covers the segment's longest path,
@@ -327,9 +330,8 @@ Anchor = Union[Done, Ready, OutOfFuel, Diverges]
 def apply_extern(ready: Ready, result: int) -> tuple[Event, Config]:
     """Resolve the pending system call of a Ready anchor with the given
     result value: the event, and the configuration after the let."""
-    c = ready.config
-    t = c.term
-    return Event(ready.action, ready.args, result), Config(c.funs, {**c.env, t.var: result}, t.body)
+    action, args, (funs, env, t) = ready
+    return Event(action, args, result), Config(funs, {**env, t.var: result}, t.body)
 
 
 _BOT = Done(None)
@@ -363,7 +365,9 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
     saved_key = None
     since = 0
     power = 1
-    seg = term._segment  # a run's start is not counted as an entry
+    # a run's start is not counted as an entry; the code after a system
+    # call is compiled with the segment that reaches the call
+    seg = term._segment
     while True:
         if seg.__class__ is Segment and seg.longest <= remaining:
             # a loop passes post-application configurations only where
@@ -476,15 +480,14 @@ class Segment:
     application when applied is true, else at a new entry where the code
     was cut, and how many post-application configurations it passed on
     the way.  longest is the most silent steps any path through it
-    takes.  loops is true when the segment has a loop path; only then
-    does run read fuel, budget and saved."""
+    takes.  Only a segment with a loop path reads fuel, budget and
+    saved."""
 
-    __slots__ = ("longest", "run", "loops")
+    __slots__ = ("longest", "run")
 
-    def __init__(self, longest: int, run: Callable, loops: bool):
+    def __init__(self, longest: int, run: Callable):
         self.longest = longest
         self.run = run
-        self.loops = loops
 
 
 # The only names generated code reads besides its own v<n> locals, its
@@ -568,6 +571,7 @@ class _Source:
         self.longest = 0
         self.entry, self.member, self.loops, self.looping = entry, member, False, False
         self.inits: list[str] = []  # the loop copy's cached resolutions
+        self.resumes: list[Term] = []  # the bodies of the system-call lets reached
         if member is not None:
             self.params = [self.local() for _ in member[1]]
             self.cenv = self.local()
@@ -694,6 +698,7 @@ class _Source:
                     args = _tuple([self.operand(e, path) for e in t.value.args])
                     config = f"_Config({path.funs}, {self.environment(path)}, {self.const(t)})"
                     self.leave(path, f"_Ready({self.const(t.value.action)}, {args}, {config})", path.steps)
+                    self.resumes.append(t.body)
                     return
                 v = self.operand(t.value, path)
                 path.scope[t.var] = path.pending[t.var] = v
@@ -747,13 +752,28 @@ class _Source:
 
 
 def compile_segment(t: Term, member: Optional[tuple[str, tuple[str, ...]]] = None) -> Optional[Segment]:
-    """Compile the segment that starts at t and keep it on t.  member is
-    the name and parameters of the closure whose body t is, when an
+    """Compile the segment that starts at t and keep it on t; then,
+    with no member, the segment after each system call that a segment
+    compiled here reaches, where it is not compiled yet.  So the body of
+    a system-call let compiles exactly when a segment reaching the let
+    does.  member is the name and parameters of the closure whose body t is, when an
     application of it entered t.  A first step whose expressions do not
     inline leaves t cold for good: _segment None, which is returned."""
+    work = _compile(t, member)
+    while work:  # a worklist: a chain of system calls can be long
+        body = work.pop()
+        if body._segment.__class__ is int:
+            work += _compile(body, None)
+    return t._segment
+
+
+def _compile(t: Term, member: Optional[tuple]) -> list[Term]:
+    """Compile the segment that starts at t and keep it on t (None where
+    its first step does not inline); the bodies of the system-call lets
+    it reaches."""
     if not _inlinable(t):
         _setattr(t, "_segment", None)
-        return None
+        return []
     src = _Source(t, member)
     src.path(t, _Path(0, "funs", "env", {}))
     body = src.lines
@@ -777,9 +797,8 @@ def compile_segment(t: Term, member: Optional[tuple[str, tuple[str, ...]]] = Non
     code = compile("\n".join(lines + body + ["    return seg"]), "<segment>", "exec")
     scope: dict = {}
     exec(code, _HELPERS, scope)
-    seg = Segment(src.longest, scope["make"](tuple(src.consts)), src.loops)
-    _setattr(t, "_segment", seg)
-    return seg
+    _setattr(t, "_segment", Segment(src.longest, scope["make"](tuple(src.consts))))
+    return src.resumes
 
 
 # -- traces
@@ -845,16 +864,15 @@ def run_trace(config: Config, oracle: Oracle, fuel: int, max_events: int = 256) 
     events: list[Event] = []
     while True:
         anchor = run_to_anchor(config, fuel)
-        if isinstance(anchor, Done):
-            return Trace(tuple(events), Terminated(anchor.result))
-        if isinstance(anchor, OutOfFuel):
-            return Trace(tuple(events), Cutoff())
-        if isinstance(anchor, Diverges):
-            return Trace(tuple(events), Diverged())
+        cls = anchor.__class__
+        if cls is not Ready:
+            if cls is Done:
+                return Trace(tuple(events), Terminated(anchor.result))
+            return Trace(tuple(events), Cutoff() if cls is OutOfFuel else Diverged())
         if len(events) >= max_events:
             return Trace(tuple(events), Cutoff())
-        value = wrap(oracle(len(events), anchor.action, anchor.args))
-        event, config = apply_extern(anchor, value)
+        action, args, _ = anchor
+        event, config = apply_extern(anchor, wrap(oracle(len(events), action, args)))
         events.append(event)
 
 

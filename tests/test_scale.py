@@ -4,6 +4,7 @@ default recursion limit.  Results are compared by fact arrays, node
 counts and pre-order flattenings: == on a term this deep would recurse."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 from random import Random
@@ -11,6 +12,7 @@ from random import Random
 import pytest
 
 from audits import flatten
+from il import semantics
 from il.cli import main
 from il.harness import GenConfig, _gen_term
 from il.reach import check_reach, infer_reach, static_branch
@@ -282,6 +284,20 @@ def test_run_a_counter_of_a_million_iterations(tmp_path, capsys):
     path.write_text(text)
     assert main(["run", "--fuel", "10000000", str(path)]) == 0
     assert capsys.readouterr() == (f"END TERM {value}\n", "")
+
+
+def test_run_a_hot_chain_of_three_thousand_system_calls(tmp_path, capsys, monkeypatch):
+    # the body compiles on its 32nd entry, and with it the code after
+    # each of its 3,000 system calls, one segment each, from a worklist
+    path = tmp_path / "p.il"
+    path.write_text("fun f(i) = if i < 40 then " + "".join(f"let x{j} = extern e(i) in " for j in range(3000)) + "f(i + 1) else i in f(0)")
+    argv = ["run", "--max-events", "1000000", str(path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nEND TERM 40\n") and out.count("\n") == 40 * 3000 + 1
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 @pytest.mark.parametrize("name", sorted(QUADRATIC))

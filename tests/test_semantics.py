@@ -769,10 +769,16 @@ def test_a_later_step_over_the_inline_bound_cuts_the_segment(monkeypatch):
 # -- loops: a member's application of itself runs on in its segment
 
 
+def _loops(seg):
+    """Whether seg is a Segment with a loop path: only that code keeps
+    the fuel left over its longest path in a local."""
+    return isinstance(seg, Segment) and "room" in seg.run.__code__.co_varnames
+
+
 def _loop_segment(t):
     """The segment on the body of t's first member, which must loop."""
     seg = next(s for s in Nodes(t).terms if isinstance(s, Fun)).defs[0].body._segment
-    assert isinstance(seg, Segment) and seg.loops
+    assert _loops(seg)
     return seg
 
 
@@ -804,7 +810,7 @@ def test_compiled_loops_agree_with_step_silent_at_every_fuel(n):
                 if not isinstance(a, Ready):
                     break
                 _, c = apply_extern(a, oracle(i, a.action, a.args))
-            if any(isinstance(s._segment, Segment) and s._segment.loops for s in Nodes(t).terms):
+            if any(_loops(s._segment) for s in Nodes(t).terms):
                 break
         else:
             raise AssertionError("no generated program compiled a loop")
@@ -888,6 +894,104 @@ def test_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
         starts.clear()
         assert run_to_anchor(c, fuel) == a
         assert starts == [2**k - 2 for k in range(1, 10)]
+
+
+# -- resumes: the code after a system call compiles with the segment
+# that reaches the call
+
+
+def _extern_loop(n):
+    """perfbench's extern_loop(n): two system calls per iteration."""
+    return parse_program(
+        f"fun loop(i, acc) = if i < {n} then let r = extern rd(i, acc) in let s = extern wr(r + i) in"
+        " loop(i + 1, acc + r * s) else acc in loop(0, 0)"
+    )
+
+
+@pytest.mark.parametrize("iterations", [semantics.HOT_ENTRIES - 2, 3 * semantics.HOT_ENTRIES])
+def test_resumed_code_compiles_with_the_segment_that_reaches_it(iterations):
+    # the loop's body is entered once per iteration and once more at
+    # its end; only a body that compiles takes the code after its two
+    # system calls along, and a run's start itself counts nothing
+    t = _extern_loop(iterations)
+    trace = run_trace(Config((), {}, t), SeededOracle(5), 10**6)
+    assert len(trace.events) == 2 * iterations and isinstance(trace.outcome, Terminated)
+    body = t.defs[0].body
+    read = body.then
+    resumed = (read.body, read.body.body)  # let s = ..., then loop(...)
+    if iterations + 1 < semantics.HOT_ENTRIES:
+        assert body._segment == iterations + 1
+        assert [r._segment for r in resumed] == [0, 0]
+    else:
+        assert isinstance(body._segment, Segment)
+        assert all(isinstance(r._segment, Segment) for r in resumed)
+    assert t._segment == 0
+
+
+def reference_trace(config, oracle, fuel, max_events):
+    """run_trace over reference_anchor; also the most silent steps any
+    of its anchors took."""
+    events, most = [], 0
+    while True:
+        a, steps = reference_anchor(config, fuel)
+        most = max(most, steps)
+        if isinstance(a, Ready) and len(events) < max_events:
+            event, config = apply_extern(a, wrap(oracle(len(events), a.action, a.args)))
+            events.append(event)
+            continue
+        outcome = Terminated(a.result) if isinstance(a, Done) else Diverged() if isinstance(a, Diverges) else Cutoff()
+        return Trace(tuple(events), outcome), most
+
+
+def _traces_at_every_fuel(t, env, oracle, fuel=120, max_events=8):
+    """run_trace on t, with every segment compiled on its first entry,
+    against the reference at every fuel up to one past the most steps
+    the reference's anchors took; the reference trace at fuel."""
+    expect, most = reference_trace(Config((), env, t), oracle, fuel, max_events)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", 1)
+        assert run_trace(Config((), dict(env), t), oracle, fuel, max_events) == expect
+        for f in range(most + 2):
+            want = reference_trace(Config((), env, t), oracle, f, max_events)[0]
+            assert run_trace(Config((), dict(env), t), oracle, f, max_events) == want
+    return expect
+
+
+def _resumes_compiled(t):
+    """Whether the body of some system-call let in t holds a Segment."""
+    return any(
+        isinstance(s, Let) and isinstance(s.value, SysCall) and isinstance(s.body._segment, Segment)
+        for s in Nodes(t).terms
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_compiled_resumes_agree_with_step_silent_at_every_fuel(n):
+    # the first generated program whose run compiles the code after a
+    # system call, checked at every fuel
+    for k in range(200):
+        t = gen_program(GenConfig(seed=derive_seed(17, n * 200 + k)))
+        env = initial_env(t, random.Random(k))
+        _traces_at_every_fuel(t, env, SeededOracle(n))
+        if _resumes_compiled(t):
+            break
+    else:
+        raise AssertionError("no generated program compiled the code after a system call")
+
+
+def test_list_oracle_results_steer_compiled_resumes_at_every_fuel():
+    # each result read decides the branch after it, in code compiled
+    # with the segment that reached the call
+    t = parse_program(
+        "fun f(i, acc) = if i < 5 then let r = extern rd(i) in"
+        " if r < 0 then let w = extern neg(r) in f(i + 1, acc - w) else f(i + 1, acc + r)"
+        " else acc in f(0, 0)"
+    )
+    trace = _traces_at_every_fuel(t, {}, ListOracle([3, -2, 7, 5, -7, 1, 4]), max_events=32)
+    assert [e.action for e in trace.events] == ["rd", "rd", "neg", "rd", "rd", "neg", "rd"]
+    assert trace.outcome == Terminated(3 - 7 + 5 - 1 + 4)
+    assert _resumes_compiled(t)
 
 
 # -- the cold loop, which runs every segment that is not compiled
