@@ -9,7 +9,9 @@ definition, and application.  System calls are the only observable
 transitions: step_silent evaluates a system call's arguments once,
 the Ready anchor holds them, and apply_extern resolves the call from
 that anchor with a result value supplied from outside the stepper, so
-execution is deterministic up to those results.
+execution is deterministic up to those results.  run_trace instead
+gives run_to_anchor a resolver, which supplies each result where the
+call is reached, so one run_to_anchor call runs a whole trace.
 
 Configurations, events and anchors are immutable records: NamedTuple
 classes whose fields cannot be assigned and which equal only records
@@ -22,9 +24,11 @@ private dict, copied from the entry environment at the segment's first
 let.  That dict is never one that something else holds: a fun's
 closures capture it, so the next let copies again; an application's
 fresh environment never becomes it, since Brent's check may have saved
-a configuration holding that environment; and a Config is built from it
-only for an anchor, which ends the run.  So no dict that a caller, a
-closure or a Config holds is ever written.
+a configuration holding that environment; a resolved system call
+binds its result in a new dict, which Brent's check saves, so the next
+let copies again; and a Config is built from it only for an anchor,
+which ends the run.  So no dict that a caller, a closure or a Config
+holds is ever written.
 
 Divergence.  Because silent stepping is a function of the configuration's
 content, a silent run that comes back to an equal configuration repeats
@@ -53,50 +57,65 @@ given budget = power - since - 1, so no save falls among the ones it
 passes, and it passes one at saved's focus only if its free-variable
 values differ from saved's, which makes the keys differ.  Otherwise it
 returns the configuration with the count it passed, which
-run_to_anchor adds to since.
+run_to_anchor adds to since.  A resolved system call starts the fuel
+and the check over from the configuration right after it (saved, with
+since 0 and power 1), as a fresh run from there would.
 
 Compiled segments.  A segment is the code from an entry term up to the
-next application, system call or leaf: the term a run starts from (the
-root, or the body after a system-call let) or the body an application
-enters.  A segment entered HOT_ENTRIES times (entries by an application
-or from a cut count; a run's start does not) is compiled into one
-Python function and kept on its entry term (Term._segment).  The body
-of a system-call let is compiled exactly when a segment that reaches
-the let is, from one worklist.  So a run resumed after a system call
-runs compiled only where an application or a cut made the code before
-the call hot: the game's loop-free trees resume many configurations
-but make few bodies hot.  The function runs the segment's Let, Cond
-and Fun steps with let-bound values in locals, builds an environment
-only where a configuration needs one (a closure, a Ready anchor, the
-callee's environment, a cut), and returns the anchor it reached or the
-configuration after its last step with the number of steps taken.
-Every segment is called the same way, run(funs, env, fuel, budget,
-saved), from one place in run_to_anchor.  Each step's expressions are
-inlined as three-address code; generated code holds only generated
+next application or leaf: the term a run starts from (the root, or the
+body after a system-call let that apply_extern resumes) or the body an
+application enters.  A segment entered HOT_ENTRIES times (entries by an
+application or from a cut count; a run's start does not) is compiled
+into one Python function and kept on its entry term (Term._segment).
+The function runs the segment's Let, Cond and Fun steps with let-bound
+values in locals, builds an environment only where a configuration
+needs one (a closure, a Ready anchor, the callee's environment, a cut,
+the configuration after a system call), and returns the anchor it
+reached or the configuration after its last step with the number of
+steps taken.  At a system call it calls run_to_anchor's resolver, if
+there is one; where that gives a result, the code binds it in a local
+and goes on into the let's body, else it returns a Ready anchor.  So
+run_trace runs the code after a call in the segment that reached it,
+and the game, which passes no resolver, gets the same Ready anchors as
+it would from the cold loop.  A configuration returned after a resolved
+call comes with the configuration right after the last one, from which
+run_to_anchor starts the fuel and Brent's check over, and its steps
+count from there.  The body of a system-call let is never compiled on
+its own account: a run that apply_extern resumes there runs it cold
+unless an application or a cut made it hot, and the game's loop-free
+trees resume many configurations but make few bodies hot.  Every
+segment is called the same way, run(funs, env, fuel, budget, saved,
+resolve), from one place in run_to_anchor.  Each step's expressions
+are inlined as three-address code; generated code holds only generated
 names and 64-bit integer literals, and names, actions, terms and other
 constants come from a tuple.  Its size is bounded (MAX_NESTING nested
 conditionals, MAX_SIZE lines, INLINE_NODES expression nodes per step):
-where a later step reaches a bound the code is cut, returning the
-configuration at that term, which is a new entry.  A segment whose first step has more than
-INLINE_NODES expression nodes is never compiled: its entry term keeps
-_segment None and always runs cold.  run_to_anchor runs compiled code
-only when the remaining fuel covers the segment's longest path,
-application included, and otherwise runs the segment in the cold
-loop.  That loop makes step_silent's checks in its order (an
-undefined evaluation ends the run with Done(None) before the fuel is
-checked) and, with no fuel left, asks step_silent for the anchor.  So
-every anchor, OutOfFuel and Diverges included, comes at the same step
-with an equal configuration whichever way a segment runs, and Brent's
-check sees the same post-application configurations.  Either way a
-Config is built only for a Ready or OutOfFuel anchor and for the
-configurations Brent's check saves or compares.
+where a later step, or the first after a system call, reaches a bound
+the code is cut, returning the configuration at that term, which is a
+new entry.  A segment whose first step has more than INLINE_NODES
+expression nodes is never compiled: its entry term keeps _segment None
+and always runs cold.  run_to_anchor runs compiled code only when the
+remaining fuel covers the most steps any path through the segment takes
+between its entry, its system calls and its ends (longest), and
+otherwise runs the segment in the cold loop.  That loop makes
+step_silent's checks in its order, except that a system call takes no
+fuel, so it is resolved or anchored even with none left; with no fuel
+left anywhere else it asks step_silent for the anchor.  So every
+anchor, OutOfFuel and Diverges included, comes at the same step with an
+equal configuration whichever way a segment runs, and Brent's check
+sees the same post-application configurations.  Either way a Config is
+built only for a Ready or OutOfFuel anchor, for the configurations
+Brent's check saves or compares, and for the one after a resolved call.
 
 Loops.  In the paper's language a loop is a function that applies
 itself.  When an application entered the segment being compiled, its
 callee, the member of funs[0] whose body is the entry term, gives the
 segment a member name and parameters, and each application in the
-segment with that name and arity gets a guard: the callee's body is the
-entry term and its parameters are the member's.  Where the guard holds,
+segment with that name and arity, on a path that has resolved no
+system call, gets a guard: the callee's body is the entry term and its
+parameters are the member's.  A resolved call makes budget and saved
+stale, and the loop path does not tell whether an earlier pass resolved
+one, so a path past a call never enters it.  Where the guard holds,
 Brent's budget is not spent, the fuel covers the longest path and the
 values differ from saved's, the code goes on in a second copy of the
 segment, the loop path.  It keeps the parameters in locals, reads other
@@ -336,21 +355,31 @@ def apply_extern(ready: Ready, result: int) -> tuple[Event, Config]:
 
 _BOT = Done(None)
 
+# a record from a tuple of its fields, without the generated __new__'s
+# cost where a run builds many
+_new = tuple.__new__
+
+# resolve(action, args): a system call's result, or None to leave the
+# call pending as a Ready anchor
+Resolver = Callable[[str, tuple[int, ...]], Optional[int]]
+
 
 def _stopped(config: Config) -> Anchor:
-    """The anchor at config when no fuel is left: the one step_silent
-    finds there, or OutOfFuel where it would step."""
-    step = step_silent(config)
-    if step.__class__ is Stepped:
+    """The anchor at config when no fuel is left and its focus is not a
+    system call: OutOfFuel where step_silent would step, else Done."""
+    if step_silent(config).__class__ is Stepped:
         return OutOfFuel(config)
-    if step is _TERMINAL:
-        return Done(result_of(config))
-    return Ready(config.term.value.action, step.args, config)
+    return Done(result_of(config))
 
 
-def run_to_anchor(config: Config, fuel: int) -> Anchor:
+def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None) -> Anchor:
     """Run silent steps (at most fuel of them) to the next anchor, or
     to the first repeat of a configuration's key (Diverges).
+
+    With a resolver, a system call is an anchor only where the resolver
+    returns None; elsewhere its result is bound and the run goes on as a
+    fresh run from the configuration after the call, with fuel silent
+    steps and Brent's check started over.
 
     One segment at a time: its compiled code when the segment is hot and
     the fuel covers its longest path, else the cold loop up to the next
@@ -365,35 +394,47 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
     saved_key = None
     since = 0
     power = 1
-    # a run's start is not counted as an entry; the code after a system
-    # call is compiled with the segment that reaches the call
+    # a run's start is not counted as an entry
     seg = term._segment
     while True:
         if seg.__class__ is Segment and seg.longest <= remaining:
             # a loop passes post-application configurations only where
             # this check would do nothing (see the module docstring)
-            out = seg.run(funs, env, remaining, power - since - 1, saved)
+            out = seg.run(funs, env, remaining, power - since - 1, saved, resolve)
             if out.__class__ is not tuple:
                 return out
-            steps, funs, env, term, applied, passed = out
-            remaining -= steps
-            since += passed
+            steps, funs, env, term, applied, passed, after = out
+            if after is None:
+                remaining -= steps
+                since += passed
+            else:
+                # steps count from the last call the segment resolved
+                remaining = fuel - steps
+                saved, saved_key, since, power = after, None, 0, 1
         else:
             # the cold loop; own is the segment's private dict, once a
             # let has copied it (see the module docstring)
             own = None
             while True:
-                if remaining <= 0:
+                cls = term.__class__
+                # a system call takes no fuel
+                if remaining <= 0 and (cls is not Let or term.value.__class__ is not SysCall):
                     return _stopped(Config(funs, env, term))
                 remaining -= 1
-                cls = term.__class__
                 if cls is Let:
                     value = term.value
                     if value.__class__ is SysCall:
                         args = eval_expr_list(value.args, env)
                         if args is None:
                             return _BOT
-                        return Ready(value.action, args, Config(funs, env, term))
+                        if resolve is None or (result := resolve(value.action, args)) is None:
+                            return Ready(value.action, args, Config(funs, env, term))
+                        # saved holds the new environment, so the next
+                        # let copies it
+                        env, term, own = {**env, term.var: result}, term.body, None
+                        remaining = fuel
+                        saved, saved_key, since, power = Config(funs, env, term), None, 0, 1
+                        continue
                     v = eval_expr(value, env)
                     if v is None:
                         return _BOT
@@ -435,13 +476,13 @@ def run_to_anchor(config: Config, fuel: int) -> Anchor:
                     saved_key = config_key(saved)
                     bound = {v: x for v, x in zip(term_fact(term)[1], saved_key[1]) if x is not None}.items()
                 if bound <= env.items():
-                    config = Config(funs, env, term)
+                    config = _new(Config, (funs, env, term))
                     if config_key(config) == saved_key:
                         return Diverges(config)
             since += 1
             if since == power:
                 if config is None:
-                    config = Config(funs, env, term)
+                    config = _new(Config, (funs, env, term))
                 saved, saved_key, since, power = config, None, 0, power * 2
         seg = term._segment
         if seg.__class__ is int:
@@ -472,16 +513,19 @@ _WRAPPED = frozenset("+-*")
 
 
 class Segment:
-    """A segment's compiled code.  run(funs, env, fuel, budget, saved)
-    takes the remaining fuel, how many post-application configurations
-    it may pass (budget) and Brent's saved configuration, and returns an
-    anchor (Done or Ready), or (steps, funs, env, term, applied, passed):
-    the configuration the segment's last step reached, after an
-    application when applied is true, else at a new entry where the code
-    was cut, and how many post-application configurations it passed on
-    the way.  longest is the most silent steps any path through it
-    takes.  Only a segment with a loop path reads fuel, budget and
-    saved."""
+    """A segment's compiled code.  run(funs, env, fuel, budget, saved,
+    resolve) takes the remaining fuel, how many post-application
+    configurations it may pass (budget), Brent's saved configuration and
+    run_to_anchor's resolver, and returns an anchor (Done or Ready), or
+    (steps, funs, env, term, applied, passed, after): the configuration
+    the segment's last step reached, after an application when applied
+    is true, else at a new entry where the code was cut; after, the
+    configuration right after the last system call it resolved, or None;
+    steps, counted from after when there is one; and passed, how many
+    post-application configurations it passed (0 with an after).  longest
+    is the most silent steps any path through it takes between its entry,
+    its system calls and its ends.  Only a segment with a loop path reads
+    fuel, budget and saved."""
 
     __slots__ = ("longest", "run")
 
@@ -498,6 +542,7 @@ _HELPERS = {
     "dict": dict,
     "zip": zip,
     "_BOT": _BOT,
+    "_new": _new,
     "_Done": Done,
     "_Ready": Ready,
     "_Config": Config,
@@ -530,21 +575,24 @@ def _tuple(items: Sequence[str]) -> str:
 
 class _Path:
     """Where code generation stands on one path through a segment:
-    indent, silent steps so far, the locals holding the function context,
-    the last environment built and the environment that variables
-    neither bound nor read so far are read from (base), the operand of
-    each variable read or bound so far (scope) and the bound ones not
-    yet in that environment (pending)."""
+    indent, silent steps since the entry or the last system call, the
+    locals holding the function context, the last environment built and
+    the environment that variables neither bound nor read so far are read
+    from (base), the operand of each variable read or bound so far
+    (scope) and the bound ones not yet in that environment (pending);
+    after, the source of the configuration right after the last system
+    call and the entries of the environment it builds, or None before
+    any."""
 
-    __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending")
+    __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending", "after")
 
     def __init__(self, indent: int, funs: str, env: str, scope: dict) -> None:
         self.indent, self.steps, self.funs, self.env, self.base = indent, 0, funs, env, env
-        self.scope, self.pending = dict(scope), dict(scope)
+        self.scope, self.pending, self.after = dict(scope), dict(scope), None
 
     def branch(self) -> "_Path":
         path = _Path(self.indent + 1, self.funs, self.env, self.scope)
-        path.steps, path.base, path.pending = self.steps + 1, self.base, dict(self.pending)
+        path.steps, path.base, path.pending, path.after = self.steps + 1, self.base, dict(self.pending), self.after
         return path
 
 
@@ -554,11 +602,11 @@ class _Source:
     tuple; the source holds only generated names and 64-bit integers.
 
     member, when known, is the name and parameters of the closure whose
-    body the segment is; its applications get a loop site.  The entry
-    copy runs from the segment's entry environment; where a loop site's
-    guard holds it falls through into the loop copy, which holds the
-    parameters in the locals params and reads other free variables from
-    the callee's environment (cenv).  A loop site compares free-variable
+    body the segment is; its applications before any system call get a
+    loop site.  The entry copy runs from the segment's entry environment;
+    where a loop site's guard holds it falls through into the loop copy,
+    which holds the parameters in the locals params and reads other free
+    variables from the callee's environment (cenv).  A loop site compares free-variable
     values with the local saved, the values of Brent's saved
     configuration when its focus is the entry term, else None."""
 
@@ -571,7 +619,6 @@ class _Source:
         self.longest = 0
         self.entry, self.member, self.loops, self.looping = entry, member, False, False
         self.inits: list[str] = []  # the loop copy's cached resolutions
-        self.resumes: list[Term] = []  # the bodies of the system-call lets reached
         if member is not None:
             self.params = [self.local() for _ in member[1]]
             self.cenv = self.local()
@@ -593,15 +640,20 @@ class _Source:
         self.lines.append("    " * (path.indent + 2 + self.looping) + line)
         self.size += size
 
-    def leave(self, path: _Path, value: str, steps: int) -> None:
-        self.emit(path, f"return {value}")
+    def leave(self, path: _Path, value: str, steps: int, size: int = 1) -> None:
+        self.emit(path, f"return {value}", size)
         self.longest = max(self.longest, steps)
 
     def result(self, path: _Path, funs: str, env: str, term: str, applied: bool, steps: int) -> None:
         """Return a configuration: steps counts this copy's steps, to
-        which the loop copy adds those of its earlier iterations."""
-        count, passed = (f"steps + {steps}", "passed") if self.looping else (str(steps), "0")
-        self.leave(path, f"({count}, {funs}, {env}, {term}, {applied}, {passed})", steps)
+        which the loop copy adds those of its earlier iterations, or
+        those since the path's last system call."""
+        count, passed, after, size = str(steps), "0", "None", 1
+        if path.after is not None:
+            after, size = path.after
+        elif self.looping:
+            count, passed = f"steps + {steps}", "passed"
+        self.leave(path, f"({count}, {funs}, {env}, {term}, {applied}, {passed}, {after})", steps, size)
 
     def apply(self, path: _Path, clo: str, rewound: str, params: str, args: str, steps: int) -> None:
         """Return the configuration an application enters: the callee's
@@ -650,13 +702,19 @@ class _Source:
             self.emit(path, f"{v} = 1 if {a} {_COMPARE[e.op]} {b} else 0")
         return v
 
+    def env_source(self, path: _Path) -> str:
+        """Source for path's environment, without building it."""
+        if not path.pending:
+            return path.env
+        pairs = ", ".join(f"{self.const(name)}: {op}" for name, op in path.pending.items())
+        return f"{{**{path.env}, {pairs}}}"
+
     def environment(self, path: _Path) -> str:
         """The local holding path's environment, built if variables are
         pending."""
         if path.pending:
             v = self.local()
-            pairs = ", ".join(f"{self.const(name)}: {op}" for name, op in path.pending.items())
-            self.emit(path, f"{v} = {{**{path.env}, {pairs}}}", 1 + len(path.pending))
+            self.emit(path, f"{v} = {self.env_source(path)}", 1 + len(path.pending))
             path.env, path.pending = v, {}
         return path.env
 
@@ -684,9 +742,9 @@ class _Source:
     def path(self, t: Term, path: _Path) -> None:
         """Emit the steps from t along path up to its returns.  The
         first step is always emitted, so every cut is at least one step
-        in and run_to_anchor makes progress."""
+        or one system call in and run_to_anchor makes progress."""
         while True:
-            if path.steps and (
+            if (path.steps or path.after is not None) and (
                 self.size >= MAX_SIZE
                 or (isinstance(t, Cond) and path.indent >= MAX_NESTING)
                 or not _inlinable(t)
@@ -695,11 +753,26 @@ class _Source:
                 return
             if isinstance(t, Let):
                 if isinstance(t.value, SysCall):
+                    # the result, where a resolver gives one; else a
+                    # Ready anchor
+                    action = self.const(t.value.action)
                     args = _tuple([self.operand(e, path) for e in t.value.args])
-                    config = f"_Config({path.funs}, {self.environment(path)}, {self.const(t)})"
-                    self.leave(path, f"_Ready({self.const(t.value.action)}, {args}, {config})", path.steps)
-                    self.resumes.append(t.body)
-                    return
+                    config = f"_new(_Config, ({path.funs}, {self.env_source(path)}, {self.const(t)}))"
+                    v = self.local()
+                    self.emit(
+                        path,
+                        f"if resolve is None or ({v} := resolve({action}, {args})) is None:"
+                        f" return _new(_Ready, ({action}, {args}, {config}))",
+                        1 + len(path.pending),
+                    )
+                    self.longest = max(self.longest, path.steps)
+                    # the rest runs as a fresh run from after the call:
+                    # steps count from 0, and the first step may be cut
+                    path.scope[t.var] = path.pending[t.var] = v
+                    path.steps, t = 0, t.body
+                    config = f"_new(_Config, ({path.funs}, {self.env_source(path)}, {self.const(t)}))"
+                    path.after = (config, 1 + len(path.pending))
+                    continue
                 v = self.operand(t.value, path)
                 path.scope[t.var] = path.pending[t.var] = v
                 path.steps += 1
@@ -741,39 +814,25 @@ class _Source:
                 self.emit(path, f"if len({params}) != {len(t.args)}: return _BOT")
                 steps = path.steps + 1
                 member = self.member
-                if member is not None and t.fun == member[0] and len(t.args) == len(member[1]):
+                if member is not None and path.after is None and t.fun == member[0] and len(t.args) == len(member[1]):
                     self.loop_site(path, clo, rewound, params, args, ops, steps)
                 else:
                     self.apply(path, clo, rewound, params, args, steps)
                 return
             else:
-                self.leave(path, f"_Done({self.operand(t.expr, path)})", path.steps)
+                self.leave(path, f"_new(_Done, ({self.operand(t.expr, path)},))", path.steps)
                 return
 
 
 def compile_segment(t: Term, member: Optional[tuple[str, tuple[str, ...]]] = None) -> Optional[Segment]:
-    """Compile the segment that starts at t and keep it on t; then,
-    with no member, the segment after each system call that a segment
-    compiled here reaches, where it is not compiled yet.  So the body of
-    a system-call let compiles exactly when a segment reaching the let
-    does.  member is the name and parameters of the closure whose body t is, when an
-    application of it entered t.  A first step whose expressions do not
-    inline leaves t cold for good: _segment None, which is returned."""
-    work = _compile(t, member)
-    while work:  # a worklist: a chain of system calls can be long
-        body = work.pop()
-        if body._segment.__class__ is int:
-            work += _compile(body, None)
-    return t._segment
-
-
-def _compile(t: Term, member: Optional[tuple]) -> list[Term]:
-    """Compile the segment that starts at t and keep it on t (None where
-    its first step does not inline); the bodies of the system-call lets
-    it reaches."""
+    """Compile the segment that starts at t, the code after its system
+    calls included, and keep it on t.  member is the name and parameters
+    of the closure whose body t is, when an application of it entered t.
+    A first step whose expressions do not inline leaves t cold for good:
+    _segment None, which is returned."""
     if not _inlinable(t):
         _setattr(t, "_segment", None)
-        return []
+        return None
     src = _Source(t, member)
     src.path(t, _Path(0, "funs", "env", {}))
     body = src.lines
@@ -793,12 +852,13 @@ def _compile(t: Term, member: Optional[tuple]) -> list[Term]:
     lines = ["def make(k):"]
     if src.consts:
         lines.append("    " + "".join(f"c{i}, " for i in range(len(src.consts))) + "= k")
-    lines.append("    def seg(funs, env, fuel, budget, saved):")
+    lines.append("    def seg(funs, env, fuel, budget, saved, resolve):")
     code = compile("\n".join(lines + body + ["    return seg"]), "<segment>", "exec")
     scope: dict = {}
     exec(code, _HELPERS, scope)
-    _setattr(t, "_segment", Segment(src.longest, scope["make"](tuple(src.consts))))
-    return src.resumes
+    seg = Segment(src.longest, scope["make"](tuple(src.consts)))
+    _setattr(t, "_segment", seg)
+    return seg
 
 
 # -- traces
@@ -859,21 +919,33 @@ class ListOracle:
 
 def run_trace(config: Config, oracle: Oracle, fuel: int, max_events: int = 256) -> Trace:
     """Drive a run, resolving each system call through the oracle.
-    fuel bounds silent steps per anchor segment; max_events bounds the
-    number of resolved calls."""
+    fuel bounds the silent steps from the start or a resolved call to
+    the next call or the end; max_events bounds the number of resolved
+    calls.
+
+    The run is one run_to_anchor call, whose resolver is the one place
+    an event is made, so the code after a call runs on in the segment
+    that reached it.  The resolver returns None once max_events calls
+    are resolved, which leaves the next call a Ready anchor and ends the
+    trace with Cutoff."""
     events: list[Event] = []
-    while True:
-        anchor = run_to_anchor(config, fuel)
-        cls = anchor.__class__
-        if cls is not Ready:
-            if cls is Done:
-                return Trace(tuple(events), Terminated(anchor.result))
-            return Trace(tuple(events), Cutoff() if cls is OutOfFuel else Diverged())
-        if len(events) >= max_events:
-            return Trace(tuple(events), Cutoff())
-        action, args, _ = anchor
-        event, config = apply_extern(anchor, wrap(oracle(len(events), action, args)))
-        events.append(event)
+    append = events.append
+
+    def resolve(action: str, args: tuple[int, ...]) -> Optional[int]:
+        index = len(events)
+        if index >= max_events:
+            return None
+        result = oracle(index, action, args)
+        if not _MIN <= result <= INT_MAX:
+            result = wrap(result)
+        append(_new(Event, (action, args, result)))
+        return result
+
+    anchor = run_to_anchor(config, fuel, resolve)
+    cls = anchor.__class__
+    if cls is Done:
+        return Trace(tuple(events), Terminated(anchor.result))
+    return Trace(tuple(events), Diverged() if cls is Diverges else Cutoff())
 
 
 def trace_text(trace: Trace) -> str:

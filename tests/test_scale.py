@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from audits import flatten
-from il import semantics
+from il import cli, semantics
 from il.cli import main
 from il.harness import GenConfig, _gen_term
 from il.reach import check_reach, infer_reach, static_branch
@@ -287,14 +287,19 @@ def test_run_a_counter_of_a_million_iterations(tmp_path, capsys):
 
 
 def test_run_a_hot_chain_of_three_thousand_system_calls(tmp_path, capsys, monkeypatch):
-    # the body compiles on its 32nd entry, and with it the code after
-    # each of its 3,000 system calls, one segment each, from a worklist
+    # the body compiles on its 32nd entry, up to where its code reaches
+    # the size bound and is cut; the cut's term is entered only 9 more
+    # times, so the rest of the chain stays cold
     path = tmp_path / "p.il"
     path.write_text("fun f(i) = if i < 40 then " + "".join(f"let x{j} = extern e(i) in " for j in range(3000)) + "f(i + 1) else i in f(0)")
     argv = ["run", "--max-events", "1000000", str(path)]
+    parsed = []
+    parse = cli._parse_file
+    monkeypatch.setattr(cli, "_parse_file", lambda name: parsed.append(parse(name)) or parsed[-1])
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == "" and out.endswith("\nEND TERM 40\n") and out.count("\n") == 40 * 3000 + 1
+    assert sum(isinstance(t._segment, semantics.Segment) for t in Nodes(parsed[0]).terms) < 50
     monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
     assert main(argv) == 0
     assert capsys.readouterr() == (out, "")

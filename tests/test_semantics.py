@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from dataclasses import replace
 from hashlib import blake2b
 
@@ -896,8 +897,8 @@ def test_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
         assert starts == [2**k - 2 for k in range(1, 10)]
 
 
-# -- resumes: the code after a system call compiles with the segment
-# that reaches the call
+# -- resumes: the code after a system call runs on in the compiled
+# segment that resolved the call
 
 
 def _extern_loop(n):
@@ -908,23 +909,43 @@ def _extern_loop(n):
     )
 
 
+class _Watched:
+    """An oracle that notes each call's action and whether compiled code
+    resolved it: run_trace's resolver calls the oracle, and compiled
+    code calls the resolver from a <segment> frame, so the code after a
+    call it notes as compiled runs in that frame too."""
+
+    def __init__(self, oracle):
+        self.oracle, self.calls = oracle, []
+
+    def __call__(self, index, action, args):
+        self.calls.append((action, sys._getframe(2).f_code.co_filename == "<segment>"))
+        return self.oracle(index, action, args)
+
+    def compiled(self):
+        return [c for _, c in self.calls]
+
+
 @pytest.mark.parametrize("iterations", [semantics.HOT_ENTRIES - 2, 3 * semantics.HOT_ENTRIES])
 def test_resumed_code_compiles_with_the_segment_that_reaches_it(iterations):
     # the loop's body is entered once per iteration and once more at
-    # its end; only a body that compiles takes the code after its two
-    # system calls along, and a run's start itself counts nothing
+    # its end; once it compiles, its code resolves both system calls and
+    # runs the code after each; the code after a call never compiles on
+    # its own, and a run's start counts nothing
     t = _extern_loop(iterations)
-    trace = run_trace(Config((), {}, t), SeededOracle(5), 10**6)
+    oracle = _Watched(SeededOracle(5))
+    trace = run_trace(Config((), {}, t), oracle, 10**6)
     assert len(trace.events) == 2 * iterations and isinstance(trace.outcome, Terminated)
+    cold = 2 * min(iterations, semantics.HOT_ENTRIES - 1)
+    assert oracle.compiled() == [False] * cold + [True] * (2 * iterations - cold)
     body = t.defs[0].body
     read = body.then
     resumed = (read.body, read.body.body)  # let s = ..., then loop(...)
     if iterations + 1 < semantics.HOT_ENTRIES:
         assert body._segment == iterations + 1
-        assert [r._segment for r in resumed] == [0, 0]
     else:
         assert isinstance(body._segment, Segment)
-        assert all(isinstance(r._segment, Segment) for r in resumed)
+    assert [r._segment for r in resumed] == [0, 0]
     assert t._segment == 0
 
 
@@ -957,41 +978,130 @@ def _traces_at_every_fuel(t, env, oracle, fuel=120, max_events=8):
     return expect
 
 
-def _resumes_compiled(t):
-    """Whether the body of some system-call let in t holds a Segment."""
-    return any(
-        isinstance(s, Let) and isinstance(s.value, SysCall) and isinstance(s.body._segment, Segment)
-        for s in Nodes(t).terms
-    )
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10_000))
 def test_compiled_resumes_agree_with_step_silent_at_every_fuel(n):
-    # the first generated program whose run compiles the code after a
-    # system call, checked at every fuel
+    # the first generated program whose run resolves a system call in
+    # compiled code and runs the code after it there, checked at every
+    # fuel
     for k in range(200):
         t = gen_program(GenConfig(seed=derive_seed(17, n * 200 + k)))
         env = initial_env(t, random.Random(k))
-        _traces_at_every_fuel(t, env, SeededOracle(n))
-        if _resumes_compiled(t):
+        oracle = _Watched(SeededOracle(n))
+        _traces_at_every_fuel(t, env, oracle)
+        if any(oracle.compiled()):
             break
     else:
-        raise AssertionError("no generated program compiled the code after a system call")
+        raise AssertionError("no generated program ran the code after a system call compiled")
 
 
 def test_list_oracle_results_steer_compiled_resumes_at_every_fuel():
-    # each result read decides the branch after it, in code compiled
-    # with the segment that reached the call
+    # each result read decides the branch after it, in the code that
+    # resolved the read: a neg call resolved there took that branch
     t = parse_program(
         "fun f(i, acc) = if i < 5 then let r = extern rd(i) in"
         " if r < 0 then let w = extern neg(r) in f(i + 1, acc - w) else f(i + 1, acc + r)"
         " else acc in f(0, 0)"
     )
-    trace = _traces_at_every_fuel(t, {}, ListOracle([3, -2, 7, 5, -7, 1, 4]), max_events=32)
+    oracle = _Watched(ListOracle([3, -2, 7, 5, -7, 1, 4]))
+    trace = _traces_at_every_fuel(t, {}, oracle, max_events=32)
     assert [e.action for e in trace.events] == ["rd", "rd", "neg", "rd", "rd", "neg", "rd"]
     assert trace.outcome == Terminated(3 - 7 + 5 - 1 + 4)
-    assert _resumes_compiled(t)
+    assert ("neg", True) in oracle.calls
+
+
+@pytest.mark.parametrize("max_events", [100, 101])
+def test_max_events_reached_in_compiled_code_cuts_off_at_that_event(max_events):
+    # the cap falls on a read (100) or on the write after it (101), in
+    # the body compiled at the default HOT_ENTRIES; results outside the
+    # 64-bit range are wrapped before they are recorded or bound
+    def oracle(index, action, args):
+        return SeededOracle(5)(index, action, args) * 2**62 + 1
+
+    watched = _Watched(oracle)
+    trace = run_trace(Config((), {}, _extern_loop(96)), watched, 10**6, max_events)
+    assert trace == reference_trace(Config((), {}, _extern_loop(96)), oracle, 10**6, max_events)[0]
+    assert len(trace.events) == max_events and trace.outcome == Cutoff()
+    assert watched.compiled()[-1] and any(abs(e.result) > 9 for e in trace.events)
+
+
+def _resolving(oracle):
+    """A resolver over oracle that makes at most 8 events, as run_trace's."""
+    events = []
+
+    def resolve(action, args):
+        if len(events) >= 8:
+            return None
+        events.append(wrap(oracle(len(events), action, args)))
+        return events[-1]
+
+    return resolve
+
+
+def reference_resolved(config, fuel, resolve):
+    """run_to_anchor with a resolver, over reference_anchor: a fresh run
+    from the configuration after each call resolved."""
+    while True:
+        a, _ = reference_anchor(config, fuel)
+        if not isinstance(a, Ready):
+            return a
+        result = resolve(a.action, a.args)
+        if result is None:
+            return a
+        _, config = apply_extern(a, result)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "fun f(i) = if i < 3 then let r = extern rd(i) in f(i + 1) else f(i) in f(0)",
+        "fun f(i) = if i < 3 then let r = extern rd(i) in f(i + 1) else f(i + 1) in f(0)",
+        "fun f(i) = let r = extern rd(i) in if i < 3 then f(i + 1) else fun g(n) = g(n * 0) in g(r) in f(0)",
+        "fun f(i) = let r = extern rd(i) in if i < 3 then f(i + 1) else fun g(n) = g(n + r) in g(1) in f(0)",
+        "fun f(i) = let r = extern rd(i) in let s = extern wr(r) in if i < 3 then f(i + 1) else fun g(n) = g(n * 0) in g(s) in f(0)",
+        # Brent's power is 16 at the call: the reference finds the
+        # repeat after 32 applications from it, not 43
+        "fun f(i) = if i < 20 then f(i + 1) else let r = extern rd(i) in"
+        " fun g(n) = if n < 20 then g(n + 1) else g(n) in g(0) in f(0)",
+    ],
+)
+def test_silent_loop_after_a_compiled_call_anchors_at_the_reference_step(src):
+    # a silent loop, one that repeats or a counter, entered right after
+    # a call that compiled code resolved: the fuel and Brent's check
+    # start over at the call, so the run ends Diverged or Cutoff at
+    # every fuel as the reference does, with an equal anchor, and so it
+    # does where the cold loop resolves the calls
+    t = parse_program(src)
+    oracle = _Watched(SeededOracle(4))
+    trace = _traces_at_every_fuel(t, {}, oracle)
+    assert trace.events and isinstance(trace.outcome, (Diverged, Cutoff))
+    assert any(oracle.compiled())
+    for hot in (1, math.inf):
+        t = parse_program(src)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "HOT_ENTRIES", hot)
+            for fuel in range(122):
+                want = reference_resolved(Config((), {}, t), fuel, _resolving(oracle))
+                assert run_to_anchor(Config((), {}, t), fuel, _resolving(oracle)) == want
+
+
+def test_compiled_calls_without_a_resolver_anchor_at_the_reference_step(monkeypatch):
+    # the game's case: compiled code that goes on after its system calls
+    # under a resolver still stops at each of them without one, with the
+    # same Ready at every fuel, down to a resume through apply_extern
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    c = Config((), {}, _extern_loop(4))
+    oracle = _Watched(SeededOracle(5))
+    run_trace(c, oracle, 100)
+    assert all(oracle.compiled())
+    readies = 0
+    for i in range(10):
+        a = _every_fuel(c, 100)
+        if not isinstance(a, Ready):
+            break
+        readies += 1
+        _, c = apply_extern(a, wrap(oracle(i, a.action, a.args)))
+    assert readies == 8 and isinstance(a, Done)
 
 
 # -- the cold loop, which runs every segment that is not compiled
