@@ -96,8 +96,9 @@ new entry.  A segment whose first step has more than INLINE_NODES
 expression nodes is never compiled: its entry term keeps _segment None
 and always runs cold.  run_to_anchor runs compiled code only when the
 remaining fuel covers the most steps any path through the segment takes
-between its entry, its system calls and its ends (longest), and
-otherwise runs the segment in the cold loop.  That loop makes
+between its entry, its system calls, its guarded applications (below)
+and its ends (longest), and otherwise runs the segment in the cold
+loop.  That loop makes
 step_silent's checks in its order, except that a system call takes no
 fuel, so it is resolved or anchored even with none left; with no fuel
 left anywhere else it asks step_silent for the anchor.  So every
@@ -107,28 +108,38 @@ sees the same post-application configurations.  Either way a Config is
 built only for a Ready or OutOfFuel anchor, for the configurations
 Brent's check saves or compares, and for the one after a resolved call.
 
-Loops.  In the paper's language a loop is a function that applies
-itself.  When an application entered the segment being compiled, its
-callee, the member of funs[0] whose body is the entry term, gives the
-segment a member name and parameters, and each application in the
-segment with that name and arity, on a path that has resolved no
-system call, gets a guard: the callee's body is the entry term and its
-parameters are the member's.  A resolved call makes budget and saved
-stale, and the loop path does not tell whether an earlier pass resolved
-one, so a path past a call never enters it.  Where the guard holds,
-Brent's budget is not spent, the fuel covers the longest path and the
-values differ from saved's, the code goes on in a second copy of the
-segment, the loop path.  It keeps the parameters in locals, reads other
-free variables from the callee's environment, resolves each application
+Loops.  In the paper's language a loop is a group of functions that
+apply each other, often a function that applies itself.  When an
+application entered the segment being compiled, its callee's group,
+funs[0], gives the segment its member (the closure whose body is the
+entry term) and the names, parameters and bodies of the other members.
+On a path that has resolved no system call, an application with a
+member's name and arity gets a guard: the callee's body and parameters
+are that member's.  A resolved call makes budget and saved stale, and
+the loop path does not tell whether an earlier pass resolved one, so a
+path past a call never enters it.  Where the guard holds, Brent's
+budget is not spent, the fuel covers the longest path and the values
+of the body's free variables differ from saved's, the code goes on
+past the application.  At an application of the member it goes on in a
+second copy of the segment, the loop path.  At one of another member
+(a member site) it goes on into that member's body inline, on the same
+path, with that member's parameters in locals of their own.  A member
+gets a member site only where a chain of applications from its body,
+through members not yet gone into on the path and not hidden by a group
+defined on the way, leads back to the entry; elsewhere, and where the
+member's body would pass a size bound, the application leaves the
+segment as any other does.  So a segment whose group applications never
+come back to its entry compiles as if its member were alone in its
+group.  The loop path keeps the parameters in locals, reads other free
+variables from the callee's environment, resolves each application
 once per function context, and builds an environment only where one
 escapes: a closure, a Ready, a cut, or an application that leaves the
-loop.  So a counter returns to run_to_anchor once per save, about
-log2 of its iterations.  run_to_anchor passes every segment Brent's
-saved configuration; a segment with a loop path reads the values of its
-entry's free variables from it in its prologue, and only when saved's
-focus is its entry term.  Only applications named like the member get a
-guard: in a prototype, a guard on every application of matching arity
-made nested groups about 15% slower.
+loop.  So a counter, or a cycle through several members, returns to
+run_to_anchor once per save, about log2 of its iterations.
+run_to_anchor passes every segment Brent's saved configuration; a
+segment with guards reads from it, in its prologue, the values of the
+free variables of each guarded member's body, and only when saved's
+focus is that body.
 """
 from __future__ import annotations
 
@@ -489,15 +500,9 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
             if seg + 1 < HOT_ENTRIES:
                 _setattr(term, "_segment", seg + 1)
             else:
-                # an application entered term: its callee, the member
-                # of funs[0] whose body term is, is the loop's member
-                member = None
-                if applied:
-                    for name, clo in funs[0]:
-                        if clo.body is term:
-                            member = (name, clo.params)
-                            break
-                seg = compile_segment(term, member)
+                # an application entered term: its callee is the member
+                # of funs[0] whose body term is
+                seg = compile_segment(term, funs[0] if applied else ())
 
 
 # -- compiled segments
@@ -523,9 +528,9 @@ class Segment:
     configuration right after the last system call it resolved, or None;
     steps, counted from after when there is one; and passed, how many
     post-application configurations it passed (0 with an after).  longest
-    is the most silent steps any path through it takes between its entry,
-    its system calls and its ends.  Only a segment with a loop path reads
-    fuel, budget and saved."""
+    is the most silent steps any path through it takes from its entry, a
+    system call or a guarded application to the next of these or an end.
+    Only a segment with guards reads fuel, budget and saved."""
 
     __slots__ = ("longest", "run")
 
@@ -575,25 +580,53 @@ def _tuple(items: Sequence[str]) -> str:
 
 class _Path:
     """Where code generation stands on one path through a segment:
-    indent, silent steps since the entry or the last system call, the
-    locals holding the function context, the last environment built and
-    the environment that variables neither bound nor read so far are read
-    from (base), the operand of each variable read or bound so far
-    (scope) and the bound ones not yet in that environment (pending);
-    after, the source of the configuration right after the last system
-    call and the entries of the environment it builds, or None before
-    any."""
+    indent, silent steps since the entry, the last guarded site or the
+    last system call, the locals holding the function context, the last
+    environment built and the environment that variables neither bound
+    nor read so far are read from (base), the operand of each variable
+    read or bound so far (scope) and the bound ones not yet in that
+    environment (pending); after, the source of the configuration right
+    after the last system call and the entries of the environment it
+    builds, or None before any; inlined, the group members whose bodies
+    the path has gone on into; hidden, the names defined by the groups
+    made since the entry or the last member site."""
 
-    __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending", "after")
+    __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending", "after", "inlined", "hidden")
 
     def __init__(self, indent: int, funs: str, env: str, scope: dict) -> None:
         self.indent, self.steps, self.funs, self.env, self.base = indent, 0, funs, env, env
         self.scope, self.pending, self.after = dict(scope), dict(scope), None
+        self.inlined, self.hidden = (), frozenset()
 
     def branch(self) -> "_Path":
         path = _Path(self.indent + 1, self.funs, self.env, self.scope)
         path.steps, path.base, path.pending, path.after = self.steps + 1, self.base, dict(self.pending), self.after
+        path.inlined, path.hidden = self.inlined, self.hidden
         return path
+
+
+def _applied(body: Term, group: dict) -> set:
+    """The names of the members of group (name -> parameters and body)
+    that a segment from body applies with their arity before any system
+    call, where no group defined on the way hides them."""
+    found, todo = set(), [(body, frozenset())]
+    while todo:
+        t, hidden = todo.pop()
+        while True:
+            cls = t.__class__
+            if cls is Let and t.value.__class__ is not SysCall:
+                t = t.body
+            elif cls is Cond:
+                todo.append((t.then, hidden))
+                t = t.orelse
+            elif cls is Fun:
+                hidden = hidden.union(d.name for d in t.defs)
+                t = t.cont
+            else:
+                if cls is App and t.fun in group and t.fun not in hidden and len(group[t.fun][0]) == len(t.args):
+                    found.add(t.fun)
+                break
+    return found
 
 
 class _Source:
@@ -601,28 +634,43 @@ class _Source:
     constant outside the 64-bit range is a constant c<n>, bound from a
     tuple; the source holds only generated names and 64-bit integers.
 
-    member, when known, is the name and parameters of the closure whose
-    body the segment is; its applications before any system call get a
-    loop site.  The entry copy runs from the segment's entry environment;
-    where a loop site's guard holds it falls through into the loop copy,
-    which holds the parameters in the locals params and reads other free
-    variables from the callee's environment (cenv).  A loop site compares free-variable
-    values with the local saved, the values of Brent's saved
-    configuration when its focus is the entry term, else None."""
+    When an application entered the segment, group is the callee's
+    group and member the name of the callee, the member whose body is
+    the entry term.  Before any system call, an application of the
+    member gets a loop site, and one of another member gets a member
+    site if a chain of applications from that member's body leads back
+    to the entry without a member this path has already gone into.  The
+    entry copy runs from the segment's entry environment; where a loop
+    site's guard holds it falls through into the loop copy, which holds
+    the parameters in the locals params and reads other free variables
+    from the callee's environment (cenv).  Where a member site's guard
+    holds, the path goes on into that member's body in the same way, on
+    locals of its own.  A site compares free-variable values with
+    saved[name], the values of Brent's saved configuration when its
+    focus is that member's body, else None."""
 
-    def __init__(self, entry: Term, member: Optional[tuple]) -> None:
+    def __init__(self, entry: Term, group: Group) -> None:
         self.lines: list[str] = []
         self.size = 0
         self.consts: list = []
         self.index: dict = {}
         self.locals = 0
         self.longest = 0
-        self.entry, self.member, self.loops, self.looping = entry, member, False, False
+        self.entry, self.member, self.group = entry, None, {}
+        for name, clo in group:
+            if self.member is None and clo.body is entry:
+                self.member, self.group[name] = name, (clo.params, entry)
+            else:
+                self.group.setdefault(name, (clo.params, clo.body))
+        self.calls: dict[str, set] = {}  # the members each member's body applies
+        self.guarded, self.loops, self.looping = False, False, False
         self.inits: list[str] = []  # the loop copy's cached resolutions
-        if member is not None:
-            self.params = [self.local() for _ in member[1]]
+        if self.member is None:
+            self.group = {}
+        else:
+            self.params = [self.local() for _ in self.group[self.member][0]]
             self.cenv = self.local()
-            self.saved = self.local()
+            self.saved = {self.member: self.local()}
 
     def const(self, obj: Any) -> str:
         key = obj if type(obj) is str else id(obj)
@@ -645,13 +693,13 @@ class _Source:
         self.longest = max(self.longest, steps)
 
     def result(self, path: _Path, funs: str, env: str, term: str, applied: bool, steps: int) -> None:
-        """Return a configuration: steps counts this copy's steps, to
-        which the loop copy adds those of its earlier iterations, or
-        those since the path's last system call."""
+        """Return a configuration: steps counts the path's steps since
+        its last system call, or since its entry or last site, to which
+        the steps local adds those before that site."""
         count, passed, after, size = str(steps), "0", "None", 1
         if path.after is not None:
             after, size = path.after
-        elif self.looping:
+        elif self.looping or path.inlined:
             count, passed = f"steps + {steps}", "passed"
         self.leave(path, f"({count}, {funs}, {env}, {term}, {applied}, {passed}, {after})", steps, size)
 
@@ -718,37 +766,59 @@ class _Source:
             path.env, path.pending = v, {}
         return path.env
 
-    def loop_site(self, path: _Path, clo: str, rewound: str, params: str, args: str, ops: list, steps: int) -> None:
-        """Where an application of the member enters the entry term
-        again and the driver's repeat check would do nothing, go on in
-        the loop copy: only while under the budget, with the fuel
-        covering the longest path, and with free-variable values that
-        differ from saved's."""
-        self.loops = True
-        formals = self.member[1]
+    def fits(self, t: Term, path: _Path) -> bool:
+        """Whether t's step may be emitted on path within the bounds."""
+        return self.size < MAX_SIZE and not (isinstance(t, Cond) and path.indent >= MAX_NESTING) and _inlinable(t)
+
+    def leads_back(self, name: str, inlined: tuple) -> bool:
+        """Whether a chain of applications from member name's body,
+        through members not in inlined, reaches the entry."""
+        seen, todo = {name, *inlined}, [name]
+        while todo:
+            caller = todo.pop()
+            calls = self.calls.get(caller)
+            if calls is None:
+                calls = self.calls[caller] = _applied(self.group[caller][1], self.group)
+            if self.member in calls:
+                return True
+            todo += calls - seen
+            seen |= calls
+        return False
+
+    def site(self, path: _Path, name: str, clo: str, rewound: str, params: str, args: str, ops: list, steps: int) -> list:
+        """Where an application of member name enters its body and the
+        driver's repeat check would do nothing, go on past the
+        application: only while under the budget, with the fuel covering
+        the longest path, and with free-variable values that differ from
+        saved's.  The locals that then hold the member's parameters."""
+        self.guarded = True
+        formals, body = self.group[name]
+        if name == self.member:
+            self.loops, bound = True, self.params
+        else:
+            bound = [self.local() for _ in formals]
+        if name not in self.saved:
+            self.saved[name] = self.local()
         by_name = dict(zip(formals, ops))
-        key = _tuple([by_name[v] if v in by_name else f"{clo}.env.get({self.const(v)})" for v in term_fact(self.entry)[1]])
-        guard = f"{clo}.body is {self.const(self.entry)} and {params} is {self.const(formals)}"
-        self.emit(path, f"if not ({guard} and passed < budget and room >= steps + {steps} and {key} != {self.saved}):")
+        key = _tuple([by_name[v] if v in by_name else f"{clo}.env.get({self.const(v)})" for v in term_fact(body)[1]])
+        guard = f"{clo}.body is {self.const(body)} and {params} is {self.const(formals)}"
+        self.emit(path, f"if not ({guard} and passed < budget and room >= steps + {steps} and {key} != {self.saved[name]}):")
         path.indent += 1
         self.apply(path, clo, rewound, params, args, steps)
         path.indent -= 1
-        if self.params:
-            self.emit(path, f"{''.join(f'{p}, ' for p in self.params)}= {args}")
+        if bound:
+            self.emit(path, f"{''.join(f'{p}, ' for p in bound)}= {args}")
         self.emit(path, f"{self.cenv}, funs = {clo}.env, {rewound}")
         self.emit(path, f"steps += {steps}")
         self.emit(path, "passed += 1")
+        return bound
 
     def path(self, t: Term, path: _Path) -> None:
         """Emit the steps from t along path up to its returns.  The
         first step is always emitted, so every cut is at least one step
         or one system call in and run_to_anchor makes progress."""
         while True:
-            if (path.steps or path.after is not None) and (
-                self.size >= MAX_SIZE
-                or (isinstance(t, Cond) and path.indent >= MAX_NESTING)
-                or not _inlinable(t)
-            ):
+            if (path.steps or path.after is not None) and not self.fits(t, path):
                 self.result(path, path.funs, self.environment(path), self.const(t), False, path.steps)
                 return
             if isinstance(t, Let):
@@ -792,7 +862,7 @@ class _Source:
             elif isinstance(t, Fun):
                 env, funs = self.environment(path), self.local()
                 self.emit(path, f"{funs} = (_group({self.const(t.defs)}, {env}),) + {path.funs}")
-                path.funs = funs
+                path.funs, path.hidden = funs, path.hidden.union(d.name for d in t.defs)
                 path.steps += 1
                 t = t.cont
             elif isinstance(t, App):
@@ -812,43 +882,54 @@ class _Source:
                 self.emit(path, f"{clo}, {rewound} = {hit}")
                 self.emit(path, f"{params} = {clo}.params")
                 self.emit(path, f"if len({params}) != {len(t.args)}: return _BOT")
-                steps = path.steps + 1
-                member = self.member
-                if member is not None and path.after is None and t.fun == member[0] and len(t.args) == len(member[1]):
-                    self.loop_site(path, clo, rewound, params, args, ops, steps)
-                else:
-                    self.apply(path, clo, rewound, params, args, steps)
+                steps, name = path.steps + 1, t.fun
+                callee = self.group.get(name) if path.after is None else None
+                if callee is not None and len(callee[0]) == len(ops):
+                    if name == self.member:
+                        self.site(path, name, clo, rewound, params, args, ops, steps)
+                        return
+                    formals, body = callee
+                    if not (name in path.inlined or name in path.hidden) and self.fits(body, path) and self.leads_back(name, path.inlined):
+                        # go on into the member's body on this path
+                        inlined = path.inlined + (name,)
+                        bound = self.site(path, name, clo, rewound, params, args, ops, steps)
+                        path = _Path(path.indent, "funs", self.cenv, dict(zip(formals, bound)))
+                        path.inlined, t = inlined, body
+                        continue
+                self.apply(path, clo, rewound, params, args, steps)
                 return
             else:
                 self.leave(path, f"_new(_Done, ({self.operand(t.expr, path)},))", path.steps)
                 return
 
 
-def compile_segment(t: Term, member: Optional[tuple[str, tuple[str, ...]]] = None) -> Optional[Segment]:
+def compile_segment(t: Term, group: Group = ()) -> Optional[Segment]:
     """Compile the segment that starts at t, the code after its system
-    calls included, and keep it on t.  member is the name and parameters
-    of the closure whose body t is, when an application of it entered t.
-    A first step whose expressions do not inline leaves t cold for good:
-    _segment None, which is returned."""
+    calls included, and keep it on t.  group is the callee's group when
+    an application entered t: its members give the segment's loop and
+    member sites.  A first step whose expressions do not inline leaves t
+    cold for good: _segment None, which is returned."""
     if not _inlinable(t):
         _setattr(t, "_segment", None)
         return None
-    src = _Source(t, member)
+    src = _Source(t, group)
     src.path(t, _Path(0, "funs", "env", {}))
     body = src.lines
-    if src.loops:
-        # where a loop site's guard holds, the entry copy falls through
-        # to here: one iteration of the loop copy per pass
-        src.lines, src.size, src.looping = [], 0, True
-        src.path(t, _Path(0, "funs", src.cenv, dict(zip(member[1], src.params))))
-        values = _tuple([f"saved.env.get({src.const(v)})" for v in term_fact(t)[1]])
-        start = [
-            f"{src.saved} = {values} if saved.term is {src.const(t)} else None",
-            f"room = fuel - {src.longest}",
-            "steps = passed = 0",
-            *src.inits,
-        ]
-        body = ["        " + line for line in start] + body + ["        while True:"] + src.lines
+    if src.guarded:
+        if src.loops:
+            # where a loop site's guard holds, the entry copy falls
+            # through to here: one iteration of the loop copy per pass
+            src.lines, src.size, src.looping = [], 0, True
+            src.path(t, _Path(0, "funs", src.cenv, dict(zip(src.group[src.member][0], src.params))))
+        start = []
+        for name, saved in src.saved.items():
+            term = src.group[name][1]
+            values = _tuple([f"saved.env.get({src.const(v)})" for v in term_fact(term)[1]])
+            start.append(f"{saved} = {values} if saved.term is {src.const(term)} else None")
+        start += [f"room = fuel - {src.longest}", "steps = passed = 0", *src.inits]
+        body = ["        " + line for line in start] + body
+        if src.loops:
+            body += ["        while True:"] + src.lines
     lines = ["def make(k):"]
     if src.consts:
         lines.append("    " + "".join(f"c{i}, " for i in range(len(src.consts))) + "= k")

@@ -771,8 +771,9 @@ def test_a_later_step_over_the_inline_bound_cuts_the_segment(monkeypatch):
 
 
 def _loops(seg):
-    """Whether seg is a Segment with a loop path: only that code keeps
-    the fuel left over its longest path in a local."""
+    """Whether seg is a Segment with guarded applications, a loop path
+    or a member site: only that code keeps the fuel left over its
+    longest path in a local."""
     return isinstance(seg, Segment) and "room" in seg.run.__code__.co_varnames
 
 
@@ -895,6 +896,186 @@ def test_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
         starts.clear()
         assert run_to_anchor(c, fuel) == a
         assert starts == [2**k - 2 for k in range(1, 10)]
+
+
+# -- group loops: an application of another member of the entry's group
+# goes on into that member's body in the same segment
+
+
+def _member_sites(monkeypatch):
+    """The names of the members other than the entry's that compiled
+    code goes on into, one per site, from here on."""
+    names = []
+    site = semantics._Source.site
+
+    def spy(self, path, name, *rest):
+        if name != self.member:
+            names.append(name)
+        return site(self, path, name, *rest)
+
+    monkeypatch.setattr(semantics._Source, "site", spy)
+    return names
+
+
+@pytest.mark.parametrize(
+    "src, end",
+    [
+        ("fun f(i) = if i < 3 then if i = 0 then g(i + 1) else f(i + 1) else f(0) and g(i) = f(i) in f(0)", Diverges),
+        ("fun f(i) = if i < 3 then g(i + 1) else g(0) and g(i) = f(i) in f(0)", Diverges),
+        ("fun f(i) = if i < 2 then g(i + 1) else g(0) and g(i) = f(i) in f(0)", Diverges),
+        ("fun f(i) = g(i * 0) and g(i) = h(i) and h(k) = f(k) in f(5)", Diverges),
+        ("fun f(i, k) = g(i + k, k) and g(i, k) = f(i, k) in f(0, 3)", OutOfFuel),
+        ("fun f(i) = if i < 40 then g(i + 1) else i and g(i) = if i < 20 then h(i) else f(i + 1) and h(k) = f(k + 1) in f(0)", Done(40)),
+        ("let n = 5 in fun f(i) = if i < n * 7 then g(i + 1) else i * n and g(j) = f(j) in f(0)", Done(175)),
+        ("fun f(i) = if i < 30 then g(i + 1) else i and g(j) = fun h() = j in if j < 30 then f(j) else let x = extern w(j) in x in f(0)", Ready),
+        ("fun f(i) = if i < 9 then g(i + 1) else fun g(j) = j * 100 in g(i) and g(j) = f(j) in f(0)", Done(900)),
+        ("fun f(i) = if i < 9 then g(i + 1) else i and g(j) = if j < 5 then f(j) else fun f(a) = a + 1000 in f(j) in f(0)", Done(1005)),
+        ("fun f(i) = if i < 9 then g(i + 1) else g(i, 1) and g(j) = f(j) in f(0)", Done(None)),
+        ("fun f(i) = if i < 9 then g(i + 1) else i and g(j) = if j < 5 then f(j) else f(j, 2) in f(0)", Done(None)),
+    ],
+)
+def test_group_loops_anchor_at_the_reference_step(monkeypatch, src, end):
+    # two- and three-member loops checked at every fuel once their
+    # bodies are compiled: a repeat found only at the other member's
+    # site in f's segment (g's segment leaves at the application of f,
+    # already gone into on its path, while Brent's saved configuration
+    # is at g's body), repeats of periods 6 and 8 (a save comes every
+    # power of two), a three-member repeat, fuel running out, a
+    # captured variable, a closure and a system call in the inlined
+    # body, an inner group shadowing the other member's name or the
+    # entry's, so a guard fails, and arity mismatches
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    inlined = _member_sites(monkeypatch)
+    c = conf(src)
+    a = reference_anchor(c, 200)[0]
+    assert run_to_anchor(c, 200) == a
+    assert inlined
+    assert _every_fuel(c, 200) == a
+    assert a == end if isinstance(end, Done) else isinstance(a, end)
+
+
+@pytest.mark.parametrize("inner, end", [("fg", Done(101)), ("f", Done(505))])
+def test_group_loop_reads_each_members_captured_variables(monkeypatch, inner, end):
+    # two live instances of one group's bodies that capture different n,
+    # as a pass's output shares subterms with its input; the bodies are
+    # compiled through the outer instance (n = 5) and then entered
+    # through an inner one (n = 1).  Where the inner instance has both
+    # members, the loop stays in it; where it has only f, f's
+    # application of g reaches the outer g, and the loop goes on in the
+    # outer instance with its n
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    inlined = _member_sites(monkeypatch)
+    params, i, n = ("i",), Var("i"), Var("n")
+    bodies = {
+        "f": Cond(Binop("<", i, n), App("g", (Binop("+", i, Const(1)),)), Exp(Binop("+", Binop("*", i, Const(100)), n))),
+        "g": App("f", (i,)),
+    }
+
+    def program(names, *rest):
+        return Let("n", Const(5), Fun(tuple(FunDef(m, params, bodies[m]) for m in names), *rest))
+
+    c = Config((), {}, program("fg", App("f", (Const(0),))))
+    assert run_to_anchor(c, 100) == Done(505)
+    assert inlined
+    _loop_segment(c.term)
+    c = Config((), {}, program("fg", Let("n", Const(1), Fun(tuple(FunDef(m, params, bodies[m]) for m in inner), App("f", (Const(0),))))))
+    assert _every_fuel(c, 100) == end
+
+
+def test_group_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
+    # the post-application configurations alternate between f's body
+    # and g's, and Brent's saves fall on f's: 1, 3, 7, ..., 2**k - 1,
+    # which here are i = 2**(k - 1) - 1.  f's segment is run only there;
+    # g's body is never entered from the driver, so never compiled
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    c = conf("fun f(i) = if i < 1000 then g(i + 1) else i and g(j) = f(j) in f(0)")
+    a, steps = reference_anchor(c, 10**6)
+    assert run_to_anchor(c, 10**6) == a == Done(1000)
+    seg = _loop_segment(c.term)
+    run, starts = seg.run, []
+
+    def counted(funs, env, *rest):
+        starts.append(env["i"])
+        return run(funs, env, *rest)
+
+    seg.run = counted
+    for fuel in (steps, steps + 1, 10**6):
+        starts.clear()
+        assert run_to_anchor(c, fuel) == a
+        assert starts == [2**k - 1 for k in range(10)]
+    assert c.term.defs[1].body._segment == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000))
+def test_compiled_group_loops_agree_with_step_silent_at_every_fuel(n):
+    # the first generated program whose compiled code goes on into
+    # another member's body, with every segment compiled on its first
+    # entry; about one program in eighty does
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", 1)
+        inlined = _member_sites(mp)
+        for k in range(1000):
+            t = gen_program(GenConfig(seed=derive_seed(19, n * 1000 + k)))
+            start = Config((), initial_env(t, random.Random(k)), t)
+            oracle, c, configs = SeededOracle(n), start, []
+            for i in range(6):
+                configs.append(c)
+                a = run_to_anchor(c, 120)
+                assert a == reference_anchor(c, 120)[0]
+                if not isinstance(a, Ready):
+                    break
+                _, c = apply_extern(a, oracle(i, a.action, a.args))
+            if inlined:
+                break
+        else:
+            raise AssertionError("no generated program compiled a group loop")
+        for c in configs:
+            _every_fuel(c, 120)
+
+
+@pytest.mark.parametrize(
+    "src, loops",
+    [
+        ("fun f(x) = g(x) and g(y) = y in f(1)", False),
+        ("fun f(x) = if x < 50 then g(x) else x and g(y) = h(y + 1) and h(z) = z * 2 in f(1)", False),
+        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = let z = extern e(y) in f(z) in f(1)", False),
+        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = fun f(z) = z in f(y) in f(1)", False),
+        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = f(y, 1) in f(1)", False),
+        ("fun h(x) = x * 3 in fun f(x) = if x < 50 then let y = x + 1 in h(y) else x in f(1)", False),
+        ("fun f(x) = if x < 50 then f(x + 1) else g(x) and g(y) = y in f(1)", True),
+    ],
+)
+def test_groups_without_a_cycle_back_compile_as_the_entry_alone(monkeypatch, src, loops):
+    # where no chain of applications from another member leads back to
+    # the entry (none at all, one past a system call, one hidden by an
+    # inner group, one of another arity, a one-member helper group), a
+    # segment compiles to the same source as with the entry's closure
+    # alone in its group: no member site, and a room local only where
+    # the entry applies itself
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    inlined = _member_sites(monkeypatch)
+    sources = []
+    monkeypatch.setattr(semantics, "compile", lambda text, *rest: (sources.append(text), compile(text, *rest))[1], raising=False)
+    c = conf(src)
+    assert run_to_anchor(c, 10**4) == reference_anchor(c, 10**4)[0]
+    assert not inlined
+    groups = {}
+    for s in Nodes(c.term).terms:
+        if isinstance(s, Fun):
+            closures = semantics._group(s.defs, {})
+            groups.update((id(clo.body), closures) for _, clo in closures)
+    compiled = [s for s in Nodes(c.term).terms if isinstance(s._segment, Segment) and id(s) in groups]
+    assert compiled
+    rooms = []
+    for body in compiled:
+        closures = groups[id(body)]
+        sources.clear()
+        compile_segment(body, closures)
+        compile_segment(body, tuple((name, clo) for name, clo in closures if clo.body is body))
+        assert sources[0] == sources[1]
+        rooms.append("room" in sources[0])
+    assert any(rooms) == loops
 
 
 # -- resumes: the code after a system call runs on in the compiled
