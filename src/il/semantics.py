@@ -50,16 +50,22 @@ and no key holds an id().  Two configurations equal in that projection
 run alike forever, so a repeat of it is a silent loop even where a
 variable never read again still changes.  The game's memo uses the
 same keys.  Fuel still bounds every run, and a loop that never repeats
-a key, such as a counter, still runs out of fuel.  A compiled loop
-(below) passes post-application configurations without returning to
-run_to_anchor, but only those where this check does nothing: it is
+a key, such as a counter, still runs out of fuel.  A resolved system
+call starts the fuel and the check over from the configuration right
+after it (saved, with since 0 and power 1), as a fresh run from there
+would.  A compiled loop (below) passes post-application configurations
+without returning to run_to_anchor, but only those where this check
+does nothing, or does what is known when the code is compiled.  It is
 given budget = power - since - 1, so no save falls among the ones it
 passes, and it passes one at saved's focus only if its free-variable
-values differ from saved's, which makes the keys differ.  Otherwise it
-returns the configuration with the count it passed, which
-run_to_anchor adds to since.  A resolved system call starts the fuel
-and the check over from the configuration right after it (saved, with
-since 0 and power 1), as a fresh run from there would.
+values differ from saved's, which makes the keys differ.  The first
+post-application configuration after a call is compared with the one
+right after the call, whose focus is another term, and saved with
+power 2; the compiled code makes that save itself, in locals, and may
+then pass one more.  Where it stops, it returns the configuration with
+the count it passed since its entry, which run_to_anchor adds to
+since, or, past a call, since that call, with the configuration saved
+there, from which run_to_anchor takes the check up.
 
 Compiled segments.  A segment is the code from an entry term up to the
 next application or leaf: the term a run starts from (the root, or the
@@ -78,9 +84,9 @@ and goes on into the let's body, else it returns a Ready anchor.  So
 run_trace runs the code after a call in the segment that reached it,
 and the game, which passes no resolver, gets the same Ready anchors as
 it would from the cold loop.  A configuration returned after a resolved
-call comes with the configuration right after the last one, from which
-run_to_anchor starts the fuel and Brent's check over, and its steps
-count from there.  The body of a system-call let is never compiled on
+call comes with its steps counted from the last one and with the
+configuration Brent's check saved since: the one right after that call,
+or the first post-application one after it (Loops, below).  The body of a system-call let is never compiled on
 its own account: a run that apply_extern resumes there runs it cold
 unless an application or a cut made it hot, and the game's loop-free
 trees resume many configurations but make few bodies hot.  Every
@@ -113,17 +119,25 @@ apply each other, often a function that applies itself.  When an
 application entered the segment being compiled, its callee's group,
 funs[0], gives the segment its member (the closure whose body is the
 entry term) and the names, parameters and bodies of the other members.
-On a path that has resolved no system call, an application with a
-member's name and arity gets a guard: the callee's body and parameters
-are that member's.  A resolved call makes budget and saved stale, and
-the loop path does not tell whether an earlier pass resolved one, so a
-path past a call never enters it.  Where the guard holds, Brent's
-budget is not spent, the fuel covers the longest path and the values
-of the body's free variables differ from saved's, the code goes on
-past the application.  At an application of the member it goes on in a
-second copy of the segment, the loop path.  At one of another member
-(a member site) it goes on into that member's body inline, on the same
-path, with that member's parameters in locals of their own.  A member
+An application with a member's name and arity gets a guard: the
+callee's body and parameters are that member's.  On a path that has
+resolved no system call, where the guard holds, Brent's budget is not
+spent, the fuel covers the longest path and the values of the body's
+free variables differ from saved's, the code goes on past the
+application.  Past a call, only an application of the member in the
+entry's own body gets a guard (a site after a call).  Its
+post-application configuration is the first since the call, which
+Brent's check saves: the code goes on where the guard holds and the
+fuel covers the longest path, and makes the save itself.  It keeps the
+saved configuration's function context, environment and parameter
+values in locals, takes the values of the body's free variables as
+saved's, counts steps from the call and allows one more configuration;
+the Config is built only where the segment returns.  The fuel it checks
+is the fuel the segment was entered with, which a call only raises.
+At an application of the member the code goes on in a second copy of
+the segment, the loop path.  At one of another member (a member site)
+it goes on into that member's body inline, on the same path, with that
+member's parameters in locals of their own.  A member
 gets a member site only where a chain of applications from its body,
 through members not yet gone into on the path and not hidden by a group
 defined on the way, leads back to the entry; elsewhere, and where the
@@ -135,11 +149,15 @@ variables from the callee's environment, resolves each application
 once per function context, and builds an environment only where one
 escapes: a closure, a Ready, a cut, or an application that leaves the
 loop.  So a counter, or a cycle through several members, returns to
-run_to_anchor once per save, about log2 of its iterations.
+run_to_anchor once per save, about log2 of its iterations, and a loop
+that makes a system call on every iteration does not return at all.
 run_to_anchor passes every segment Brent's saved configuration; a
 segment with guards reads from it, in its prologue, the values of the
 free variables of each guarded member's body, and only when saved's
-focus is that body.
+focus is that body.  A site after a call replaces them: with its own
+values for the bodies that are the entry, with None for the others.  A
+segment whose member is not applied after a call has no such site and
+no locals for one.
 """
 from __future__ import annotations
 
@@ -394,7 +412,9 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
 
     One segment at a time: its compiled code when the segment is hot and
     the fuel covers its longest path, else the cold loop up to the next
-    application or anchor."""
+    application or anchor.  Compiled code hands back the fuel it used
+    and Brent's state it left, which past a call it may have advanced
+    itself (Segment)."""
     funs, env, term = config
     remaining = fuel
     # Brent's cycle finder over the post-application configurations:
@@ -410,7 +430,8 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
     while True:
         if seg.__class__ is Segment and seg.longest <= remaining:
             # a loop passes post-application configurations only where
-            # this check would do nothing (see the module docstring)
+            # this check would do nothing, or would make the save after
+            # a call that the loop makes (see the module docstring)
             out = seg.run(funs, env, remaining, power - since - 1, saved, resolve)
             if out.__class__ is not tuple:
                 return out
@@ -419,9 +440,13 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
                 remaining -= steps
                 since += passed
             else:
-                # steps count from the last call the segment resolved
+                # steps and passed count from the last call the segment
+                # resolved; after is the configuration Brent's check
+                # saved last: the one right after that call (passed 0),
+                # or the first post-application one, saved with power 2
                 remaining = fuel - steps
-                saved, saved_key, since, power = after, None, 0, 1
+                saved, saved_key = after, None
+                since, power = (passed - 1, 2) if passed else (0, 1)
         else:
             # the cold loop; own is the segment's private dict, once a
             # let has copied it (see the module docstring)
@@ -524,13 +549,18 @@ class Segment:
     run_to_anchor's resolver, and returns an anchor (Done or Ready), or
     (steps, funs, env, term, applied, passed, after): the configuration
     the segment's last step reached, after an application when applied
-    is true, else at a new entry where the code was cut; after, the
-    configuration right after the last system call it resolved, or None;
-    steps, counted from after when there is one; and passed, how many
-    post-application configurations it passed (0 with an after).  longest
-    is the most silent steps any path through it takes from its entry, a
-    system call or a guarded application to the next of these or an end.
-    Only a segment with guards reads fuel, budget and saved."""
+    is true, else at a new entry where the code was cut; after, None if
+    it resolved no system call, else the configuration Brent's check
+    saved since the last one: the one right after it, or the first
+    post-application one after it; steps, counted from its entry or that
+    call; and passed, how many post-application configurations it passed
+    since its entry, or since that call counting the save (0 where after
+    is the configuration right after it).  So Brent's state after a call
+    is (after, 0, 1) with passed 0, else (after, passed - 1, 2).
+    longest is the most silent steps any path through it takes from its
+    entry, a system call or a guarded application to the next of these
+    or an end.  Only a segment with guards reads fuel, budget and
+    saved."""
 
     __slots__ = ("longest", "run")
 
@@ -587,9 +617,11 @@ class _Path:
     read or bound so far (scope) and the bound ones not yet in that
     environment (pending); after, the source of the configuration right
     after the last system call and the entries of the environment it
-    builds, or None before any; inlined, the group members whose bodies
-    the path has gone on into; hidden, the names defined by the groups
-    made since the entry or the last member site."""
+    builds, or None before any, so that a path with an after gets only
+    sites after a call and returns with steps counted from it; inlined,
+    the group members whose bodies the path has gone on into; hidden,
+    the names defined by the groups made since the entry or the last
+    member site."""
 
     __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending", "after", "inlined", "hidden")
 
@@ -605,26 +637,28 @@ class _Path:
         return path
 
 
-def _applied(body: Term, group: dict) -> set:
+def _applied(body: Term, group: dict) -> tuple[set, set]:
     """The names of the members of group (name -> parameters and body)
-    that a segment from body applies with their arity before any system
-    call, where no group defined on the way hides them."""
-    found, todo = set(), [(body, frozenset())]
+    that a segment from body applies with their arity where no group
+    defined on the way hides them: before any system call, and after
+    one."""
+    found, todo = (set(), set()), [(body, False, frozenset())]
     while todo:
-        t, hidden = todo.pop()
+        t, past, hidden = todo.pop()
         while True:
             cls = t.__class__
-            if cls is Let and t.value.__class__ is not SysCall:
+            if cls is Let:
+                past = past or t.value.__class__ is SysCall
                 t = t.body
             elif cls is Cond:
-                todo.append((t.then, hidden))
+                todo.append((t.then, past, hidden))
                 t = t.orelse
             elif cls is Fun:
                 hidden = hidden.union(d.name for d in t.defs)
                 t = t.cont
             else:
                 if cls is App and t.fun in group and t.fun not in hidden and len(group[t.fun][0]) == len(t.args):
-                    found.add(t.fun)
+                    found[past].add(t.fun)
                 break
     return found
 
@@ -647,7 +681,17 @@ class _Source:
     holds, the path goes on into that member's body in the same way, on
     locals of its own.  A site compares free-variable values with
     saved[name], the values of Brent's saved configuration when its
-    focus is that member's body, else None."""
+    focus is that member's body, else None.
+
+    Past a system call, an application of the member in the entry's own
+    body gets a loop site after a call where resumes is set, which is
+    where the entry's body applies its member after some call.  That
+    site makes Brent's save of the first post-application configuration
+    after the call: resumes holds the locals keeping its function
+    context (None until a site sets it), the callee's environment and
+    the parameter values, and the site sets saved[name] for every
+    member.  A loop copy's return without a call on its own path hands
+    that configuration back where a site made it."""
 
     def __init__(self, entry: Term, group: Group) -> None:
         self.lines: list[str] = []
@@ -664,13 +708,20 @@ class _Source:
                 self.group.setdefault(name, (clo.params, clo.body))
         self.calls: dict[str, set] = {}  # the members each member's body applies
         self.guarded, self.loops, self.looping = False, False, False
-        self.inits: list[str] = []  # the loop copy's cached resolutions
+        self.inits: list[str] = []  # locals the prologue sets to None
+        self.resumes = None  # the locals of the save after a call
         if self.member is None:
             self.group = {}
         else:
             self.params = [self.local() for _ in self.group[self.member][0]]
             self.cenv = self.local()
             self.saved = {self.member: self.local()}
+            if self.member in _applied(entry, self.group)[1]:
+                # a save after a call replaces saved for every member
+                for name in self.group:
+                    self.saved.setdefault(name, self.local())
+                self.resumes = (self.local(), self.local(), [self.local() for _ in self.params])
+                self.inits.append(f"{self.resumes[0]} = None")
 
     def const(self, obj: Any) -> str:
         key = obj if type(obj) is str else id(obj)
@@ -701,6 +752,12 @@ class _Source:
             after, size = path.after
         elif self.looping or path.inlined:
             count, passed = f"steps + {steps}", "passed"
+            if self.looping and self.resumes is not None:
+                # the save after the last call, if a pass made one
+                funs_, env_, values = self.resumes
+                pairs = "".join(f", {self.const(p)}: {v}" for p, v in zip(self.group[self.member][0], values))
+                config = f"_new(_Config, ({funs_}, {{**{env_}{pairs}}}, {self.const(self.entry)}))"
+                after, size = f"None if {funs_} is None else {config}", 1 + len(values)
         self.leave(path, f"({count}, {funs}, {env}, {term}, {applied}, {passed}, {after})", steps, size)
 
     def apply(self, path: _Path, clo: str, rewound: str, params: str, args: str, steps: int) -> None:
@@ -778,7 +835,7 @@ class _Source:
             caller = todo.pop()
             calls = self.calls.get(caller)
             if calls is None:
-                calls = self.calls[caller] = _applied(self.group[caller][1], self.group)
+                calls = self.calls[caller] = _applied(self.group[caller][1], self.group)[0]
             if self.member in calls:
                 return True
             todo += calls - seen
@@ -802,15 +859,30 @@ class _Source:
         by_name = dict(zip(formals, ops))
         key = _tuple([by_name[v] if v in by_name else f"{clo}.env.get({self.const(v)})" for v in term_fact(body)[1]])
         guard = f"{clo}.body is {self.const(body)} and {params} is {self.const(formals)}"
-        self.emit(path, f"if not ({guard} and passed < budget and room >= steps + {steps} and {key} != {self.saved[name]}):")
+        if path.after is None:
+            self.emit(path, f"if not ({guard} and passed < budget and room >= steps + {steps} and {key} != {self.saved[name]}):")
+        else:
+            # the first post-application configuration after a call:
+            # Brent's check compares it with the one right after the
+            # call, whose focus is not the entry, and saves it
+            self.emit(path, f"if not ({guard} and room >= {steps}):")
         path.indent += 1
         self.apply(path, clo, rewound, params, args, steps)
         path.indent -= 1
         if bound:
             self.emit(path, f"{''.join(f'{p}, ' for p in bound)}= {args}")
         self.emit(path, f"{self.cenv}, funs = {clo}.env, {rewound}")
-        self.emit(path, f"steps += {steps}")
-        self.emit(path, "passed += 1")
+        if path.after is None:
+            self.emit(path, f"steps += {steps}")
+            self.emit(path, "passed += 1")
+        else:
+            # the save, kept in locals; with power 2 one more
+            # configuration may pass before the next save
+            funs_, env_, values = self.resumes
+            self.emit(path, f"{', '.join([funs_, env_, *values])} = {', '.join(['funs', self.cenv, *bound])}")
+            saved = [key if self.group[n][1] is self.entry else "None" for n in self.saved]
+            self.emit(path, f"{''.join(f'{s}, ' for s in self.saved.values())}= {''.join(f'{s}, ' for s in saved)}")
+            self.emit(path, f"steps, passed, budget = {steps}, 1, 2")
         return bound
 
     def path(self, t: Term, path: _Path) -> None:
@@ -883,19 +955,25 @@ class _Source:
                 self.emit(path, f"{params} = {clo}.params")
                 self.emit(path, f"if len({params}) != {len(t.args)}: return _BOT")
                 steps, name = path.steps + 1, t.fun
-                callee = self.group.get(name) if path.after is None else None
+                callee = self.group.get(name)
                 if callee is not None and len(callee[0]) == len(ops):
                     if name == self.member:
-                        self.site(path, name, clo, rewound, params, args, ops, steps)
-                        return
-                    formals, body = callee
-                    if not (name in path.inlined or name in path.hidden) and self.fits(body, path) and self.leads_back(name, path.inlined):
-                        # go on into the member's body on this path
-                        inlined = path.inlined + (name,)
-                        bound = self.site(path, name, clo, rewound, params, args, ops, steps)
-                        path = _Path(path.indent, "funs", self.cenv, dict(zip(formals, bound)))
-                        path.inlined, t = inlined, body
-                        continue
+                        # past a call only in the entry's own body: the
+                        # focus right after the call is then a strict
+                        # subterm of the entry, so Brent's check does not
+                        # compare the application's configuration with it
+                        if path.after is None or self.resumes is not None and not path.inlined:
+                            self.site(path, name, clo, rewound, params, args, ops, steps)
+                            return
+                    elif path.after is None:
+                        formals, body = callee
+                        if not (name in path.inlined or name in path.hidden) and self.fits(body, path) and self.leads_back(name, path.inlined):
+                            # go on into the member's body on this path
+                            inlined = path.inlined + (name,)
+                            bound = self.site(path, name, clo, rewound, params, args, ops, steps)
+                            path = _Path(path.indent, "funs", self.cenv, dict(zip(formals, bound)))
+                            path.inlined, t = inlined, body
+                            continue
                 self.apply(path, clo, rewound, params, args, steps)
                 return
             else:
@@ -907,8 +985,10 @@ def compile_segment(t: Term, group: Group = ()) -> Optional[Segment]:
     """Compile the segment that starts at t, the code after its system
     calls included, and keep it on t.  group is the callee's group when
     an application entered t: its members give the segment's loop and
-    member sites.  A first step whose expressions do not inline leaves t
-    cold for good: _segment None, which is returned."""
+    member sites, and its loop sites after a call where the entry's body
+    applies its member past a call.  A first step whose expressions do
+    not inline leaves t cold for good: _segment None, which is
+    returned."""
     if not _inlinable(t):
         _setattr(t, "_segment", None)
         return None
@@ -975,15 +1055,23 @@ class SeededOracle:
     them go both ways: the 8-byte blake2b digest of
     f"{seed}:{index}:{action}:{','.join(map(str, args))}", read as a
     signed big-endian integer, modulo 19, less 9.  The hash state of
-    the f"{seed}:" prefix is kept and copied per call."""
+    the f"{seed}:" prefix is kept and copied per call, and the common
+    one- and two-argument keys are formatted without a join."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self._prefix = blake2b(f"{seed}:".encode(), digest_size=8)
 
     def __call__(self, index: int, action: str, args: tuple[int, ...]) -> int:
+        n = len(args)
+        if n == 2:
+            key = f"{index}:{action}:{args[0]},{args[1]}"
+        elif n == 1:
+            key = f"{index}:{action}:{args[0]}"
+        else:
+            key = f"{index}:{action}:{','.join(map(str, args))}"
         h = self._prefix.copy()
-        h.update(f"{index}:{action}:{','.join(map(str, args))}".encode())
+        h.update(key.encode())
         return int.from_bytes(h.digest(), "big", signed=True) % 19 - 9
 
 

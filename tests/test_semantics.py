@@ -395,14 +395,17 @@ def test_seeded_oracle_is_deterministic():
 
 
 def test_seeded_oracle_values_are_pinned_to_the_documented_hash():
-    # the docstring's formula, written out, on 1000 calls spread at
-    # random over ten oracles, so each oracle is called many times
+    # the docstring's formula, written out, on 1400 calls spread at
+    # random over ten oracles, so each oracle is called many times;
+    # every argument count from 0 to 6, so each way of formatting the
+    # key is checked, with values at and past the 64-bit bounds
     rng = random.Random(5)
     oracles = [SeededOracle(rng.randrange(-(2**40), 2**40)) for _ in range(10)]
-    for _ in range(1000):
+    edges = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1, 2**63)
+    for i in range(1400):
         o, index = rng.choice(oracles), rng.randrange(10**6)
         action = rng.choice(("r", "rd", "wr", "print"))
-        args = tuple(rng.randrange(-(2**63), 2**63) for _ in range(rng.randrange(4)))
+        args = tuple(rng.choice(edges) if rng.random() < 0.3 else rng.randrange(-(2**63), 2**63) for _ in range(i % 7))
         key = f"{o.seed}:{index}:{action}:{','.join(map(str, args))}"
         h = blake2b(key.encode(), digest_size=8).digest()
         assert o(index, action, args) == int.from_bytes(h, "big", signed=True) % 19 - 9
@@ -1206,12 +1209,13 @@ def test_max_events_reached_in_compiled_code_cuts_off_at_that_event(max_events):
     assert watched.compiled()[-1] and any(abs(e.result) > 9 for e in trace.events)
 
 
-def _resolving(oracle):
-    """A resolver over oracle that makes at most 8 events, as run_trace's."""
+def _resolving(oracle, max_events=8):
+    """A resolver over oracle that makes at most max_events events, as
+    run_trace's."""
     events = []
 
     def resolve(action, args):
-        if len(events) >= 8:
+        if len(events) >= max_events:
             return None
         events.append(wrap(oracle(len(events), action, args)))
         return events[-1]
@@ -1283,6 +1287,207 @@ def test_compiled_calls_without_a_resolver_anchor_at_the_reference_step(monkeypa
         readies += 1
         _, c = apply_extern(a, wrap(oracle(i, a.action, a.args)))
     assert readies == 8 and isinstance(a, Done)
+
+
+# -- loops across calls: an application of the member after a resolved
+# call is a loop site, where the segment makes Brent's restart itself
+
+
+def _sites_after_calls(monkeypatch):
+    """The _Source of each site after a system call that compiled code
+    gets, from here on."""
+    sources = []
+    site = semantics._Source.site
+
+    def spy(self, path, *rest):
+        if path.after is not None:
+            sources.append(self)
+        return site(self, path, *rest)
+
+    monkeypatch.setattr(semantics._Source, "site", spy)
+    return sources
+
+
+class _PastSites:
+    """An oracle that notes each call's action and whether compiled code
+    resolved it after passing a site after an earlier call in the same
+    run of its segment.  Such a site keeps the function context of the
+    configuration it saves in a local of its own (_Source.resumes),
+    None until a site sets it; the sources are _sites_after_calls'."""
+
+    def __init__(self, oracle, sources):
+        self.oracle, self.sources, self.calls = oracle, sources, []
+
+    def __call__(self, index, action, args):
+        frame = sys._getframe(2)
+        names = [
+            s.resumes[0]
+            for s in self.sources
+            if isinstance(s.entry._segment, Segment) and s.entry._segment.run.__code__ is frame.f_code
+        ]
+        self.calls.append((action, any(frame.f_locals.get(name) is not None for name in names)))
+        return self.oracle(index, action, args)
+
+    def passed(self):
+        return [p for _, p in self.calls]
+
+
+def _resolved_at_every_fuel(build, env, oracle, fuel=120, max_events=8):
+    """run_trace, and run_to_anchor with a resolver, on fresh copies of
+    build() with every segment compiled on its first entry and at the
+    default HOT_ENTRIES, against reference_trace and reference_resolved
+    at every fuel up to one past the most steps the reference's anchors
+    took; the reference trace at fuel."""
+    expect, most = reference_trace(Config((), env, build()), oracle, fuel, max_events)
+    for hot in (1, semantics.HOT_ENTRIES):
+        t = build()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "HOT_ENTRIES", hot)
+            assert run_trace(Config((), dict(env), t), oracle, fuel, max_events) == expect
+            for f in range(most + 2):
+                want = reference_trace(Config((), env, t), oracle, f, max_events)[0]
+                assert run_trace(Config((), dict(env), t), oracle, f, max_events) == want
+                want = reference_resolved(Config((), env, t), f, _resolving(oracle, max_events))
+                assert run_to_anchor(Config((), dict(env), t), f, _resolving(oracle, max_events)) == want
+    return expect
+
+
+@pytest.mark.parametrize(
+    "src, end, past",
+    [
+        # calls on two iterations of every three: sites before and after
+        # calls in one run of the segment
+        (
+            "fun f(i, acc) = if i < 45 then if i / 3 * 3 = i then f(i + 1, acc + i) else"
+            " let r = extern rd(i, acc) in f(i + 1, acc + r) else acc in f(0, 0)",
+            Terminated,
+            True,
+        ),
+        # calls on every third iteration: two silent passes after a save
+        # made past a call, then a return for run_to_anchor's save, so no
+        # call is resolved past a site
+        (
+            "fun f(i, acc) = if i < 45 then if i / 3 * 3 = i then let r = extern rd(i, acc) in"
+            " f(i + 1, acc + r) else f(i + 1, acc + i) else acc in f(0, 0)",
+            Terminated,
+            False,
+        ),
+        # a silent stretch of r + 9 applications after each call, so
+        # fuel runs out right after a call at the smaller fuels
+        (
+            "fun f(i, k) = if i < 45 then if k < 1 then let r = extern rd(i) in f(i + 1, r + 9)"
+            " else f(i, k - 1) else k in f(0, 0)",
+            Terminated,
+            True,
+        ),
+        # silent repeats entered right after the last call: at once, a
+        # period of four (a save comes every power of two), and one
+        # found only once a parameter set by the call is cleared
+        ("fun f(i) = if i < 40 then let r = extern rd(i) in f(i + 1) else f(i) in f(0)", Diverged, True),
+        ("fun f(i) = if i < 40 then let r = extern rd(i) in f(i + 1) else if i < 43 then f(i + 1) else f(40) in f(0)", Diverged, True),
+        ("fun f(i, n) = if i < 40 then let r = extern rd(i) in f(i + 1, r) else f(i, n * 0) in f(0, 0)", Diverged, True),
+        # a counter after the last call runs out of fuel
+        ("fun f(i) = if i < 40 then let r = extern rd(i) in let s = extern wr(r) in f(i + 1) else f(i + 1) in f(0)", Cutoff, True),
+    ],
+)
+def test_loops_past_calls_agree_with_the_reference_at_every_fuel(monkeypatch, src, end, past):
+    # the segment saves the first post-application configuration after
+    # a call itself, with the fuel counted from the call, and goes on in
+    # its loop copy; at every fuel the run ends as the references do
+    sources = _sites_after_calls(monkeypatch)
+    oracle = _PastSites(SeededOracle(6), sources)
+    trace = _resolved_at_every_fuel(lambda: parse_program(src), {}, oracle, max_events=64)
+    assert trace.events and isinstance(trace.outcome, end) and sources
+    assert any(oracle.passed()) == past
+
+
+@pytest.mark.parametrize("max_events", [70, 71])
+def test_max_events_reached_past_a_site_after_a_call_cuts_off_at_that_event(monkeypatch, max_events):
+    # the cap falls on a read (70) or on the write after it (71) in an
+    # iteration that the loop copy entered past a call
+    sources = _sites_after_calls(monkeypatch)
+    oracle = _PastSites(SeededOracle(8), sources)
+    trace = _resolved_at_every_fuel(lambda: _extern_loop(45), {}, oracle, max_events=max_events)
+    assert len(trace.events) == max_events and trace.outcome == Cutoff()
+    assert oracle.passed()[-1]
+
+
+def test_list_oracle_results_steer_loops_past_calls_at_every_fuel(monkeypatch):
+    # each result read decides the branch after it, and each branch goes
+    # back to the loop past a site after a call: a second call, the same
+    # iteration again, or the next one
+    sources = _sites_after_calls(monkeypatch)
+    values = [(-1) ** k * (k % 4) for k in range(150)]
+    oracle = _PastSites(ListOracle(values), sources)
+    t = "fun f(i, acc) = if i < 40 then let r = extern rd(i) in if r < 0 then let w = extern neg(r) in"
+    t += " f(i + 1, acc - w) else if r = 0 then f(i, acc + 1) else f(i + 1, acc + r) else acc in f(0, 0)"
+    trace = _resolved_at_every_fuel(lambda: parse_program(t), {}, oracle, max_events=100)
+    assert isinstance(trace.outcome, Terminated)
+    assert ("neg", True) in oracle.calls and ("rd", True) in oracle.calls
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10_000))
+def test_generated_loops_past_calls_agree_with_the_reference_at_every_fuel(n):
+    # the first generated program whose compiled code passes a site
+    # after a call, checked at every fuel
+    with pytest.MonkeyPatch.context() as mp:
+        sources = _sites_after_calls(mp)
+        mp.setattr(semantics, "HOT_ENTRIES", 1)
+        for k in range(2000):
+            seed = derive_seed(20, n * 2000 + k)
+            t = gen_program(GenConfig(seed=seed))
+            env = initial_env(t, random.Random(k))
+            oracle = _PastSites(SeededOracle(n), sources)
+            run_trace(Config((), dict(env), t), oracle, 120)
+            if any(oracle.passed()):
+                break
+        else:
+            raise AssertionError("no generated program passed a site after a call")
+    _resolved_at_every_fuel(lambda: gen_program(GenConfig(seed=seed)), env, SeededOracle(n), max_events=64)
+
+
+def test_loop_past_calls_enters_its_segment_once_per_run():
+    # once extern_loop(3000)'s body is compiled, a run enters its segment
+    # once, and all 6,000 calls and 3,000 applications stay in it
+    t = _extern_loop(3000)
+    run_trace(Config((), {}, t), SeededOracle(5), 10**6, 10**9)
+    seg = t.defs[0].body._segment
+    assert isinstance(seg, Segment)
+    run, starts = seg.run, []
+
+    def counted(funs, env, *rest):
+        starts.append(env["i"])
+        return run(funs, env, *rest)
+
+    seg.run = counted
+    watched = _Watched(SeededOracle(5))
+    trace = run_trace(Config((), {}, t), watched, 10**6, 10**9)
+    assert len(trace.events) == 6000 and isinstance(trace.outcome, Terminated)
+    assert starts == [0] and all(watched.compiled())
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "fun f(x) = if x < 50 then f(x + 1) else let r = extern e(x) in r in f(0)",
+        "fun f(x) = if x < 50 then let r = extern e(x) in g(r * 0 + x) else x and g(y) = f(y + 1) in f(0)",
+        "fun f(x) = if x < 50 then let r = extern e(x) in fun f(y) = y in f(r) else x in f(0)",
+        "fun f(x) = if x < 50 then let r = extern e(x) in f(x + 1, r) else x in f(0)",
+    ],
+)
+def test_segments_without_the_member_applied_past_a_call_get_no_new_site(monkeypatch, src):
+    # the member applied only before the call, another member, a
+    # member hidden by an inner group, or the member with another arity
+    # after it: the code leaves the segment there, as it did before
+    # loops went on past calls
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    sources = _sites_after_calls(monkeypatch)
+    t = parse_program(src)
+    oracle = _Watched(SeededOracle(2))
+    expect = reference_trace(Config((), {}, parse_program(src)), oracle, 10**4, 64)[0]
+    assert run_trace(Config((), {}, t), oracle, 10**4, 64) == expect
+    assert any(oracle.compiled()) and not sources
 
 
 # -- the cold loop, which runs every segment that is not compiled
