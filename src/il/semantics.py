@@ -54,18 +54,8 @@ a key, such as a counter, still runs out of fuel.  A resolved system
 call starts the fuel and the check over from the configuration right
 after it (saved, with since 0 and power 1), as a fresh run from there
 would.  A compiled loop (below) passes post-application configurations
-without returning to run_to_anchor, but only those where this check
-does nothing, or does what is known when the code is compiled.  It is
-given budget = power - since - 1, so no save falls among the ones it
-passes, and it passes one at saved's focus only if its free-variable
-values differ from saved's, which makes the keys differ.  The first
-post-application configuration after a call is compared with the one
-right after the call, whose focus is another term, and saved with
-power 2; the compiled code makes that save itself, in locals, and may
-then pass one more.  Where it stops, it returns the configuration with
-the count it passed since its entry, which run_to_anchor adds to
-since, or, past a call, since that call, with the configuration saved
-there, from which run_to_anchor takes the check up.
+itself only where this check would do nothing, or would make a save
+known when the code is compiled.
 
 Compiled segments.  A segment is the code from an entry term up to the
 next application or leaf: the term a run starts from (the root, or the
@@ -76,43 +66,43 @@ into one Python function and kept on its entry term (Term._segment).
 The function runs the segment's Let, Cond and Fun steps with let-bound
 values in locals, builds an environment only where a configuration
 needs one (a closure, a Ready anchor, the callee's environment, a cut,
-the configuration after a system call), and returns the anchor it
-reached or the configuration after its last step with the number of
-steps taken.  At a system call it calls run_to_anchor's resolver, if
-there is one; where that gives a result, the code binds it in a local
+the configuration saved after a system call), and returns the anchor it
+reached, or the configuration after its last step with the run's state
+(the remaining fuel and Brent's saved, since and power) updated, which
+run_to_anchor then checks as its own.  At a system call it calls
+run_to_anchor's resolver, if there is one; where that gives a result,
+the code binds it in a local, starts the fuel and Brent's check over
 and goes on into the let's body, else it returns a Ready anchor.  So
 run_trace runs the code after a call in the segment that reached it,
 and the game, which passes no resolver, gets the same Ready anchors as
-it would from the cold loop.  A configuration returned after a resolved
-call comes with its steps counted from the last one and with the
-configuration Brent's check saved since: the one right after that call,
-or the first post-application one after it (Loops, below).  The body of a system-call let is never compiled on
-its own account: a run that apply_extern resumes there runs it cold
-unless an application or a cut made it hot, and the game's loop-free
-trees resume many configurations but make few bodies hot.  Every
-segment is called the same way, run(funs, env, fuel, budget, saved,
-resolve), from one place in run_to_anchor.  Each step's expressions
-are inlined as three-address code; generated code holds only generated
-names and 64-bit integer literals, and names, actions, terms and other
-constants come from a tuple.  Its size is bounded (MAX_NESTING nested
-conditionals, MAX_SIZE lines, INLINE_NODES expression nodes per step):
-where a later step, or the first after a system call, reaches a bound
-the code is cut, returning the configuration at that term, which is a
-new entry.  A segment whose first step has more than INLINE_NODES
-expression nodes is never compiled: its entry term keeps _segment None
-and always runs cold.  run_to_anchor runs compiled code only when the
-remaining fuel covers the most steps any path through the segment takes
-between its entry, its system calls, its guarded applications (below)
-and its ends (longest), and otherwise runs the segment in the cold
-loop.  That loop makes
-step_silent's checks in its order, except that a system call takes no
-fuel, so it is resolved or anchored even with none left; with no fuel
-left anywhere else it asks step_silent for the anchor.  So every
-anchor, OutOfFuel and Diverges included, comes at the same step with an
-equal configuration whichever way a segment runs, and Brent's check
-sees the same post-application configurations.  Either way a Config is
-built only for a Ready or OutOfFuel anchor, for the configurations
-Brent's check saves or compares, and for the one after a resolved call.
+it would from the cold loop.  The body of a system-call let is never
+compiled on its own account: a run that apply_extern resumes there runs
+it cold unless an application or a cut made it hot, and the game's
+loop-free trees resume many configurations but make few bodies hot.
+Every segment is called the same way, run(funs, env, fuel, remaining,
+saved, since, power, resolve), from one place in run_to_anchor.  Each
+step's expressions are inlined as three-address code; generated code
+holds only generated names and 64-bit integer literals, and names,
+actions, terms and other constants come from a tuple.  Its size is
+bounded (MAX_NESTING nested conditionals, MAX_SIZE lines, INLINE_NODES
+expression nodes per step): where a later step, or the first after a
+system call, reaches a bound the code is cut, returning the
+configuration at that term, which is a new entry.  A segment whose
+first step has more than INLINE_NODES expression nodes is never
+compiled: its entry term keeps _segment None and always runs cold.
+run_to_anchor runs compiled code only when the remaining fuel covers
+the most steps any path through the segment takes between its entry,
+its system calls, its guarded applications (below) and its ends
+(longest), and otherwise runs the segment in the cold loop.  That loop
+makes step_silent's checks in its order, except that a system call
+takes no fuel, so it is resolved or anchored even with none left; with
+no fuel left anywhere else it asks step_silent for the anchor.  So
+every anchor, OutOfFuel and Diverges included, comes at the same step
+with an equal configuration whichever way a segment runs, and Brent's
+check sees the same post-application configurations.  Either way a
+Config is built only for a Ready or OutOfFuel anchor, for the
+configurations Brent's check saves or compares, and for the one after a
+resolved call.
 
 Loops.  In the paper's language a loop is a group of functions that
 apply each other, often a function that applies itself.  When an
@@ -121,43 +111,41 @@ funs[0], gives the segment its member (the closure whose body is the
 entry term) and the names, parameters and bodies of the other members.
 An application with a member's name and arity gets a guard: the
 callee's body and parameters are that member's.  On a path that has
-resolved no system call, where the guard holds, Brent's budget is not
-spent, the fuel covers the longest path and the values of the body's
-free variables differ from saved's, the code goes on past the
-application.  Past a call, only an application of the member in the
-entry's own body gets a guard (a site after a call).  Its
-post-application configuration is the first since the call, which
-Brent's check saves: the code goes on where the guard holds and the
-fuel covers the longest path, and makes the save itself.  It keeps the
-saved configuration's function context, environment and parameter
-values in locals, takes the values of the body's free variables as
-saved's, counts steps from the call and allows one more configuration;
-the Config is built only where the segment returns.  The fuel it checks
-is the fuel the segment was entered with, which a call only raises.
-At an application of the member the code goes on in a second copy of
-the segment, the loop path.  At one of another member (a member site)
-it goes on into that member's body inline, on the same path, with that
-member's parameters in locals of their own.  A member
-gets a member site only where a chain of applications from its body,
-through members not yet gone into on the path and not hidden by a group
-defined on the way, leads back to the entry; elsewhere, and where the
-member's body would pass a size bound, the application leaves the
-segment as any other does.  So a segment whose group applications never
-come back to its entry compiles as if its member were alone in its
-group.  The loop path keeps the parameters in locals, reads other free
-variables from the callee's environment, resolves each application
-once per function context, and builds an environment only where one
-escapes: a closure, a Ready, a cut, or an application that leaves the
-loop.  So a counter, or a cycle through several members, returns to
-run_to_anchor once per save, about log2 of its iterations, and a loop
-that makes a system call on every iteration does not return at all.
-run_to_anchor passes every segment Brent's saved configuration; a
-segment with guards reads from it, in its prologue, the values of the
-free variables of each guarded member's body, and only when saved's
-focus is that body.  A site after a call replaces them: with its own
-values for the bodies that are the entry, with None for the others.  A
-segment whose member is not applied after a call has no such site and
-no locals for one.
+resolved no system call, where the guard holds, the next save is not
+due, the remaining fuel covers the longest path and the values of the
+body's free variables differ from saved's, which makes the keys differ,
+the code goes on past the application.  Past a call, only an
+application of the member in the entry's own body gets a guard (a site
+after a call).  Its post-application configuration is the first since
+the call, which Brent's check compares with the one right after the
+call, whose focus is another term, and saves with power 2: the code
+goes on where the guard holds and the fuel covers the longest path, and
+makes the save itself.  It keeps the saved configuration's function
+context, environment and parameter values in locals, takes the values
+of the body's free variables as saved's and sets since 0; the Config is
+built only where the segment returns.  At an application of the member
+the code goes on in a second copy of the segment, the loop path.  At
+one of another member (a member site) it goes on into that member's
+body inline, on the same path, with that member's parameters in locals
+of their own.  A member gets a member site only where a chain of
+applications from its body, through members not yet gone into on the
+path and not hidden by a group defined on the way, leads back to the
+entry; elsewhere, and where the member's body would pass a size bound,
+the application leaves the segment as any other does.  So a segment
+whose group applications never come back to its entry compiles as if
+its member were alone in its group.  The loop path keeps the parameters
+in locals, reads other free variables from the callee's environment,
+resolves each application once per function context, and builds an
+environment only where one escapes: a closure, a Ready, a cut, or an
+application that leaves the loop.  So a counter, or a cycle through
+several members, returns to run_to_anchor once per save, about log2 of
+its iterations, and a loop that makes a system call on every iteration
+does not return at all.  A segment with guards reads from saved, in its
+prologue, the values of the free variables of each guarded member's
+body, and only when saved's focus is that body.  A site after a call
+replaces them: with its own values for the bodies that are the entry,
+with None for the others.  A segment whose member is not applied after
+a call has no such site and no locals for one.
 """
 from __future__ import annotations
 
@@ -412,9 +400,8 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
 
     One segment at a time: its compiled code when the segment is hot and
     the fuel covers its longest path, else the cold loop up to the next
-    application or anchor.  Compiled code hands back the fuel it used
-    and Brent's state it left, which past a call it may have advanced
-    itself (Segment)."""
+    application or anchor.  Compiled code takes the remaining fuel and
+    Brent's state and hands them back updated (Segment)."""
     funs, env, term = config
     remaining = fuel
     # Brent's cycle finder over the post-application configurations:
@@ -429,24 +416,12 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
     seg = term._segment
     while True:
         if seg.__class__ is Segment and seg.longest <= remaining:
-            # a loop passes post-application configurations only where
-            # this check would do nothing, or would make the save after
-            # a call that the loop makes (see the module docstring)
-            out = seg.run(funs, env, remaining, power - since - 1, saved, resolve)
+            out = seg.run(funs, env, fuel, remaining, saved, since, power, resolve)
             if out.__class__ is not tuple:
                 return out
-            steps, funs, env, term, applied, passed, after = out
-            if after is None:
-                remaining -= steps
-                since += passed
-            else:
-                # steps and passed count from the last call the segment
-                # resolved; after is the configuration Brent's check
-                # saved last: the one right after that call (passed 0),
-                # or the first post-application one, saved with power 2
-                remaining = fuel - steps
-                saved, saved_key = after, None
-                since, power = (passed - 1, 2) if passed else (0, 1)
+            if out[5] is not saved:
+                saved_key = None
+            funs, env, term, applied, remaining, saved, since, power = out
         else:
             # the cold loop; own is the segment's private dict, once a
             # let has copied it (see the module docstring)
@@ -543,24 +518,17 @@ _WRAPPED = frozenset("+-*")
 
 
 class Segment:
-    """A segment's compiled code.  run(funs, env, fuel, budget, saved,
-    resolve) takes the remaining fuel, how many post-application
-    configurations it may pass (budget), Brent's saved configuration and
-    run_to_anchor's resolver, and returns an anchor (Done or Ready), or
-    (steps, funs, env, term, applied, passed, after): the configuration
-    the segment's last step reached, after an application when applied
-    is true, else at a new entry where the code was cut; after, None if
-    it resolved no system call, else the configuration Brent's check
-    saved since the last one: the one right after it, or the first
-    post-application one after it; steps, counted from its entry or that
-    call; and passed, how many post-application configurations it passed
-    since its entry, or since that call counting the save (0 where after
-    is the configuration right after it).  So Brent's state after a call
-    is (after, 0, 1) with passed 0, else (after, passed - 1, 2).
-    longest is the most silent steps any path through it takes from its
-    entry, a system call or a guarded application to the next of these
-    or an end.  Only a segment with guards reads fuel, budget and
-    saved."""
+    """A segment's compiled code.  run(funs, env, fuel, remaining, saved,
+    since, power, resolve) takes the entry's function context and
+    environment, the run's state (its fuel, the fuel remaining, and
+    Brent's saved, since and power) and run_to_anchor's resolver.  It
+    returns an anchor (Done or Ready), or the configuration its last
+    step reached with the run's state there, before Brent's check of it:
+    (funs, env, term, applied, remaining, saved, since, power), after an
+    application when applied is true, else at a new entry where the code
+    was cut.  longest is the most silent steps any path through it takes
+    from its entry, a system call or a guarded application to the next
+    of these or an end."""
 
     __slots__ = ("longest", "run")
 
@@ -617,11 +585,11 @@ class _Path:
     read or bound so far (scope) and the bound ones not yet in that
     environment (pending); after, the source of the configuration right
     after the last system call and the entries of the environment it
-    builds, or None before any, so that a path with an after gets only
-    sites after a call and returns with steps counted from it; inlined,
-    the group members whose bodies the path has gone on into; hidden,
-    the names defined by the groups made since the entry or the last
-    member site."""
+    builds, or None before any: a path with an after gets only sites
+    after a call, and returns that configuration as saved, with since 0,
+    power 1 and the fuel counted from the call; inlined, the group
+    members whose bodies the path has gone on into; hidden, the names
+    defined by the groups made since the entry or the last member site."""
 
     __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending", "after", "inlined", "hidden")
 
@@ -668,20 +636,21 @@ class _Source:
     constant outside the 64-bit range is a constant c<n>, bound from a
     tuple; the source holds only generated names and 64-bit integers.
 
-    When an application entered the segment, group is the callee's
-    group and member the name of the callee, the member whose body is
-    the entry term.  Before any system call, an application of the
-    member gets a loop site, and one of another member gets a member
-    site if a chain of applications from that member's body leads back
-    to the entry without a member this path has already gone into.  The
-    entry copy runs from the segment's entry environment; where a loop
-    site's guard holds it falls through into the loop copy, which holds
-    the parameters in the locals params and reads other free variables
-    from the callee's environment (cenv).  Where a member site's guard
-    holds, the path goes on into that member's body in the same way, on
-    locals of its own.  A site compares free-variable values with
-    saved[name], the values of Brent's saved configuration when its
-    focus is that member's body, else None.
+    When an application entered the segment, group is the callee's group
+    and member the name of the callee, the member whose body is the
+    entry term.  Before any system call, an application of the member
+    gets a loop site, and one of another member gets a member site if a
+    chain of applications from that member's body leads back to the
+    entry without a member this path has already gone into.  The entry
+    copy runs from the segment's entry environment; where a loop site's
+    guard holds it falls through into the loop copy, which holds the
+    parameters in the locals params and reads other free variables from
+    the callee's environment (cenv).  Where a member site's guard holds,
+    the path goes on into that member's body in the same way, on locals
+    of its own.  A site compares free-variable values with saved[name],
+    the values of Brent's saved configuration when its focus is that
+    member's body, else None; it counts its steps into remaining first,
+    and goes on only where that covers room, the longest path's steps.
 
     Past a system call, an application of the member in the entry's own
     body gets a loop site after a call where resumes is set, which is
@@ -691,7 +660,7 @@ class _Source:
     context (None until a site sets it), the callee's environment and
     the parameter values, and the site sets saved[name] for every
     member.  A loop copy's return without a call on its own path hands
-    that configuration back where a site made it."""
+    that configuration back as saved where a site made it."""
 
     def __init__(self, entry: Term, group: Group) -> None:
         self.lines: list[str] = []
@@ -744,21 +713,20 @@ class _Source:
         self.longest = max(self.longest, steps)
 
     def result(self, path: _Path, funs: str, env: str, term: str, applied: bool, steps: int) -> None:
-        """Return a configuration: steps counts the path's steps since
-        its last system call, or since its entry or last site, to which
-        the steps local adds those before that site."""
-        count, passed, after, size = str(steps), "0", "None", 1
+        """Return a configuration with the run's state: steps counts the
+        path's steps since its entry, its last site or its last system
+        call."""
+        saved, brent, size = "saved", "since, power", 1
         if path.after is not None:
-            after, size = path.after
-        elif self.looping or path.inlined:
-            count, passed = f"steps + {steps}", "passed"
-            if self.looping and self.resumes is not None:
-                # the save after the last call, if a pass made one
-                funs_, env_, values = self.resumes
-                pairs = "".join(f", {self.const(p)}: {v}" for p, v in zip(self.group[self.member][0], values))
-                config = f"_new(_Config, ({funs_}, {{**{env_}{pairs}}}, {self.const(self.entry)}))"
-                after, size = f"None if {funs_} is None else {config}", 1 + len(values)
-        self.leave(path, f"({count}, {funs}, {env}, {term}, {applied}, {passed}, {after})", steps, size)
+            (saved, size), brent = path.after, "0, 1"
+        elif self.looping and self.resumes is not None:
+            # the save after the last call, if a pass made one
+            funs_, env_, values = self.resumes
+            pairs = "".join(f", {self.const(p)}: {v}" for p, v in zip(self.group[self.member][0], values))
+            config = f"_new(_Config, ({funs_}, {{**{env_}{pairs}}}, {self.const(self.entry)}))"
+            saved, size = f"saved if {funs_} is None else {config}", 1 + len(values)
+        remaining = f"remaining - {steps}" if steps else "remaining"
+        self.leave(path, f"({funs}, {env}, {term}, {applied}, {remaining}, {saved}, {brent})", steps, size)
 
     def apply(self, path: _Path, clo: str, rewound: str, params: str, args: str, steps: int) -> None:
         """Return the configuration an application enters: the callee's
@@ -845,7 +813,7 @@ class _Source:
     def site(self, path: _Path, name: str, clo: str, rewound: str, params: str, args: str, ops: list, steps: int) -> list:
         """Where an application of member name enters its body and the
         driver's repeat check would do nothing, go on past the
-        application: only while under the budget, with the fuel covering
+        application: only while no save is due, with the fuel covering
         the longest path, and with free-variable values that differ from
         saved's.  The locals that then hold the member's parameters."""
         self.guarded = True
@@ -858,23 +826,24 @@ class _Source:
             self.saved[name] = self.local()
         by_name = dict(zip(formals, ops))
         key = _tuple([by_name[v] if v in by_name else f"{clo}.env.get({self.const(v)})" for v in term_fact(body)[1]])
-        guard = f"{clo}.body is {self.const(body)} and {params} is {self.const(formals)}"
+        # the fuel is counted first, so the return where the guard
+        # fails has no steps left to count
+        guard = f"(remaining := remaining - {steps}) >= room and {clo}.body is {self.const(body)} and {params} is {self.const(formals)}"
         if path.after is None:
-            self.emit(path, f"if not ({guard} and passed < budget and room >= steps + {steps} and {key} != {self.saved[name]}):")
-        else:
-            # the first post-application configuration after a call:
-            # Brent's check compares it with the one right after the
-            # call, whose focus is not the entry, and saves it
-            self.emit(path, f"if not ({guard} and room >= {steps}):")
+            guard += f" and since < due and {key} != {self.saved[name]}"
+        # else the first post-application configuration after a call:
+        # Brent's check compares it with the one right after the call,
+        # whose focus is not the entry, and saves it
+        self.emit(path, f"if not ({guard}):")
         path.indent += 1
-        self.apply(path, clo, rewound, params, args, steps)
+        self.longest = max(self.longest, steps)
+        self.apply(path, clo, rewound, params, args, 0)
         path.indent -= 1
         if bound:
             self.emit(path, f"{''.join(f'{p}, ' for p in bound)}= {args}")
         self.emit(path, f"{self.cenv}, funs = {clo}.env, {rewound}")
         if path.after is None:
-            self.emit(path, f"steps += {steps}")
-            self.emit(path, "passed += 1")
+            self.emit(path, "since += 1")
         else:
             # the save, kept in locals; with power 2 one more
             # configuration may pass before the next save
@@ -882,7 +851,7 @@ class _Source:
             self.emit(path, f"{', '.join([funs_, env_, *values])} = {', '.join(['funs', self.cenv, *bound])}")
             saved = [key if self.group[n][1] is self.entry else "None" for n in self.saved]
             self.emit(path, f"{''.join(f'{s}, ' for s in self.saved.values())}= {''.join(f'{s}, ' for s in saved)}")
-            self.emit(path, f"steps, passed, budget = {steps}, 1, 2")
+            self.emit(path, "since, power, due = 0, 2, 1")
         return bound
 
     def path(self, t: Term, path: _Path) -> None:
@@ -910,6 +879,7 @@ class _Source:
                     self.longest = max(self.longest, path.steps)
                     # the rest runs as a fresh run from after the call:
                     # steps count from 0, and the first step may be cut
+                    self.emit(path, "remaining = fuel", 0)
                     path.scope[t.var] = path.pending[t.var] = v
                     path.steps, t = 0, t.body
                     config = f"_new(_Config, ({path.funs}, {self.env_source(path)}, {self.const(t)}))"
@@ -1006,14 +976,14 @@ def compile_segment(t: Term, group: Group = ()) -> Optional[Segment]:
             term = src.group[name][1]
             values = _tuple([f"saved.env.get({src.const(v)})" for v in term_fact(term)[1]])
             start.append(f"{saved} = {values} if saved.term is {src.const(term)} else None")
-        start += [f"room = fuel - {src.longest}", "steps = passed = 0", *src.inits]
+        start += [f"room = {src.longest}", "due = power - 1", *src.inits]
         body = ["        " + line for line in start] + body
         if src.loops:
             body += ["        while True:"] + src.lines
     lines = ["def make(k):"]
     if src.consts:
         lines.append("    " + "".join(f"c{i}, " for i in range(len(src.consts))) + "= k")
-    lines.append("    def seg(funs, env, fuel, budget, saved, resolve):")
+    lines.append("    def seg(funs, env, fuel, remaining, saved, since, power, resolve):")
     code = compile("\n".join(lines + body + ["    return seg"]), "<segment>", "exec")
     scope: dict = {}
     exec(code, _HELPERS, scope)

@@ -605,10 +605,17 @@ for _name, _test in list(globals().items()):
         setattr(TestAnchorsAndTracesAtEveryThreshold, _name, staticmethod(_test))
 
 
-def reference_anchor(config, fuel):
+def reference_anchor(config, fuel, saved=None, since=0, power=1, states=None):
     """run_to_anchor as a plain step_silent loop with the same repeat
-    check; also the silent steps it took."""
-    remaining, saved, saved_key, since, power = fuel, config, None, 0, 1
+    check, from Brent's state (saved, since, power), by default a run's
+    start; also the silent steps it took.  states, where given, gets the
+    run's state at the start and after each step, before that step's
+    check: (config, applied, remaining, saved, since, power)."""
+    remaining, saved_key = fuel, None
+    if saved is None:
+        saved = config
+    if states is not None:
+        states.append((config, False, remaining, saved, since, power))
     while True:
         step = step_silent(config)
         if isinstance(step, Terminal):
@@ -620,6 +627,8 @@ def reference_anchor(config, fuel):
         remaining -= 1
         applied = isinstance(config.term, App)
         config = step.config
+        if states is not None:
+            states.append((config, applied, remaining, saved, since, power))
         if applied:
             if saved_key is None:
                 saved_key = config_key(saved)
@@ -775,8 +784,8 @@ def test_a_later_step_over_the_inline_bound_cuts_the_segment(monkeypatch):
 
 def _loops(seg):
     """Whether seg is a Segment with guarded applications, a loop path
-    or a member site: only that code keeps the fuel left over its
-    longest path in a local."""
+    or a member site: only that code keeps the steps of its longest
+    path in a local."""
     return isinstance(seg, Segment) and "room" in seg.run.__code__.co_varnames
 
 
@@ -1223,17 +1232,15 @@ def _resolving(oracle, max_events=8):
     return resolve
 
 
-def reference_resolved(config, fuel, resolve):
+def reference_resolved(config, fuel, resolve, remaining=None, brent=(), states=None):
     """run_to_anchor with a resolver, over reference_anchor: a fresh run
-    from the configuration after each call resolved."""
-    while True:
-        a, _ = reference_anchor(config, fuel)
-        if not isinstance(a, Ready):
-            return a
-        result = resolve(a.action, a.args)
-        if result is None:
-            return a
-        _, config = apply_extern(a, result)
+    from the configuration after each call resolved.  The first run may
+    start with other remaining fuel and from Brent's state brent; states,
+    as reference_anchor's, gets the states of every run."""
+    a = reference_anchor(config, fuel if remaining is None else remaining, *brent, states=states)[0]
+    while isinstance(a, Ready) and resolve is not None and (result := resolve(a.action, a.args)) is not None:
+        a = reference_anchor(apply_extern(a, result)[1], fuel, states=states)[0]
+    return a
 
 
 @pytest.mark.parametrize(
@@ -1488,6 +1495,70 @@ def test_segments_without_the_member_applied_past_a_call_get_no_new_site(monkeyp
     expect = reference_trace(Config((), {}, parse_program(src)), oracle, 10**4, 64)[0]
     assert run_trace(Config((), {}, t), oracle, 10**4, 64) == expect
     assert any(oracle.compiled()) and not sources
+
+
+# -- the segment contract: a compiled segment takes the run's state and
+# hands it back updated
+
+
+_CONTRACT_PROGRAMS = [
+    "fun f(i) = if i < 40 then f(i + 1) else i in f(0)",
+    "fun f(i) = if i < 3 then f(i + 1) else f(0) in f(0)",
+    "fun f(i) = if i < 40 then g(i + 1) else i and g(j) = f(j) in f(0)",
+    "fun f(i, acc) = if i < 45 then if i / 3 * 3 = i then f(i + 1, acc + i) else"
+    " let r = extern rd(i, acc) in f(i + 1, acc + r) else acc in f(0, 0)",
+    "fun f(i) = if i < 40 then let r = extern rd(i) in f(i + 1) else if i < 43 then f(i + 1) else f(40) in f(0)",
+    "fun f(i) = if i < 20 then let r = extern rd(i) in let s = extern wr(r) in f(i + 1) else f(i + 1) in f(0)",
+    "fun ev(i, acc) = if i < 60 then let r = extern rd(i, acc) in od(i + 1, acc + r) else acc"
+    " and od(i, acc) = ev(i + 1, acc * 1) in ev(0, 0)",
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.sampled_from(_CONTRACT_PROGRAMS), st.integers(0, 10_000)), st.data())
+def test_segments_hand_back_a_state_the_reference_passes_through(program, data):
+    # a compiled segment's run called directly at a configuration on a
+    # program's path, from any state Brent's check can hold there:
+    # saved a configuration up to there, power a power of two up to 64,
+    # since below it, the remaining fuel from the segment's longest path
+    # up and the run's fuel up from there.  With a resolver and without,
+    # the state it hands back is one the reference passes through from
+    # that state, and an anchor it returns is the reference's
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", 1)
+        for k in range(200):
+            if isinstance(program, str):
+                t, env = parse_program(program), {}
+            else:
+                t = gen_program(GenConfig(seed=derive_seed(22, program * 200 + k)))
+                env = initial_env(t, random.Random(k))
+            run_trace(Config((), dict(env), t), SeededOracle(k), 400, 64)
+            path = []
+            reference_resolved(Config((), env, t), 400, _resolving(SeededOracle(k), 64), states=path)
+            entries = [i for i, (c, *_) in enumerate(path) if isinstance(c.term._segment, Segment)]
+            if entries:
+                break
+        else:
+            raise AssertionError("no generated program ran a compiled segment")
+    i = data.draw(st.sampled_from(entries))
+    entry, seg = path[i][0], path[i][0].term._segment
+    saved = path[data.draw(st.integers(0, i))][0]
+    power = 2 ** data.draw(st.integers(0, 6))
+    since = data.draw(st.integers(0, power - 1))
+    remaining = data.draw(st.integers(seg.longest, seg.longest + 20))
+    fuel = remaining + data.draw(st.integers(0, 20))
+    seed = data.draw(st.integers(0, 9))
+    for resolving in (False, True):
+        resolve = _resolving(SeededOracle(seed)) if resolving else None
+        out = seg.run(entry.funs, entry.env, fuel, remaining, saved, since, power, resolve)
+        resolve = _resolving(SeededOracle(seed)) if resolving else None
+        states = []
+        a = reference_resolved(entry, fuel, resolve, remaining, (saved, since, power), states)
+        if out.__class__ is tuple:
+            funs, env, term, applied, *brent = out
+            assert (Config(funs, env, term), applied, *brent) in states
+        else:
+            assert out == a
 
 
 # -- the cold loop, which runs every segment that is not compiled
