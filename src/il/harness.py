@@ -10,17 +10,25 @@ root live set and demands similarity with the original on the left.
 Every trial records its own seed, so any reported trial replays
 byte-for-byte; a distinguished trial is shrunk to a locally minimal
 failing program before it is reported.
+
+Outside its game a trial walks its program four times: gen_program
+counts its nodes after the draw, run_pass numbers it in one Nodes
+table, one term_reads walk gives the free variables its initial
+environment binds and the constants among its probes, and the record
+counts its nodes; the output is walked once more for its constants.
+None of these folds term_fact, so the game folds facts only below the
+nodes it keys.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from hashlib import blake2b
 from random import Random
 from typing import Callable, Optional
 
-from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim, default_probes
+from .equiv import Distinguished, EquivalentToDepth, Exhausted, check_bisim, check_sim
 from .reach import Rejection
 from .semantics import Config
 from .syntax import (
@@ -38,8 +46,10 @@ from .syntax import (
     Term,
     Unop,
     Var,
+    constants_of,
     free_term_vars,
     print_program,
+    term_reads,
     term_size,
     wrap,
 )
@@ -58,6 +68,8 @@ INPUT_NAMES = ("a", "b", "c")
 UNBOUND_NAMES = ("u0", "u1")
 ACTION_NAMES = ("rd", "wr")
 CONSTS = (0, 1, 2, 9)
+UNOPS = ("neg", "not")
+BINOPS = ("+", "-", "*", "/", "=", "<", "<=")
 
 SHRINK_STEPS = 200  # most greedy steps one shrink takes
 
@@ -77,79 +89,90 @@ def derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(h, "big") >> 1
 
 
-def _gen_expr(rng: Random, scope: tuple[str, ...], depth: int) -> Expr:
-    roll = rng.random()
-    if depth <= 0 or roll < 0.55:
-        r = rng.random()
-        if r < UNBOUND_PROB:
-            return Var(rng.choice(UNBOUND_NAMES))
-        if r < 0.45 and scope:
-            return Var(rng.choice(scope))
-        if r < 0.6:
-            return Var(rng.choice(INPUT_NAMES))
-        return Const(rng.choice(CONSTS))
-    if roll < 0.65:
-        return Unop(rng.choice(("neg", "not")), _gen_expr(rng, scope, depth - 1))
-    op = rng.choice(("+", "-", "*", "/", "=", "<", "<="))
-    return Binop(op, _gen_expr(rng, scope, depth - 1), _gen_expr(rng, scope, depth - 1))
+@cache
+def _leaves() -> tuple[dict[str, Var], tuple[Const, ...]]:
+    """The generator's leaves, made on its first draw: one variable per
+    name and one constant per CONSTS entry."""
+    names = (*VAR_NAMES, *INPUT_NAMES, *UNBOUND_NAMES)
+    return {name: Var(name) for name in names}, tuple(map(Const, CONSTS))
 
 
-def _gen_term(
-    rng: Random,
-    cfg: GenConfig,
-    depth: int,
-    scope: tuple[str, ...],
-    funs: dict[str, int],
-) -> Term:
-    def expr() -> Expr:
-        return _gen_expr(rng, scope, rng.randrange(1, 3))
+def _generator(rng: Random, cfg: GenConfig) -> Callable[..., Term]:
+    """The term drawer of one program: term(depth, scope, funs) draws a
+    term of at most depth levels over the variables in scope and the
+    functions in funs, as (name, arity) pairs in the order they were
+    first bound.
 
-    def leaf() -> Term:
-        if funs and rng.random() < 0.5:
-            name, arity = rng.choice(list(funs.items()))
-            return App(name, tuple(expr() for _ in range(arity)))
-        return Exp(expr())
+    A draw from a constant tuple indexes it with rng._randbelow, which is
+    what rng.choice and rng.randrange do on CPython 3.10-3.13 after their
+    argument checks, so the values drawn, and the programs, are those of
+    calling them.  The group size is drawn by rng.randrange itself, which
+    rejects a max_group_size below 1.  Programs share their leaves, as a
+    parsed program shares its leaves per token (_leaves)."""
+    random, below, sample, randrange = rng.random, rng._randbelow, rng.sample, rng.randrange
+    max_group_size = cfg.max_group_size
+    var, consts = _leaves()
 
-    if depth <= 0:
-        return leaf()
-    roll = rng.random()
-    if roll < 0.34:
-        var = rng.choice(VAR_NAMES)
-        if rng.random() < EXTERN_PROB:
-            action = rng.choice(ACTION_NAMES)
-            value: object = SysCall(action, tuple(expr() for _ in range(rng.randrange(0, 3))))
-        else:
-            value = expr()
-        return Let(var, value, _gen_term(rng, cfg, depth - 1, scope + (var,), funs))
-    if roll < 0.54:
-        if rng.random() < CONST_COND_PROB:
-            cond: Expr = Const(rng.choice(CONSTS))
-        else:
-            cond = expr()
-        return Cond(
-            cond,
-            _gen_term(rng, cfg, depth - 1, scope, funs),
-            _gen_term(rng, cfg, depth - 1, scope, funs),
-        )
-    if roll < 0.72:
-        size = rng.randrange(1, cfg.max_group_size + 1)
-        names = rng.sample(FUN_NAMES, min(size, len(FUN_NAMES)))
-        defs = []
-        inner = dict(funs)
-        params_by_name = {}
-        for name in names:
-            params = tuple(rng.sample(VAR_NAMES, rng.randrange(4)))  # up to three
-            params_by_name[name] = params
-            inner[name] = len(params)
-        for name in names:
-            params = params_by_name[name]
-            body = _gen_term(rng, cfg, depth - 1, scope + params, inner)
-            defs.append(FunDef(name, params, body))
-        return Fun(tuple(defs), _gen_term(rng, cfg, depth - 1, scope, inner))
-    if roll < 0.86 and funs:
-        name, arity = rng.choice(list(funs.items()))
-        return App(name, tuple(expr() for _ in range(arity)))
-    return Exp(expr())
+    def expr(scope: tuple[str, ...], depth: int) -> Expr:
+        roll = random()
+        if depth <= 0 or roll < 0.55:
+            r = random()
+            if r < UNBOUND_PROB:
+                return var[UNBOUND_NAMES[below(len(UNBOUND_NAMES))]]
+            if r < 0.45 and scope:
+                return var[scope[below(len(scope))]]
+            if r < 0.6:
+                return var[INPUT_NAMES[below(len(INPUT_NAMES))]]
+            return consts[below(len(consts))]
+        if roll < 0.65:
+            return Unop(UNOPS[below(len(UNOPS))], expr(scope, depth - 1))
+        op = BINOPS[below(len(BINOPS))]
+        return Binop(op, expr(scope, depth - 1), expr(scope, depth - 1))
+
+    def app(scope: tuple[str, ...], funs: tuple[tuple[str, int], ...]) -> Term:
+        name, arity = funs[below(len(funs))]
+        return App(name, tuple([expr(scope, 1 + below(2)) for _ in range(arity)]))
+
+    def term(depth: int, scope: tuple[str, ...], funs: tuple[tuple[str, int], ...]) -> Term:
+        if depth <= 0:
+            if funs and random() < 0.5:
+                return app(scope, funs)
+            return Exp(expr(scope, 1 + below(2)))
+        roll = random()
+        if roll < 0.34:
+            name = VAR_NAMES[below(len(VAR_NAMES))]
+            if random() < EXTERN_PROB:
+                action = ACTION_NAMES[below(len(ACTION_NAMES))]
+                value: object = SysCall(action, tuple([expr(scope, 1 + below(2)) for _ in range(below(3))]))
+            else:
+                value = expr(scope, 1 + below(2))
+            return Let(name, value, term(depth - 1, scope + (name,), funs))
+        if roll < 0.54:
+            if random() < CONST_COND_PROB:
+                cond: Expr = consts[below(len(consts))]
+            else:
+                cond = expr(scope, 1 + below(2))
+            return Cond(cond, term(depth - 1, scope, funs), term(depth - 1, scope, funs))
+        if roll < 0.72:
+            size = randrange(1, max_group_size + 1)
+            names = sample(FUN_NAMES, min(size, len(FUN_NAMES)))
+            inner = dict(funs)
+            params_by_name = {}
+            for name in names:
+                params = tuple(sample(VAR_NAMES, below(4)))  # up to three
+                params_by_name[name] = params
+                inner[name] = len(params)
+            inner_funs = tuple(inner.items())
+            defs = []
+            for name in names:
+                params = params_by_name[name]
+                defs.append(FunDef(name, params, term(depth - 1, scope + params, inner_funs)))
+            return Fun(tuple(defs), term(depth - 1, scope, inner_funs))
+        if roll < 0.86 and funs:
+            return app(scope, funs)
+        return Exp(expr(scope, 1 + below(2)))
+
+    return term
 
 
 def gen_program(cfg: GenConfig) -> Term:
@@ -157,23 +180,23 @@ def gen_program(cfg: GenConfig) -> Term:
     matching arity, about CONST_COND_PROB of conditionals constant,
     occasional references to never-bound names.  Tiny root draws are
     redrawn a few times so trials mostly exercise structured terms."""
-    rng = Random(cfg.seed)
-    t = _gen_term(rng, cfg, cfg.max_depth, (), {})
+    term = _generator(Random(cfg.seed), cfg)
+    t = term(cfg.max_depth, (), ())
     for _ in range(8):
         if term_size(t) >= 4 or cfg.max_depth == 0:
             break
-        t = _gen_term(rng, cfg, cfg.max_depth, (), {})
+        t = term(cfg.max_depth, (), ())
     return t
 
 
 def initial_env(t: Term, rng: Random) -> dict[str, int]:
     """Bind every free variable of t except the deliberately unbound
     pool to a small random value."""
-    return {
-        v: rng.randrange(-9, 10)
-        for v in sorted(free_term_vars(t))
-        if v not in UNBOUND_NAMES
-    }
+    return _bind(free_term_vars(t), rng)
+
+
+def _bind(free: frozenset[str], rng: Random) -> dict[str, int]:
+    return {v: rng.randrange(-9, 10) for v in sorted(free) if v not in UNBOUND_NAMES}
 
 
 def perturbed_env(env: dict[str, int], keep: frozenset[str], rng: Random) -> dict[str, int]:
@@ -334,9 +357,11 @@ def difftest(
         if isinstance(done, Rejection):
             return done
         ann, out = done
+        # initial_env(term, rng) and default_probes(term, out), with one walk of term
+        free, consts = term_reads(term)
         rng = Random(seed ^ salt)
-        env = initial_env(term, rng)
-        pr = default_probes(term, out)
+        env = _bind(free, rng)
+        pr = tuple(sorted({0, 1, *consts} | constants_of(out)))
         left = Config((), env, term)
         if pass_name == "uce":
             return check_bisim(left, Config((), dict(env), out), depth, pr, fuel)

@@ -28,10 +28,13 @@ application, the group member its name resolves to.  It is the one
 table of terms: the analyses, the checkers and the passes read it.
 term_fact folds each node's free variables once and keeps them, with
 the node's number, on the term itself; the interpreter's configuration
-keys and free_term_vars read them there.  An annotation (Annotated) is
-that table with one analysis fact per node in pre-order, which is also
-the sidecar format: one fact per line, "true"/"false" for booleans,
-"{x,y}" for variable sets.  The parser, the printer and every walk
+keys read them there.  term_reads (and free_term_vars) gets a whole
+program's free variables and constants from one walk down the term
+that counts the names bound on the path and stores nothing, so facts
+are folded only below the nodes a run or a game keys.  An annotation
+(Annotated) is that table with one analysis fact per node in
+pre-order, which is also the sidecar format: one fact per line,
+"true"/"false" for booleans, "{x,y}" for variable sets.  The parser, the printer and every walk
 over terms or expressions loop on explicit stacks or over the table,
 so no walk recurses.
 """
@@ -364,10 +367,10 @@ def term_exprs(t: Term) -> tuple[Expr, ...]:
 
 
 def node_free_vars(t: Term, kids: Sequence[Iterable[str]]) -> set[str]:
-    """t's free variables, given its children's in term_children order:
-    the one statement of the scoping rule for variables.  A let binds
-    its variable in its body, and a group's definitions bind their
-    parameters."""
+    """t's free variables, given its children's in term_children order.
+    This and term_reads' walk are the two statements of the scoping
+    rule for variables: a let binds its variable in its body, and a
+    group's definitions bind their parameters."""
     out = set(free_vars_list(term_exprs(t)))
     if isinstance(t, Let):
         out.update(v for v in kids[0] if v != t.var)
@@ -395,7 +398,8 @@ def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
     term object shared by two programs, as a pass's output shares
     subterms with its input, is neither walked again nor renumbered.
     Numbers are never reused, so two terms have the same number only if
-    they are the same object."""
+    they are the same object.  free_term_vars reads a whole program's
+    free variables without folding it (term_reads)."""
     fact = t._fact
     if fact is None:
         order: list[Term] = []
@@ -412,9 +416,66 @@ def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
     return fact
 
 
+def term_reads(t: Term) -> tuple[frozenset[str], frozenset[int]]:
+    """What a whole program reads besides its own bindings: the
+    variables it reads from its initial environment, and its constants.
+
+    One walk down t on an explicit stack, in pre-order, which counts the
+    variables bound on the path from the root and collects every other
+    variable an expression reads; it stores nothing on the terms.  A
+    let's value is read before its variable is bound, and a definition's
+    parameters are bound in its body only, as node_free_vars states."""
+    free: set[str] = set()
+    consts: set[int] = set()
+    bound: dict[str, int] = {}  # variable -> binders of it on the path
+    stack: list = [t]
+    exprs: list[Expr] = []
+    while stack:
+        term = stack.pop()
+        cls = type(term)
+        if cls is tuple:  # a scope's edge: (names, 1) on entry, (names, -1) on exit
+            names, step = term
+            for v in names:
+                bound[v] = bound.get(v, 0) + step
+            continue
+        if cls is Let:
+            value = term.value
+            if type(value) is SysCall:
+                exprs += value.args
+            else:
+                exprs.append(value)
+            scope = (term.var,)
+            stack += ((scope, -1), term.body, (scope, 1))
+        elif cls is Cond:
+            exprs.append(term.cond)
+            stack += (term.orelse, term.then)
+        elif cls is Fun:
+            stack.append(term.cont)
+            for d in reversed(term.defs):
+                stack += ((d.params, -1), d.body, (d.params, 1))
+        elif cls is Exp:
+            exprs.append(term.expr)
+        else:
+            exprs += term.args
+        while exprs:
+            e = exprs.pop()
+            cls = type(e)
+            if cls is Var:
+                if not bound.get(e.name):
+                    free.add(e.name)
+            elif cls is Const:
+                consts.add(e.value)
+            elif cls is Binop:
+                exprs += (e.left, e.right)
+            else:
+                exprs.append(e.arg)
+    return frozenset(free), frozenset(consts)
+
+
 def free_term_vars(t: Term) -> frozenset[str]:
-    """Variables a whole program reads from its initial environment."""
-    return frozenset(term_fact(t)[1])
+    """Variables a whole program reads from its initial environment,
+    from term_reads' walk: no fact is folded."""
+    return term_reads(t)[0]
 
 
 def constants_of(*terms: Term) -> frozenset[int]:

@@ -341,12 +341,21 @@ def test_difftest_output_is_byte_stable(capsys):
 
 
 @pytest.mark.parametrize(
-    "pass_name, digest",
-    [("uce", "331acd3951c0e0662a7ef30535ae93cc"), ("dve", "8b204bc725e0cae420672ff49a36b994")],
+    "pass_name, trials, seed, digest",
+    [
+        pytest.param("uce", 200, 0, "331acd3951c0e0662a7ef30535ae93cc", id="uce-331acd3951c0e0662a7ef30535ae93cc"),
+        pytest.param("dve", 200, 0, "8b204bc725e0cae420672ff49a36b994", id="dve-8b204bc725e0cae420672ff49a36b994"),
+        ("uce", 500, 0, "4e7ea7388bea71d45820110bf4c3e472"),
+        ("uce", 500, 7, "d21ccbcee01678218274ed5b15a9710f"),
+        ("dve", 500, 0, "7c2021bf1965c28f8e6b47f25b3cd788"),
+        ("dve", 500, 7, "7908918b9ea00be1e3710ad82cecca9a"),
+    ],
 )
-def test_difftest_output_digest_is_pinned(capsys, pass_name, digest):
-    # pins both protocols' record bytes, recorded from the two separate drivers difftest replaced
-    code, out, _ = run_cli(capsys, "difftest", "--pass", pass_name, "--trials", "200", "--seed", "0")
+def test_difftest_output_digest_is_pinned(capsys, pass_name, trials, seed, digest):
+    # pins both protocols' record bytes: the 200-trial digests were recorded
+    # from the two separate drivers difftest replaced, the 500-trial ones
+    # before a trial stopped folding term facts over its whole program
+    code, out, _ = run_cli(capsys, "difftest", "--pass", pass_name, "--trials", str(trials), "--seed", str(seed))
     assert code == 0
     assert blake2b(out.encode(), digest_size=16).hexdigest() == digest
 

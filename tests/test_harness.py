@@ -3,14 +3,20 @@
 import dataclasses
 import json
 import random
+from hashlib import blake2b
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from audits import generator_audit, reach_audit, tlive_audit, well_formed
+from il import harness
+from il.equiv import default_probes
 from il.harness import (
+    UNBOUND_NAMES,
     GenConfig,
     TrialRecord,
     derive_seed,
+    difftest,
     difftest_dve,
     difftest_uce,
     gen_program,
@@ -19,7 +25,7 @@ from il.harness import (
     shrink_term,
 )
 from il.semantics import SeededOracle
-from il.syntax import Cond, Const, Exp, parse_program, term_size
+from il.syntax import Cond, Const, Exp, Nodes, parse_program, print_program, term_fact, term_size
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 
@@ -50,6 +56,19 @@ def test_generated_batch_is_well_scoped():
         assert generator_audit(t)
 
 
+def test_generated_programs_are_pinned_across_configs():
+    # the generator's draws beyond the default config, as the tlive and
+    # acceptance tests make them; recorded before draws indexed constant
+    # tuples with rng._randbelow instead of calling rng.choice and rng.randrange
+    h = blake2b(digest_size=16)
+    for d in (0, 1, 3, 5, 7):
+        for g in (1, 3, 4):
+            for i in range(60):
+                t = gen_program(GenConfig(seed=derive_seed(10 * d + g, i), max_depth=d, max_group_size=g))
+                h.update(print_program(t).encode() + b"\0")
+    assert h.hexdigest() == "7a1738279dac7249fc1c3309bfb7d483"
+
+
 def test_derive_seed_is_stable_and_spread():
     assert derive_seed(0, 0) == derive_seed(0, 0)
     seeds = {derive_seed(0, i) for i in range(100)}
@@ -57,13 +76,37 @@ def test_derive_seed_is_stable_and_spread():
     assert all(s >= 0 for s in seeds)
 
 
-def test_initial_env_covers_free_vars():
-    from il.syntax import free_term_vars
-
-    t = parse_program("if a then b + x else c")
+def exact_env(t) -> bool:
+    # initial_env binds exactly the free variables term_fact folds, less
+    # the unbound pool: an extra or missing key shifts every later draw
     env = initial_env(t, random.Random(0))
-    assert free_term_vars(t) <= set(env)
-    assert all(-9 <= v <= 9 for v in env.values())
+    return set(env) == set(term_fact(t)[1]) - set(UNBOUND_NAMES) and all(-9 <= v <= 9 for v in env.values())
+
+
+def shrink_candidates(t) -> list:
+    seen = []
+    shrink_term(t, lambda cand: seen.append(cand) or False)
+    return seen
+
+
+def test_initial_env_covers_free_vars():
+    assert exact_env(parse_program("if a then b + x else c"))
+    assert exact_env(parse_program("fun f(x) = x + b in let y = u0 in f(y + a)"))
+    for i in range(1000):
+        assert exact_env(gen_program(GenConfig(seed=derive_seed(23, i))))
+
+
+def test_initial_env_binds_exactly_the_free_vars_of_shrink_candidates():
+    # a candidate can free a let-bound name: let x = 1 in x + a shrinks to x + a
+    cands = shrink_candidates(parse_program("let x = 1 in x + a"))
+    assert parse_program("x + a") in cands
+    assert set(initial_env(parse_program("x + a"), random.Random(0))) == {"a", "x"}
+    checked = 0
+    for i in range(30):
+        for cand in shrink_candidates(gen_program(GenConfig(seed=derive_seed(29, i)))):
+            assert exact_env(cand)
+            checked += 1
+    assert checked > 300
 
 
 def test_perturbed_env_agrees_exactly_on_kept_set():
@@ -90,6 +133,42 @@ def test_difftest_dve_accepts_and_finds_nothing():
     assert rep.trials == 40
     assert rep.accepted == 40
     assert rep.distinguished == 0
+
+
+@pytest.mark.parametrize("pass_name", ["uce", "dve"])
+def test_trials_play_initial_env_and_default_probes(monkeypatch, pass_name):
+    games = []
+
+    def spy(game):
+        def play(left, right, depth, probes, fuel):
+            games.append((left, right, probes))
+            return game(left, right, depth, probes, fuel)
+
+        return play
+
+    monkeypatch.setattr(harness, "check_bisim", spy(harness.check_bisim))
+    monkeypatch.setattr(harness, "check_sim", spy(harness.check_sim))
+    rep = difftest(pass_name, GenConfig(seed=3), trials=60)
+    assert len(games) == rep.accepted == 60
+    salt = 0x5EED if pass_name == "uce" else 0xD1FF
+    for rec, (left, right, probes) in zip(rep.records, games):
+        assert left.term == gen_program(GenConfig(seed=rec.seed))
+        assert left.env == initial_env(left.term, random.Random(rec.seed ^ salt))
+        assert probes == default_probes(left.term, right.term)
+
+
+@pytest.mark.parametrize("pass_name", ["uce", "dve"])
+def test_a_trial_folds_no_fact_on_a_branch_its_game_never_keys(monkeypatch, pass_name):
+    # the game keys only the system call's continuation; the statically
+    # excluded branch is neither reached nor keyed, so a trial that
+    # folded the whole program for its environment would leave facts there
+    t = parse_program("if 0 then let y = a + 1 in y * c else let r = extern rd(a) in r + b")
+    monkeypatch.setattr(harness, "gen_program", lambda cfg: t)
+    rep = difftest(pass_name, GenConfig(seed=0), trials=1)
+    assert rep.equivalent == 1
+    assert t.orelse.body._fact is not None
+    excluded = Nodes(t.then).terms
+    assert len(excluded) == 2 and all(n._fact is None for n in excluded)
 
 
 def test_reports_are_reproducible():
@@ -181,16 +260,12 @@ def test_reach_audit_batch():
 
 
 def test_shrink_reaches_local_minimum():
-    from il.syntax import print_program
-
     t = parse_program("let a = 1 in let b = 2 in if x then 3 else 4")
     small = shrink_term(t, lambda s: "3" in print_program(s))
     assert small == parse_program("3")
 
 
 def test_shrink_preserves_failure():
-    from il.syntax import print_program
-
     fails = lambda s: "extern" in print_program(s)
     t = parse_program("let a = 1 in let b = extern r() in let c = 3 in b")
     small = shrink_term(t, fails)
@@ -206,8 +281,6 @@ def test_shrink_keeps_term_when_nothing_smaller_fails():
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10_000))
 def test_shrink_output_is_locally_minimal(n):
-    from il.syntax import print_program
-
     t = gen_program(GenConfig(seed=derive_seed(67, n)))
     fails = lambda s: "extern" in print_program(s)
     if not fails(t):

@@ -14,7 +14,7 @@ import pytest
 from audits import flatten
 from il import cli, semantics
 from il.cli import main
-from il.harness import GenConfig, _gen_term
+from il.harness import GenConfig, _generator
 from il.reach import check_reach, infer_reach, static_branch
 from il.syntax import App, Binop, Cond, Const, Exp, Fun, FunDef, Let, Nodes, SysCall, Var, parse_program, print_program
 from il.tlive import check_tlive, infer_tlive
@@ -90,12 +90,12 @@ def typical_group(members):
     inputs.  A body applies only its neighbours, as choosing among all
     members would make the corpus generator quadratic."""
     rng = Random(0)
-    cfg = GenConfig(seed=0)
+    draw = _generator(rng, GenConfig(seed=0))
     group = [f"m{i}" for i in range(members)]
     defs = []
     for i, m in enumerate(group):
-        near = {g: 3 for g in group[max(0, i - 4) : i + 4]}
-        defs.append(FunDef(m, ("x", "y", "z"), _gen_term(rng, cfg, 5, ("x", "y", "z"), near)))
+        near = tuple((g, 3) for g in group[max(0, i - 4) : i + 4])
+        defs.append(FunDef(m, ("x", "y", "z"), draw(5, ("x", "y", "z"), near)))
     dispatch = App(group[-1], (Var("c"), Var("b"), Var("a")))
     for i, m in reversed(list(enumerate(group[:-1]))):
         cond = Binop("<", Var(rng.choice(corpus.INPUTS)), Const(i))
