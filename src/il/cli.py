@@ -4,7 +4,8 @@ Subcommands: parse, run, analyze, optimize, check, difftest.
 
 Exit codes: 0 success (for check: equivalent), 1 distinguished or
 rejected, 2 parse error or exhausted check, 64 usage error, 66 file not
-readable or not valid UTF-8.
+readable or not valid UTF-8, 74 output not writable (a closed pipe, a
+full disk).
 Integer options are spelled in ASCII digits, seeds with an optional
 leading "-".  Output is plain text, byte-stable for a fixed input and
 seed.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -32,6 +34,7 @@ from .transform import dve, uce  # noqa: F401 - unused here; perfbench/workloads
 
 EX_USAGE = 64
 EX_NOINPUT = 66
+EX_IOERR = 74
 
 _INTEGER_RE = re.compile("-?[0-9]+")
 
@@ -255,7 +258,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # stdout cannot be written
+        # the interpreter flushes stdout again at exit: leave it nothing
+        # to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that left wants no message
+            print(f"il: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = EX_IOERR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -53,9 +53,8 @@ same keys.  Fuel still bounds every run, and a loop that never repeats
 a key, such as a counter, still runs out of fuel.  A resolved system
 call starts the fuel and the check over from the configuration right
 after it (saved, with since 0 and power 1), as a fresh run from there
-would.  A compiled loop (below) passes post-application configurations
-itself only where this check would do nothing, or would make a save
-known when the code is compiled.
+would.  A compiled loop (below) makes this check itself wherever it
+can tell that the keys differ, and makes Brent's saves itself.
 
 Compiled segments.  A segment is the code from an entry term up to the
 next application or leaf: the term a run starts from (the root, or the
@@ -66,7 +65,7 @@ into one Python function and kept on its entry term (Term._segment).
 The function runs the segment's Let, Cond and Fun steps with let-bound
 values in locals, builds an environment only where a configuration
 needs one (a closure, a Ready anchor, the callee's environment, a cut,
-the configuration saved after a system call), and returns the anchor it
+a configuration a return hands back as saved), and returns the anchor it
 reached, or the configuration after its last step with the run's state
 (the remaining fuel and Brent's saved, since and power) updated, which
 run_to_anchor then checks as its own.  At a system call it calls
@@ -92,7 +91,7 @@ first step has more than INLINE_NODES expression nodes is never
 compiled: its entry term keeps _segment None and always runs cold.
 run_to_anchor runs compiled code only when the remaining fuel covers
 the most steps any path through the segment takes between its entry,
-its system calls, its guarded applications (below) and its ends
+its system calls, its sites (below) and its ends
 (longest), and otherwise runs the segment in the cold loop.  That loop
 makes step_silent's checks in its order, except that a system call
 takes no fuel, so it is resolved or anchored even with none left; with
@@ -109,43 +108,41 @@ apply each other, often a function that applies itself.  When an
 application entered the segment being compiled, its callee's group,
 funs[0], gives the segment its member (the closure whose body is the
 entry term) and the names, parameters and bodies of the other members.
-An application with a member's name and arity gets a guard: the
-callee's body and parameters are that member's.  On a path that has
-resolved no system call, where the guard holds, the next save is not
-due, the remaining fuel covers the longest path and the values of the
-body's free variables differ from saved's, which makes the keys differ,
-the code goes on past the application.  Past a call, only an
-application of the member in the entry's own body gets a guard (a site
-after a call).  Its post-application configuration is the first since
-the call, which Brent's check compares with the one right after the
-call, whose focus is another term, and saves with power 2: the code
-goes on where the guard holds and the fuel covers the longest path, and
-makes the save itself.  It keeps the saved configuration's function
-context, environment and parameter values in locals, takes the values
-of the body's free variables as saved's and sets since 0; the Config is
-built only where the segment returns.  At an application of the member
-the code goes on in a second copy of the segment, the loop path.  At
-one of another member (a member site) it goes on into that member's
-body inline, on the same path, with that member's parameters in locals
-of their own.  A member gets a member site only where a chain of
+An application of a member with its arity, where no group defined on
+the way hides it, is a site: at the member's own, the code goes on in a
+second copy of the segment, the loop path; at another member's (a
+member site), into that member's body inline, on the same path, with
+that member's parameters in locals of their own.  Every site follows
+one rule.  Its guard holds where the callee's body and parameters are
+that member's, the remaining fuel covers the longest path and, before
+any system call on the path, the values of the body's free variables
+differ from those kept for that body.  Where saved's focus is that
+body they are saved's, so the keys differ; elsewhere the foci differ,
+and values kept from an earlier save can only send the run back to
+run_to_anchor.  Where the guard
+holds, the site counts the post-application configuration, and where
+Brent's save falls due it makes the save itself, keeping the saved
+configuration's function context, the callee's closure (its
+environment, parameters and body), the parameters' values and the
+body's free variables' values in locals; a Config is built from them
+only where the segment returns.  Right after a call Brent's state is
+known when the code is compiled (since 0, power 1): the first site after
+a call saves without comparing, as its focus, the callee's body, is not
+the focus right after the call that Brent's check compares it with.
+Where it is, which only shared term objects allow, the application
+leaves the segment.  A member gets a member site only where a chain of
 applications from its body, through members not yet gone into on the
-path and not hidden by a group defined on the way, leads back to the
-entry; elsewhere, and where the member's body would pass a size bound,
-the application leaves the segment as any other does.  So a segment
-whose group applications never come back to its entry compiles as if
-its member were alone in its group.  The loop path keeps the parameters
-in locals, reads other free variables from the callee's environment,
-resolves each application once per function context, and builds an
-environment only where one escapes: a closure, a Ready, a cut, or an
-application that leaves the loop.  So a counter, or a cycle through
-several members, returns to run_to_anchor once per save, about log2 of
-its iterations, and a loop that makes a system call on every iteration
-does not return at all.  A segment with guards reads from saved, in its
-prologue, the values of the free variables of each guarded member's
-body, and only when saved's focus is that body.  A site after a call
-replaces them: with its own values for the bodies that are the entry,
-with None for the others.  A segment whose member is not applied after
-a call has no such site and no locals for one.
+path, leads back to the entry; elsewhere, and where the member's body
+would pass a size bound, the application leaves the segment as any
+other does.  So a segment whose group applications never come back to
+its entry compiles as if its member were alone in its group.  The loop
+path keeps the parameters in locals, reads other free variables from
+the callee's environment, resolves each application once per function
+context, and builds an environment only where one escapes: a closure, a
+Ready, a cut, or an application that leaves the loop.  So a compiled
+loop, a cycle through several members and a loop that makes system
+calls included, comes back to run_to_anchor only at a possible repeat,
+when the fuel runs short, or where it leaves.
 """
 from __future__ import annotations
 
@@ -523,12 +520,12 @@ class Segment:
     environment, the run's state (its fuel, the fuel remaining, and
     Brent's saved, since and power) and run_to_anchor's resolver.  It
     returns an anchor (Done or Ready), or the configuration its last
-    step reached with the run's state there, before Brent's check of it:
-    (funs, env, term, applied, remaining, saved, since, power), after an
-    application when applied is true, else at a new entry where the code
-    was cut.  longest is the most silent steps any path through it takes
-    from its entry, a system call or a guarded application to the next
-    of these or an end."""
+    step reached with the run's state there, the saves its sites made
+    included, before Brent's check of it: (funs, env, term, applied,
+    remaining, saved, since, power), after an application when applied
+    is true, else at a new entry where the code was cut.  longest is the
+    most silent steps any path through it takes from its entry, a system
+    call or a site to the next of these or an end."""
 
     __slots__ = ("longest", "run")
 
@@ -578,18 +575,18 @@ def _tuple(items: Sequence[str]) -> str:
 
 class _Path:
     """Where code generation stands on one path through a segment:
-    indent, silent steps since the entry, the last guarded site or the
-    last system call, the locals holding the function context, the last
+    indent, silent steps since the entry, the last site or the last
+    system call, the locals holding the function context, the last
     environment built and the environment that variables neither bound
     nor read so far are read from (base), the operand of each variable
     read or bound so far (scope) and the bound ones not yet in that
     environment (pending); after, the source of the configuration right
-    after the last system call and the entries of the environment it
-    builds, or None before any: a path with an after gets only sites
-    after a call, and returns that configuration as saved, with since 0,
-    power 1 and the fuel counted from the call; inlined, the group
-    members whose bodies the path has gone on into; hidden, the names
-    defined by the groups made since the entry or the last member site."""
+    after the last system call, the entries of the environment it builds
+    and its focus, or None before any call and past a site: a path with
+    an after returns that configuration as saved, with since 0, power 1
+    and the fuel counted from the call; inlined, the group members whose
+    bodies the path has gone on into; hidden, the names defined by the
+    groups made since the entry or the last member site."""
 
     __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending", "after", "inlined", "hidden")
 
@@ -605,28 +602,26 @@ class _Path:
         return path
 
 
-def _applied(body: Term, group: dict) -> tuple[set, set]:
+def _applied(body: Term, group: dict) -> set:
     """The names of the members of group (name -> parameters and body)
     that a segment from body applies with their arity where no group
-    defined on the way hides them: before any system call, and after
-    one."""
-    found, todo = (set(), set()), [(body, False, frozenset())]
+    defined on the way hides them."""
+    found, todo = set(), [(body, frozenset())]
     while todo:
-        t, past, hidden = todo.pop()
+        t, hidden = todo.pop()
         while True:
             cls = t.__class__
             if cls is Let:
-                past = past or t.value.__class__ is SysCall
                 t = t.body
             elif cls is Cond:
-                todo.append((t.then, past, hidden))
+                todo.append((t.then, hidden))
                 t = t.orelse
             elif cls is Fun:
                 hidden = hidden.union(d.name for d in t.defs)
                 t = t.cont
             else:
                 if cls is App and t.fun in group and t.fun not in hidden and len(group[t.fun][0]) == len(t.args):
-                    found[past].add(t.fun)
+                    found.add(t.fun)
                 break
     return found
 
@@ -638,29 +633,31 @@ class _Source:
 
     When an application entered the segment, group is the callee's group
     and member the name of the callee, the member whose body is the
-    entry term.  Before any system call, an application of the member
-    gets a loop site, and one of another member gets a member site if a
-    chain of applications from that member's body leads back to the
-    entry without a member this path has already gone into.  The entry
-    copy runs from the segment's entry environment; where a loop site's
-    guard holds it falls through into the loop copy, which holds the
-    parameters in the locals params and reads other free variables from
-    the callee's environment (cenv).  Where a member site's guard holds,
-    the path goes on into that member's body in the same way, on locals
-    of its own.  A site compares free-variable values with saved[name],
-    the values of Brent's saved configuration when its focus is that
-    member's body, else None; it counts its steps into remaining first,
-    and goes on only where that covers room, the longest path's steps.
+    entry term.  An application of the member that no group defined on
+    the way hides gets a loop site, and one of another member a member
+    site if also a chain of applications from that member's body leads
+    back to the entry without a member this path has already gone into.
+    The entry copy runs from the segment's entry environment; where a
+    loop site's guard holds it falls through into the loop copy, which
+    holds the parameters in the locals params and reads other free
+    variables from the callee's environment (cenv).  Where a member
+    site's guard holds, the path goes on into that member's body in the
+    same way, on locals of its own.
 
-    Past a system call, an application of the member in the entry's own
-    body gets a loop site after a call where resumes is set, which is
-    where the entry's body applies its member after some call.  That
-    site makes Brent's save of the first post-application configuration
-    after the call: resumes holds the locals keeping its function
-    context (None until a site sets it), the callee's environment and
-    the parameter values, and the site sets saved[name] for every
-    member.  A loop copy's return without a call on its own path hands
-    that configuration back as saved where a site made it."""
+    Every site follows one rule.  It counts its steps into remaining
+    first and goes on only where that covers room, the longest path's
+    steps, and, before any system call on its path, where the values of
+    its body's free variables differ from that body's local in saved:
+    saved's values where saved's focus is the body, else None or the
+    values of an earlier save.  It counts the configuration, and where
+    Brent's save falls due it makes the save into the locals kept (the
+    saved configuration's function context, None until a site sets it,
+    the callee's closure, whose environment, parameters and body the
+    guard checked, and the parameters' values) and its body's local.
+    Right after a call Brent's state is since 0 and power 1, so the
+    first site after a call saves without comparing.  A return with no
+    call on its path since its last site hands the kept configuration
+    back as saved where a site made it."""
 
     def __init__(self, entry: Term, group: Group) -> None:
         self.lines: list[str] = []
@@ -676,21 +673,15 @@ class _Source:
             else:
                 self.group.setdefault(name, (clo.params, clo.body))
         self.calls: dict[str, set] = {}  # the members each member's body applies
-        self.guarded, self.loops, self.looping = False, False, False
+        self.saved: dict[int, tuple] = {}  # id(body) -> (local, body) per body a site enters
+        self.loops, self.looping = False, False
         self.inits: list[str] = []  # locals the prologue sets to None
-        self.resumes = None  # the locals of the save after a call
         if self.member is None:
             self.group = {}
         else:
             self.params = [self.local() for _ in self.group[self.member][0]]
             self.cenv = self.local()
-            self.saved = {self.member: self.local()}
-            if self.member in _applied(entry, self.group)[1]:
-                # a save after a call replaces saved for every member
-                for name in self.group:
-                    self.saved.setdefault(name, self.local())
-                self.resumes = (self.local(), self.local(), [self.local() for _ in self.params])
-                self.inits.append(f"{self.resumes[0]} = None")
+            self.kept = [self.local() for _ in range(3)]
 
     def const(self, obj: Any) -> str:
         key = obj if type(obj) is str else id(obj)
@@ -718,13 +709,12 @@ class _Source:
         call."""
         saved, brent, size = "saved", "since, power", 1
         if path.after is not None:
-            (saved, size), brent = path.after, "0, 1"
-        elif self.looping and self.resumes is not None:
-            # the save after the last call, if a pass made one
-            funs_, env_, values = self.resumes
-            pairs = "".join(f", {self.const(p)}: {v}" for p, v in zip(self.group[self.member][0], values))
-            config = f"_new(_Config, ({funs_}, {{**{env_}{pairs}}}, {self.const(self.entry)}))"
-            saved, size = f"saved if {funs_} is None else {config}", 1 + len(values)
+            (saved, size, _), brent = path.after, "0, 1"
+        elif self.looping or path.inlined:
+            # past a site: the save a site made, if any
+            funs_, clo, values = self.kept
+            config = f"_new(_Config, ({funs_}, {{**{clo}.env, **dict(zip({clo}.params, {values}))}}, {clo}.body))"
+            saved, size = f"saved if {funs_} is None else {config}", 2
         remaining = f"remaining - {steps}" if steps else "remaining"
         self.leave(path, f"({funs}, {env}, {term}, {applied}, {remaining}, {saved}, {brent})", steps, size)
 
@@ -803,37 +793,36 @@ class _Source:
             caller = todo.pop()
             calls = self.calls.get(caller)
             if calls is None:
-                calls = self.calls[caller] = _applied(self.group[caller][1], self.group)[0]
+                calls = self.calls[caller] = _applied(self.group[caller][1], self.group)
             if self.member in calls:
                 return True
             todo += calls - seen
             seen |= calls
         return False
 
+    def key(self, body: Term, ops: dict, env: str) -> str:
+        """Source for the values of body's free variables in a
+        configuration whose focus is body: each its operand in ops or
+        else read from env."""
+        return _tuple([ops[v] if v in ops else f"{env}.get({self.const(v)})" for v in term_fact(body)[1]])
+
     def site(self, path: _Path, name: str, clo: str, rewound: str, params: str, args: str, ops: list, steps: int) -> list:
-        """Where an application of member name enters its body and the
-        driver's repeat check would do nothing, go on past the
-        application: only while no save is due, with the fuel covering
-        the longest path, and with free-variable values that differ from
-        saved's.  The locals that then hold the member's parameters."""
-        self.guarded = True
+        """Where an application of member name enters its body, go on
+        past the application: with the fuel covering the longest path
+        and, before any system call on the path, a key that differs from
+        saved's.  Count the configuration and make Brent's save where it
+        falls due.  The locals that then hold the member's parameters."""
         formals, body = self.group[name]
         if name == self.member:
             self.loops, bound = True, self.params
         else:
             bound = [self.local() for _ in formals]
-        if name not in self.saved:
-            self.saved[name] = self.local()
-        by_name = dict(zip(formals, ops))
-        key = _tuple([by_name[v] if v in by_name else f"{clo}.env.get({self.const(v)})" for v in term_fact(body)[1]])
+        saved = self.saved.setdefault(id(body), (self.local(), body))[0]
         # the fuel is counted first, so the return where the guard
         # fails has no steps left to count
         guard = f"(remaining := remaining - {steps}) >= room and {clo}.body is {self.const(body)} and {params} is {self.const(formals)}"
         if path.after is None:
-            guard += f" and since < due and {key} != {self.saved[name]}"
-        # else the first post-application configuration after a call:
-        # Brent's check compares it with the one right after the call,
-        # whose focus is not the entry, and saves it
+            guard += f" and {self.key(body, dict(zip(formals, ops)), f'{clo}.env')} != {saved}"
         self.emit(path, f"if not ({guard}):")
         path.indent += 1
         self.longest = max(self.longest, steps)
@@ -842,16 +831,17 @@ class _Source:
         if bound:
             self.emit(path, f"{''.join(f'{p}, ' for p in bound)}= {args}")
         self.emit(path, f"{self.cenv}, funs = {clo}.env, {rewound}")
+        # the save, from the bound locals: binding may overwrite the
+        # operands of the key compared above
+        key = self.key(body, dict(zip(formals, bound)), self.cenv)
+        save = f"{', '.join(self.kept)}, {saved}, since, power = funs, {clo}, {_tuple(bound)}, {key}, 0"
         if path.after is None:
-            self.emit(path, "since += 1")
+            self.emit(path, f"if (since := since + 1) == power: {save}, power * 2")
         else:
-            # the save, kept in locals; with power 2 one more
-            # configuration may pass before the next save
-            funs_, env_, values = self.resumes
-            self.emit(path, f"{', '.join([funs_, env_, *values])} = {', '.join(['funs', self.cenv, *bound])}")
-            saved = [key if self.group[n][1] is self.entry else "None" for n in self.saved]
-            self.emit(path, f"{''.join(f'{s}, ' for s in self.saved.values())}= {''.join(f'{s}, ' for s in saved)}")
-            self.emit(path, "since, power, due = 0, 2, 1")
+            # the first post-application configuration since the call:
+            # its focus is not the one right after the call, which
+            # Brent's check compares it with, and it is saved
+            self.emit(path, f"{save}, 2")
         return bound
 
     def path(self, t: Term, path: _Path) -> None:
@@ -883,7 +873,7 @@ class _Source:
                     path.scope[t.var] = path.pending[t.var] = v
                     path.steps, t = 0, t.body
                     config = f"_new(_Config, ({path.funs}, {self.env_source(path)}, {self.const(t)}))"
-                    path.after = (config, 1 + len(path.pending))
+                    path.after = (config, 1 + len(path.pending), t)
                     continue
                 v = self.operand(t.value, path)
                 path.scope[t.var] = path.pending[t.var] = v
@@ -926,24 +916,26 @@ class _Source:
                 self.emit(path, f"if len({params}) != {len(t.args)}: return _BOT")
                 steps, name = path.steps + 1, t.fun
                 callee = self.group.get(name)
-                if callee is not None and len(callee[0]) == len(ops):
+                # right after a call, a site saves without comparing: it
+                # stays an exit where the callee's body is the focus
+                # after the call, which only shared term objects allow
+                if (
+                    callee is not None
+                    and len(callee[0]) == len(ops)
+                    and name not in path.hidden
+                    and (path.after is None or callee[1] is not path.after[2])
+                ):
+                    formals, body = callee
                     if name == self.member:
-                        # past a call only in the entry's own body: the
-                        # focus right after the call is then a strict
-                        # subterm of the entry, so Brent's check does not
-                        # compare the application's configuration with it
-                        if path.after is None or self.resumes is not None and not path.inlined:
-                            self.site(path, name, clo, rewound, params, args, ops, steps)
-                            return
-                    elif path.after is None:
-                        formals, body = callee
-                        if not (name in path.inlined or name in path.hidden) and self.fits(body, path) and self.leads_back(name, path.inlined):
-                            # go on into the member's body on this path
-                            inlined = path.inlined + (name,)
-                            bound = self.site(path, name, clo, rewound, params, args, ops, steps)
-                            path = _Path(path.indent, "funs", self.cenv, dict(zip(formals, bound)))
-                            path.inlined, t = inlined, body
-                            continue
+                        self.site(path, name, clo, rewound, params, args, ops, steps)
+                        return
+                    if name not in path.inlined and self.fits(body, path) and self.leads_back(name, path.inlined):
+                        # go on into the member's body on this path
+                        inlined = path.inlined + (name,)
+                        bound = self.site(path, name, clo, rewound, params, args, ops, steps)
+                        path = _Path(path.indent, "funs", self.cenv, dict(zip(formals, bound)))
+                        path.inlined, t = inlined, body
+                        continue
                 self.apply(path, clo, rewound, params, args, steps)
                 return
             else:
@@ -954,29 +946,23 @@ class _Source:
 def compile_segment(t: Term, group: Group = ()) -> Optional[Segment]:
     """Compile the segment that starts at t, the code after its system
     calls included, and keep it on t.  group is the callee's group when
-    an application entered t: its members give the segment's loop and
-    member sites, and its loop sites after a call where the entry's body
-    applies its member past a call.  A first step whose expressions do
-    not inline leaves t cold for good: _segment None, which is
-    returned."""
+    an application entered t: its members give the segment's sites.  A
+    first step whose expressions do not inline leaves t cold for good:
+    _segment None, which is returned."""
     if not _inlinable(t):
         _setattr(t, "_segment", None)
         return None
     src = _Source(t, group)
     src.path(t, _Path(0, "funs", "env", {}))
     body = src.lines
-    if src.guarded:
+    if src.saved:
         if src.loops:
             # where a loop site's guard holds, the entry copy falls
             # through to here: one iteration of the loop copy per pass
             src.lines, src.size, src.looping = [], 0, True
             src.path(t, _Path(0, "funs", src.cenv, dict(zip(src.group[src.member][0], src.params))))
-        start = []
-        for name, saved in src.saved.items():
-            term = src.group[name][1]
-            values = _tuple([f"saved.env.get({src.const(v)})" for v in term_fact(term)[1]])
-            start.append(f"{saved} = {values} if saved.term is {src.const(term)} else None")
-        start += [f"room = {src.longest}", "due = power - 1", *src.inits]
+        start = [f"{saved} = {src.key(term, {}, 'saved.env')} if saved.term is {src.const(term)} else None" for saved, term in src.saved.values()]
+        start += [f"room = {src.longest}", f"{src.kept[0]} = None", *src.inits]
         body = ["        " + line for line in start] + body
         if src.loops:
             body += ["        while True:"] + src.lines

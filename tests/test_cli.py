@@ -10,7 +10,7 @@ from hashlib import blake2b
 
 import pytest
 
-from il import cli
+from il import cli, semantics
 from il.cli import main
 from il.harness import GenConfig, derive_seed, gen_program
 from il.reach import infer_reach
@@ -38,10 +38,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this il."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), COLUMNS="80")
+
+
 def run_fresh(*argv, program=("-m", "il.cli")):
     """Run il in a fresh interpreter; returns exit code, stdout, stderr."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), COLUMNS="80")
-    done = subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True, env=env, timeout=300)
+    done = subprocess.run([sys.executable, *program, *argv], capture_output=True, text=True, env=fresh_env(), timeout=300)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -391,6 +395,54 @@ def test_pass_output_digest_is_pinned(files, capsys):
     assert h.hexdigest() == "5eee64f341c50eddbe672afb68104087"
 
 
+# the loop programs of tests/test_semantics.py: a counter, a repeat of
+# period 3, an even/odd pair, extern_loop, the loops past calls, and
+# two-member cycles that make system calls
+LOOP_PROGRAMS = [
+    "fun f(i) = if i < 1000 then f(i + 1) else i in f(0)",
+    "fun f(i) = if i < 3 then f(i + 1) else f(0) in f(0)",
+    "fun f(i) = if i < 1000 then g(i + 1) else i and g(j) = f(j) in f(0)",
+    "fun loop(i, acc) = if i < 100 then let r = extern rd(i, acc) in let s = extern wr(r + i) in"
+    " loop(i + 1, acc + r * s) else acc in loop(0, 0)",
+    "fun f(i, acc) = if i < 45 then if i / 3 * 3 = i then f(i + 1, acc + i) else"
+    " let r = extern rd(i, acc) in f(i + 1, acc + r) else acc in f(0, 0)",
+    "fun f(i, acc) = if i < 45 then if i / 3 * 3 = i then let r = extern rd(i, acc) in"
+    " f(i + 1, acc + r) else f(i + 1, acc + i) else acc in f(0, 0)",
+    "fun f(i, k) = if i < 45 then if k < 1 then let r = extern rd(i) in f(i + 1, r + 9) else f(i, k - 1) else k in f(0, 0)",
+    "fun f(i) = if i < 40 then let r = extern rd(i) in f(i + 1) else f(i) in f(0)",
+    "fun f(i) = if i < 40 then let r = extern rd(i) in f(i + 1) else if i < 43 then f(i + 1) else f(40) in f(0)",
+    "fun f(i, n) = if i < 40 then let r = extern rd(i) in f(i + 1, r) else f(i, n * 0) in f(0, 0)",
+    "fun f(i) = if i < 40 then let r = extern rd(i) in let s = extern wr(r) in f(i + 1) else f(i + 1) in f(0)",
+    "fun ev(i, acc) = if i < 400 then let r = extern rd(i, acc) in od(i + 1, acc + r) else acc"
+    " and od(i, acc) = ev(i + 1, acc * 1) in ev(0, 0)",
+    "fun ev(i, acc) = if i < 400 then od(i + 1, acc + 1) else acc"
+    " and od(i, acc) = let r = extern rd(i, acc) in ev(i + 1, acc + r) in ev(0, 0)",
+    "fun ev(i, acc) = if i < 200 then let r = extern rd(i) in od(i + 1, acc + r) else acc"
+    " and od(i, acc) = let s = extern wr(acc) in ev(i + 1, acc * s) in ev(0, 0)",
+    "fun ev(i, n) = if i < 40 then let r = extern rd(i) in od(i + 1, r) else od(i, n * 0)"
+    " and od(i, n) = if i < 40 then ev(i + 1, n) else ev(i, n) in ev(0, 0)",
+]
+
+
+def test_run_output_digest_is_pinned(files, capsys, monkeypatch):
+    # pins stdout and exit code of il run at several fuels and event caps
+    # on the programs above and 200 generated programs, with segments
+    # compiled at the default threshold and on their first entry; the
+    # digest is the one the interpreter gave before every loop site made
+    # Brent's save itself
+    programs = PINNED_PROGRAMS + LOOP_PROGRAMS + [print_program(gen_program(GenConfig(seed=derive_seed(0, i)))) for i in range(200)]
+    paths = [files(f"p{i}.il", src) for i, src in enumerate(programs)]
+    flags = ((), ("--fuel", "0"), ("--fuel", "3"), ("--fuel", "40"), ("--max-events", "1"), ("--max-events", "5"))
+    for hot in (semantics.HOT_ENTRIES, 1):
+        monkeypatch.setattr(semantics, "HOT_ENTRIES", hot)
+        h = blake2b(digest_size=16)
+        for path in paths:
+            for extra in flags:
+                code, out, _ = run_cli(capsys, "run", path, *extra)
+                h.update(f"{code}\0{out}\0".encode())
+        assert h.hexdigest() == "eadb17e1b0d9bd9ede165d18b0cb5e8c", hot
+
+
 def test_difftest_requires_pass(capsys):
     code, _, err = run_cli(capsys, "difftest", "--trials", "5")
     assert code == 64
@@ -555,6 +607,31 @@ def test_dead_result_game_keeps_no_memo(files, probes):
     verdict, rss = out.splitlines()
     assert (code, verdict, err) == (0, "EQUIVALENT to depth 100000", "")
     assert int(rss) / (1024 * 1024 if sys.platform == "darwin" else 1024) < 80  # MB
+
+
+# -- output that cannot be written ends with EX_IOERR, in a fresh
+# interpreter, whose flush of stdout at exit could fail too
+
+
+def test_closed_output_pipe_exits_74_without_traceback(files):
+    # the reader closes the pipe after one line of about 300 kB
+    path = files("lets.il", "".join(f"let x{i} = {i} in " for i in range(20_000)) + "x0")
+    argv = [sys.executable, "-m", "il.cli", "parse", path]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env()) as proc:
+        assert proc.stdout.readline() == b"let x0 = 0 in\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == cli.EX_IOERR == 74
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_output_device_exits_74_without_traceback(files):
+    path = files("p.il", "let x = 1 in x")
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "il.cli", "parse", path], stdout=full, stderr=subprocess.PIPE, env=fresh_env(), timeout=300)
+    assert done.returncode == cli.EX_IOERR
+    assert done.stderr == b"il: cannot write output: No space left on device\n"
 
 
 # -- no input gives a traceback

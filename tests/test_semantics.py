@@ -839,6 +839,7 @@ def test_compiled_loops_agree_with_step_silent_at_every_fuel(n):
         ("fun f(i) = if i < 2 then f(i + 1) else f(0) in f(0)", Diverges),
         ("fun f(n) = f(n * 0) in f(5)", Diverges),
         ("fun f(n) = let n = n * 0 in let m = n + 1 in f(n) in f(5)", Diverges),
+        ("fun f(y, w, z) = let y = 1 - !y in f(z, z, y) in f(3, 0, 0)", Diverges),
         ("fun f(i, k) = f(i + k, k) in f(0, 3)", OutOfFuel),
         ("fun f(n) = let n = n + 1 in if n < 60 then f(n) else n in f(0)", Done(60)),
         ("let n = 5 in fun f(i) = if i < n then f(i + 1) else i * n in f(0)", Done(25)),
@@ -852,7 +853,8 @@ def test_loops_anchor_at_the_reference_step(monkeypatch, src, end):
     # each loop checked at every fuel once its body is compiled: a
     # repeat (a period of 3 is found only by comparing values with
     # saved's, as a save comes every power of two), fuel running out,
-    # a parameter rebound by a let, a captured variable, a closure and
+    # a parameter rebound by a let, parameters passed on to each other
+    # (a save keeps their new values), a captured variable, a closure and
     # a system call in the body, an inner group shadowing the member's
     # name so the guard fails, and arity mismatches
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
@@ -887,11 +889,11 @@ def test_loop_reads_captured_variables_from_its_callees_environment(monkeypatch)
     assert _every_fuel(c, 100) == Done(505)
 
 
-def test_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
-    # a counter's segment is called once per saved configuration: the
+def test_loop_enters_its_segment_once_per_run(monkeypatch):
+    # a counter's segment makes Brent's saves itself (the
     # post-application configurations 1, 3, 7, ..., 2**k - 1, which here
-    # are i = 2**k - 2; never where the fuel still covers its longest
-    # path, nor past a save
+    # are i = 2**k - 2), so it is called once per run wherever the fuel
+    # covers its longest path, the run's exact fuel included
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
     c = conf("fun f(i) = if i < 1000 then f(i + 1) else i in f(0)")
     a, steps = reference_anchor(c, 10**6)
@@ -907,7 +909,7 @@ def test_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
     for fuel in (steps, steps + 1, 10**6):
         starts.clear()
         assert run_to_anchor(c, fuel) == a
-        assert starts == [2**k - 2 for k in range(1, 10)]
+        assert starts == [0]
 
 
 # -- group loops: an application of another member of the entry's group
@@ -994,11 +996,12 @@ def test_group_loop_reads_each_members_captured_variables(monkeypatch, inner, en
     assert _every_fuel(c, 100) == end
 
 
-def test_group_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
+def test_group_loop_enters_its_segment_once_per_run(monkeypatch):
     # the post-application configurations alternate between f's body
     # and g's, and Brent's saves fall on f's: 1, 3, 7, ..., 2**k - 1,
-    # which here are i = 2**(k - 1) - 1.  f's segment is run only there;
-    # g's body is never entered from the driver, so never compiled
+    # which here are i = 2**(k - 1) - 1.  f's segment makes them itself
+    # and is run once per run; g's body is never entered from the
+    # driver, so never compiled
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
     c = conf("fun f(i) = if i < 1000 then g(i + 1) else i and g(j) = f(j) in f(0)")
     a, steps = reference_anchor(c, 10**6)
@@ -1014,7 +1017,7 @@ def test_group_loop_returns_to_the_driver_only_at_brents_saves(monkeypatch):
     for fuel in (steps, steps + 1, 10**6):
         starts.clear()
         assert run_to_anchor(c, fuel) == a
-        assert starts == [2**k - 1 for k in range(10)]
+        assert starts == [0]
     assert c.term.defs[1].body._segment == 0
 
 
@@ -1051,7 +1054,6 @@ def test_compiled_group_loops_agree_with_step_silent_at_every_fuel(n):
     [
         ("fun f(x) = g(x) and g(y) = y in f(1)", False),
         ("fun f(x) = if x < 50 then g(x) else x and g(y) = h(y + 1) and h(z) = z * 2 in f(1)", False),
-        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = let z = extern e(y) in f(z) in f(1)", False),
         ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = fun f(z) = z in f(y) in f(1)", False),
         ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = f(y, 1) in f(1)", False),
         ("fun h(x) = x * 3 in fun f(x) = if x < 50 then let y = x + 1 in h(y) else x in f(1)", False),
@@ -1060,11 +1062,10 @@ def test_compiled_group_loops_agree_with_step_silent_at_every_fuel(n):
 )
 def test_groups_without_a_cycle_back_compile_as_the_entry_alone(monkeypatch, src, loops):
     # where no chain of applications from another member leads back to
-    # the entry (none at all, one past a system call, one hidden by an
-    # inner group, one of another arity, a one-member helper group), a
-    # segment compiles to the same source as with the entry's closure
-    # alone in its group: no member site, and a room local only where
-    # the entry applies itself
+    # the entry (none at all, one hidden by an inner group, one of
+    # another arity, a one-member helper group), a segment compiles to
+    # the same source as with the entry's closure alone in its group: no
+    # member site, and a room local only where the entry applies itself
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
     inlined = _member_sites(monkeypatch)
     sources = []
@@ -1317,10 +1318,11 @@ def _sites_after_calls(monkeypatch):
 
 class _PastSites:
     """An oracle that notes each call's action and whether compiled code
-    resolved it after passing a site after an earlier call in the same
-    run of its segment.  Such a site keeps the function context of the
-    configuration it saves in a local of its own (_Source.resumes),
-    None until a site sets it; the sources are _sites_after_calls'."""
+    resolved it after a site in the same run of its segment made Brent's
+    save, which the first site after every call does.  A site keeps the
+    function context of the configuration it saves in a local of its
+    own (the first of _Source.kept), None until a site sets it; the
+    sources are _sites_after_calls'."""
 
     def __init__(self, oracle, sources):
         self.oracle, self.sources, self.calls = oracle, sources, []
@@ -1328,7 +1330,7 @@ class _PastSites:
     def __call__(self, index, action, args):
         frame = sys._getframe(2)
         names = [
-            s.resumes[0]
+            s.kept[0]
             for s in self.sources
             if isinstance(s.entry._segment, Segment) and s.entry._segment.run.__code__ is frame.f_code
         ]
@@ -1371,13 +1373,12 @@ def _resolved_at_every_fuel(build, env, oracle, fuel=120, max_events=8):
             True,
         ),
         # calls on every third iteration: two silent passes after a save
-        # made past a call, then a return for run_to_anchor's save, so no
-        # call is resolved past a site
+        # made past a call, the second of which may make the next save
         (
             "fun f(i, acc) = if i < 45 then if i / 3 * 3 = i then let r = extern rd(i, acc) in"
             " f(i + 1, acc + r) else f(i + 1, acc + i) else acc in f(0, 0)",
             Terminated,
-            False,
+            True,
         ),
         # a silent stretch of r + 9 applications after each call, so
         # fuel runs out right after a call at the smaller fuels
@@ -1478,16 +1479,15 @@ def test_loop_past_calls_enters_its_segment_once_per_run():
     "src",
     [
         "fun f(x) = if x < 50 then f(x + 1) else let r = extern e(x) in r in f(0)",
-        "fun f(x) = if x < 50 then let r = extern e(x) in g(r * 0 + x) else x and g(y) = f(y + 1) in f(0)",
         "fun f(x) = if x < 50 then let r = extern e(x) in fun f(y) = y in f(r) else x in f(0)",
         "fun f(x) = if x < 50 then let r = extern e(x) in f(x + 1, r) else x in f(0)",
     ],
 )
 def test_segments_without_the_member_applied_past_a_call_get_no_new_site(monkeypatch, src):
-    # the member applied only before the call, another member, a
-    # member hidden by an inner group, or the member with another arity
-    # after it: the code leaves the segment there, as it did before
-    # loops went on past calls
+    # the member applied only before the call, a member hidden by an
+    # inner group, or the member with another arity after it: the code
+    # leaves the segment there, as it did before loops went on past
+    # calls
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
     sources = _sites_after_calls(monkeypatch)
     t = parse_program(src)
@@ -1495,6 +1495,112 @@ def test_segments_without_the_member_applied_past_a_call_get_no_new_site(monkeyp
     expect = reference_trace(Config((), {}, parse_program(src)), oracle, 10**4, 64)[0]
     assert run_trace(Config((), {}, t), oracle, 10**4, 64) == expect
     assert any(oracle.compiled()) and not sources
+
+
+@pytest.mark.parametrize(
+    "src, end",
+    [
+        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = let z = extern e(y) in f(z) in f(1)", Cutoff),
+        ("fun f(x) = if x < 50 then let r = extern e(x) in g(r * 0 + x) else x and g(y) = f(y + 1) in f(0)", Terminated),
+    ],
+)
+def test_cycles_back_through_a_call_get_a_member_site(monkeypatch, src, end):
+    # a chain of applications back to the entry through a system call,
+    # in the other member's body or before it, counts: f's segment goes
+    # on into g's body, resolves calls past a site, and ends as the
+    # references do at every fuel
+    inlined = _member_sites(monkeypatch)
+    sources = _sites_after_calls(monkeypatch)
+    oracle = _PastSites(SeededOracle(2), sources)
+    trace = _resolved_at_every_fuel(lambda: parse_program(src), {}, oracle, max_events=64)
+    assert trace.events and isinstance(trace.outcome, end)
+    assert "g" in inlined and sources and any(oracle.passed())
+
+
+def test_a_callee_body_that_is_the_focus_after_a_call_leaves_the_segment(monkeypatch):
+    # g's body is the very term right after f's system call, as shared
+    # term objects allow: Brent's check compares g's post-application
+    # configuration with the one right after the call, here with an
+    # equal key, so f's segment leaves at the application of g instead
+    # of going on into g's body with a save that compares nothing
+    def build():
+        i = Var("i")
+        x = Cond(Binop("<", i, Const(9)), App("g", (i,)), App("f", (Binop("+", i, Const(1)),)))
+        f = FunDef("f", ("i",), Let("r", SysCall("e", (i,)), x))
+        return Fun((f, FunDef("g", ("i",), x)), App("f", (Const(0),)))
+
+    inlined = _member_sites(monkeypatch)
+    trace = _resolved_at_every_fuel(build, {}, SeededOracle(1))
+    assert len(trace.events) == 1 and trace.outcome == Diverged()
+    assert "g" not in inlined
+
+
+# -- cycles through several members that make system calls: every site
+# after a call makes Brent's save, so the cycle stays in one segment
+
+
+_EV_OD = (
+    "fun ev(i, acc) = if i < {n} then let r = extern rd(i, acc) in od(i + 1, acc + r) else acc"
+    " and od(i, acc) = ev(i + 1, acc * 1) in ev(0, 0)"
+)
+
+
+@pytest.mark.parametrize(
+    "src, end",
+    [
+        # one call per iteration, before a member site
+        (_EV_OD.format(n=60), Terminated),
+        # the call in the other member's body, before a loop site
+        (
+            "fun ev(i, acc) = if i < 60 then od(i + 1, acc + 1) else acc"
+            " and od(i, acc) = let r = extern rd(i, acc) in ev(i + 1, acc + r) in ev(0, 0)",
+            Terminated,
+        ),
+        # two calls per iteration, one in each member's body
+        (
+            "fun ev(i, acc) = if i < 60 then let r = extern rd(i) in od(i + 1, acc + r) else acc"
+            " and od(i, acc) = let s = extern wr(acc) in ev(i + 1, acc * s) in ev(0, 0)",
+            Terminated,
+        ),
+        # a silent repeat through both members entered after the last call
+        (
+            "fun ev(i, n) = if i < 40 then let r = extern rd(i) in od(i + 1, r) else od(i, n * 0)"
+            " and od(i, n) = if i < 40 then ev(i + 1, n) else ev(i, n) in ev(0, 0)",
+            Diverged,
+        ),
+    ],
+)
+def test_cycles_with_calls_agree_with_the_reference_at_every_fuel(monkeypatch, src, end):
+    # the two-member cycles that make system calls, checked at every
+    # fuel with member sites and sites after calls in their segments
+    inlined = _member_sites(monkeypatch)
+    sources = _sites_after_calls(monkeypatch)
+    oracle = _PastSites(SeededOracle(6), sources)
+    trace = _resolved_at_every_fuel(lambda: parse_program(src), {}, oracle, max_events=64)
+    assert trace.events and isinstance(trace.outcome, end)
+    assert inlined and sources and any(oracle.passed())
+
+
+def test_cycle_past_calls_enters_its_segment_once_per_run():
+    # once ev's body is compiled, a run of the ev/od cycle with 10**4
+    # calls enters its segment once: every call and application stays in
+    # it, and od's body is never compiled
+    t = parse_program(_EV_OD.format(n=20_000))
+    run_trace(Config((), {}, t), SeededOracle(5), 10**6, 10**9)
+    seg = t.defs[0].body._segment
+    assert isinstance(seg, Segment)
+    run, starts = seg.run, []
+
+    def counted(funs, env, *rest):
+        starts.append(env["i"])
+        return run(funs, env, *rest)
+
+    seg.run = counted
+    watched = _Watched(SeededOracle(5))
+    trace = run_trace(Config((), {}, t), watched, 10**6, 10**9)
+    assert len(trace.events) == 10_000 and isinstance(trace.outcome, Terminated)
+    assert starts == [0] and all(watched.compiled())
+    assert not isinstance(t.defs[1].body._segment, Segment)
 
 
 # -- the segment contract: a compiled segment takes the run's state and
