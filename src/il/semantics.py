@@ -235,6 +235,11 @@ def _record(cls: type) -> type:
     return cls
 
 
+# _new(Cls, (fields...)) is a record of Cls without its generated
+# __new__; a record on a per-step or per-game-node path is built with it
+_new = tuple.__new__
+
+
 @_record
 class Config(NamedTuple):
     funs: FunContext
@@ -249,9 +254,11 @@ def config_key(c: Config) -> tuple:
     configurations with equal keys step to configurations with equal
     keys, reach the same anchor kind after the same number of steps, and
     have the same events."""
-    number, free = term_fact(c.term)
-    funs = tuple(tuple((name, clo.key) for name, clo in g) for g in c.funs)
-    return (number, tuple(map(c.env.get, free)), funs)
+    funs, env, term = c
+    number, free = term_fact(term)
+    if funs:
+        funs = tuple([tuple([(name, clo.key) for name, clo in g]) for g in funs])
+    return (number, tuple(map(env.get, free)), funs)
 
 
 # -- one silent step
@@ -364,14 +371,10 @@ def apply_extern(ready: Ready, result: int) -> tuple[Event, Config]:
     """Resolve the pending system call of a Ready anchor with the given
     result value: the event, and the configuration after the let."""
     action, args, (funs, env, t) = ready
-    return Event(action, args, result), Config(funs, {**env, t.var: result}, t.body)
+    return _new(Event, (action, args, result)), _new(Config, (funs, {**env, t.var: result}, t.body))
 
 
 _BOT = Done(None)
-
-# a record from a tuple of its fields, without the generated __new__'s
-# cost where a run builds many
-_new = tuple.__new__
 
 # resolve(action, args): a system call's result, or None to leave the
 # call pending as a Ready anchor
@@ -436,12 +439,12 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
                         if args is None:
                             return _BOT
                         if resolve is None or (result := resolve(value.action, args)) is None:
-                            return Ready(value.action, args, Config(funs, env, term))
+                            return _new(Ready, (value.action, args, _new(Config, (funs, env, term))))
                         # saved holds the new environment, so the next
                         # let copies it
                         env, term, own = {**env, term.var: result}, term.body, None
                         remaining = fuel
-                        saved, saved_key, since, power = Config(funs, env, term), None, 0, 1
+                        saved, saved_key, since, power = _new(Config, (funs, env, term)), None, 0, 1
                         continue
                     v = eval_expr(value, env)
                     if v is None:
@@ -472,7 +475,7 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
                     own = None
                     term = term.cont
                 else:
-                    return Done(eval_expr(term.expr, env))
+                    return _new(Done, (eval_expr(term.expr, env),))
             applied = True
         if applied:
             # keys differ whenever the focus does, so only an equal

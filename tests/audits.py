@@ -58,6 +58,7 @@ from il.syntax import (
     _error_at,
     _is_var,
     free_term_vars,
+    term_fact,
     wrap,
 )
 from il.tlive import infer_tlive
@@ -136,6 +137,16 @@ def reference_game(
         if top.probe == last:
             top.left = top.right = None  # spent; the event stays for the witness
         depth = top.depth
+
+
+def reference_config_key(c: Config) -> tuple:
+    """il.semantics.config_key as it was before it skipped an empty
+    function context and built a non-empty one with list comprehensions:
+    the generator-expression form, kept as the reference the key is
+    tested against."""
+    number, free = term_fact(c.term)
+    funs = tuple(tuple((name, clo.key) for name, clo in g) for g in c.funs)
+    return (number, tuple(map(c.env.get, free)), funs)
 
 
 def refereed(monkeypatch) -> list[Verdict]:

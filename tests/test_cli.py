@@ -12,7 +12,7 @@ import pytest
 
 from il import cli, semantics
 from il.cli import main
-from il.harness import GenConfig, derive_seed, gen_program
+from il.harness import GenConfig, derive_seed, gen_program, initial_env
 from il.reach import infer_reach
 from il.syntax import is_var_name, parse_program, print_program, sidecar_text
 from il.tlive import infer_tlive
@@ -441,6 +441,66 @@ def test_run_output_digest_is_pinned(files, capsys, monkeypatch):
                 code, out, _ = run_cli(capsys, "run", path, *extra)
                 h.update(f"{code}\0{out}\0".encode())
         assert h.hexdigest() == "eadb17e1b0d9bd9ede165d18b0cb5e8c", hot
+
+
+def _distinguished_pair(j):
+    """Two programs that differ only after some system calls, so that
+    their witness has EVT lines: in a result that depends on a probe, in
+    the result after a loop of calls, in a pending call, or in silent
+    divergence after a call."""
+    k = j // 4
+    if j % 4 == 0:
+        left = f"let x = extern r({k}) in if x = {k % 3} then {k} else 0"
+        return left, left.replace(f"then {k} ", f"then {k + 1} ")
+    if j % 4 == 1:
+        loop = f"fun f(n) = if n < {k % 3 + 1} then let x = extern r(n) in f(n + 1 + x * 0) else n in f(0)"
+        return loop, loop.replace("else n in", f"else {k % 3 + 2} in")
+    if j % 4 == 2:
+        left = f"let x = extern rd({k}) in let y = extern rd(x) in let z = extern wr(y + {k}) in z"
+        return left, left.replace(f"wr(y + {k})", f"wr(y + {k + 1})")
+    left = f"let x = extern r({k}) in fun f() = f() in if x < {k % 3} then f() else x"
+    return left, left.replace("then f()", "then x")
+
+
+def test_check_output_digest_is_pinned(files, capsys):
+    # pins stdout and exit code of il check in both modes, at depths 0, 1
+    # and 8, with the default probes and with 0,1,2: on the inputs above
+    # against themselves and their uce and dve outputs, on 100 generated
+    # programs (inputs bound) against their uce and dve outputs, and on 24
+    # pairs distinguished after some system calls; the digest is the one
+    # the game gave before it built its records with _new
+    pairs = []
+    for i, src in enumerate(PINNED_PROGRAMS):
+        path = files(f"p{i}.il", src)
+        pairs.append((path, path, ()))
+        for flag in ("--uce", "--dve"):
+            code, out, _ = run_cli(capsys, "optimize", flag, path)
+            if code == 0:
+                pairs.append((path, files(f"p{i}{flag}.il", out), ()))
+    for i in range(100):
+        seed = derive_seed(0, i)
+        t = gen_program(GenConfig(seed=seed))
+        env = initial_env(t, random.Random(seed))
+        bound = ("--env", ",".join(f"{v}={x}" for v, x in env.items())) if env else ()
+        path = files(f"g{i}.il", print_program(t))
+        for flag in ("--uce", "--dve"):
+            code, out, _ = run_cli(capsys, "optimize", flag, path)
+            assert code == 0
+            pairs.append((path, files(f"g{i}{flag}.il", out), bound))
+    for j in range(24):
+        left, right = _distinguished_pair(j)
+        pairs.append((files(f"d{j}l.il", left), files(f"d{j}r.il", right), ()))
+    h = blake2b(digest_size=16)
+    witnesses = 0
+    for left, right, bound in pairs:
+        for mode in ("--bisim", "--sim"):
+            for depth in ("0", "1", "8"):
+                for probes in ((), ("--probes", "0,1,2")):
+                    code, out, _ = run_cli(capsys, "check", mode, "--depth", depth, *probes, *bound, left, right)
+                    h.update(f"{code}\0{out}\0".encode())
+                    witnesses += "[probe " in out
+    assert witnesses >= 20
+    assert h.hexdigest() == "7710293c6fe9f2eb3e6312389df20e6d"
 
 
 def test_difftest_requires_pass(capsys):

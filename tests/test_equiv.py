@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audits import reference_game, refereed
+from audits import reference_config_key, reference_game, refereed
 
 from il import equiv, syntax
 from il.equiv import (
@@ -243,6 +243,25 @@ def test_closure_keys_never_go_stale():
     body = parse_program("x")
     seen = {config_key(Config(((("f", Closure({"x": i}, (), body)),),), {}, body)) for i in range(1000)}
     assert len(seen) == 1000
+
+
+def test_config_key_matches_the_reference_on_every_key_a_game_takes(monkeypatch):
+    # every configuration 100 uce and 100 dve trials' games key, with
+    # function contexts of no, one and two groups, and the hand-built
+    # contexts above
+    taken = []
+
+    def take(c):
+        taken.append(c)
+        return config_key(c)
+
+    monkeypatch.setattr(equiv, "config_key", take)
+    for pass_name in ("uce", "dve"):
+        assert all(rec.accepted for rec in difftest(pass_name, GenConfig(seed=0), 100).records)
+    assert {len(c.funs) for c in taken} >= {0, 1, 2}
+    taken += [keyed({"a": 1}, {"c": 5}), keyed({}, {}), Config(((("f", Closure({"x": 0}, (), KEYED.cont)),),), {}, KEYED.cont)]
+    for c in taken:
+        assert config_key(c) == reference_config_key(c)
 
 
 def folds(monkeypatch) -> list[int]:

@@ -1757,3 +1757,27 @@ def test_records_are_immutable_and_equal_only_within_their_class():
         Trace((Event("r", (1,), 0),), Terminated(7)),
         Trace((Event("r", (1,), 1),), Terminated(1)),
     }
+
+
+def test_game_path_records_are_exactly_what_their_constructors_build():
+    # apply_extern's event and configuration and the cold loop's Ready
+    # and Done are built from their fields without their constructors
+    c = conf("let x = extern r(1) in let y = x + 1 in y")
+    ready = run_to_anchor(c, 10)
+    event, after = apply_extern(ready, 3)
+    done = run_to_anchor(after, 10)
+    built = [
+        (ready, Ready("r", (1,), Config(c.funs, c.env, c.term))),
+        (event, Event("r", (1,), 3)),
+        (after, Config((), {"x": 3}, c.term.body)),
+        (done, Done(4)),
+    ]
+    for record, expected in built:
+        assert record.__class__ is expected.__class__
+        assert record == expected and expected == record and not record != expected
+        assert record != tuple(record)
+        for cls in (Config, Event, Ready, Done, OutOfFuel, Diverges):
+            if cls is not expected.__class__ and len(cls._fields) == len(record):
+                other = cls(*record)
+                assert record != other and other != record and not record == other
+    assert hash(event) == hash(Event("r", (1,), 3)) and hash(done) == hash(Done(4))
