@@ -82,7 +82,7 @@ from .semantics import (
     config_key,
     run_to_anchor,
 )
-from .syntax import Term, constants_of, term_fact, wrap
+from .syntax import Term, term_fact, term_reads, wrap
 
 
 def make_probes(values: Iterable[int]) -> tuple[int, ...]:
@@ -96,7 +96,7 @@ def make_probes(values: Iterable[int]) -> tuple[int, ...]:
 
 def default_probes(*terms: Term) -> tuple[int, ...]:
     """{0, 1} plus every constant occurring in the given programs."""
-    return tuple(sorted({0, 1} | constants_of(*terms)))
+    return tuple(sorted({0, 1}.union(*(term_reads(t)[1] for t in terms))))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ Outside its game a trial walks its program four times: gen_program
 counts its nodes after the draw, run_pass numbers it in one Nodes
 table, one term_reads walk gives the free variables its initial
 environment binds and the constants among its probes, and the record
-counts its nodes; the output is walked once more for its constants.
+counts its nodes; a second term_reads walk gives the output's
+constants.
 None of these folds term_fact, so the game folds facts only below the
 nodes it keys.
 """
@@ -46,8 +47,6 @@ from .syntax import (
     Term,
     Unop,
     Var,
-    constants_of,
-    free_term_vars,
     print_program,
     term_reads,
     term_size,
@@ -192,7 +191,7 @@ def gen_program(cfg: GenConfig) -> Term:
 def initial_env(t: Term, rng: Random) -> dict[str, int]:
     """Bind every free variable of t except the deliberately unbound
     pool to a small random value."""
-    return _bind(free_term_vars(t), rng)
+    return _bind(term_reads(t)[0], rng)
 
 
 def _bind(free: frozenset[str], rng: Random) -> dict[str, int]:
@@ -361,7 +360,7 @@ def difftest(
         free, consts = term_reads(term)
         rng = Random(seed ^ salt)
         env = _bind(free, rng)
-        pr = tuple(sorted({0, 1, *consts} | constants_of(out)))
+        pr = tuple(sorted({0, 1, *consts} | term_reads(out)[1]))
         left = Config((), env, term)
         if pass_name == "uce":
             return check_bisim(left, Config((), dict(env), out), depth, pr, fuel)

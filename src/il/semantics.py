@@ -130,19 +130,18 @@ known when the code is compiled (since 0, power 1): the first site after
 a call saves without comparing, as its focus, the callee's body, is not
 the focus right after the call that Brent's check compares it with.
 Where it is, which only shared term objects allow, the application
-leaves the segment.  A member gets a member site only where a chain of
-applications from its body, through members not yet gone into on the
-path, leads back to the entry; elsewhere, and where the member's body
-would pass a size bound, the application leaves the segment as any
-other does.  So a segment whose group applications never come back to
-its entry compiles as if its member were alone in its group.  The loop
-path keeps the parameters in locals, reads other free variables from
-the callee's environment, resolves each application once per function
-context, and builds an environment only where one escapes: a closure, a
-Ready, a cut, or an application that leaves the loop.  So a compiled
-loop, a cycle through several members and a loop that makes system
-calls included, comes back to run_to_anchor only at a possible repeat,
-when the fuel runs short, or where it leaves.
+leaves the segment.  A member gets a member site where the path has not
+gone into it yet and its body's first step fits the size bounds;
+elsewhere the application leaves the segment as any other does.  Every
+such choice is local to the path being emitted, so a helper member that
+a loop exits into, and that never applies the entry, is gone into in
+line too.  The loop path keeps the parameters in locals, reads other
+free variables from the callee's environment, resolves each application
+once per function context, and builds an environment only where one
+escapes: a closure, a Ready, a cut, or an application that leaves the
+loop.  So a compiled loop, a cycle through several members and a loop
+that makes system calls included, comes back to run_to_anchor only at a
+possible repeat, when the fuel runs short, or where it leaves.
 """
 from __future__ import annotations
 
@@ -605,30 +604,6 @@ class _Path:
         return path
 
 
-def _applied(body: Term, group: dict) -> set:
-    """The names of the members of group (name -> parameters and body)
-    that a segment from body applies with their arity where no group
-    defined on the way hides them."""
-    found, todo = set(), [(body, frozenset())]
-    while todo:
-        t, hidden = todo.pop()
-        while True:
-            cls = t.__class__
-            if cls is Let:
-                t = t.body
-            elif cls is Cond:
-                todo.append((t.then, hidden))
-                t = t.orelse
-            elif cls is Fun:
-                hidden = hidden.union(d.name for d in t.defs)
-                t = t.cont
-            else:
-                if cls is App and t.fun in group and t.fun not in hidden and len(group[t.fun][0]) == len(t.args):
-                    found.add(t.fun)
-                break
-    return found
-
-
 class _Source:
     """Python source for one segment.  Every IL name, action, term and
     constant outside the 64-bit range is a constant c<n>, bound from a
@@ -638,8 +613,8 @@ class _Source:
     and member the name of the callee, the member whose body is the
     entry term.  An application of the member that no group defined on
     the way hides gets a loop site, and one of another member a member
-    site if also a chain of applications from that member's body leads
-    back to the entry without a member this path has already gone into.
+    site where this path has not gone into that member yet and its body
+    fits the bounds.
     The entry copy runs from the segment's entry environment; where a
     loop site's guard holds it falls through into the loop copy, which
     holds the parameters in the locals params and reads other free
@@ -675,7 +650,6 @@ class _Source:
                 self.member, self.group[name] = name, (clo.params, entry)
             else:
                 self.group.setdefault(name, (clo.params, clo.body))
-        self.calls: dict[str, set] = {}  # the members each member's body applies
         self.saved: dict[int, tuple] = {}  # id(body) -> (local, body) per body a site enters
         self.loops, self.looping = False, False
         self.inits: list[str] = []  # locals the prologue sets to None
@@ -787,21 +761,6 @@ class _Source:
     def fits(self, t: Term, path: _Path) -> bool:
         """Whether t's step may be emitted on path within the bounds."""
         return self.size < MAX_SIZE and not (isinstance(t, Cond) and path.indent >= MAX_NESTING) and _inlinable(t)
-
-    def leads_back(self, name: str, inlined: tuple) -> bool:
-        """Whether a chain of applications from member name's body,
-        through members not in inlined, reaches the entry."""
-        seen, todo = {name, *inlined}, [name]
-        while todo:
-            caller = todo.pop()
-            calls = self.calls.get(caller)
-            if calls is None:
-                calls = self.calls[caller] = _applied(self.group[caller][1], self.group)
-            if self.member in calls:
-                return True
-            todo += calls - seen
-            seen |= calls
-        return False
 
     def key(self, body: Term, ops: dict, env: str) -> str:
         """Source for the values of body's free variables in a
@@ -932,7 +891,7 @@ class _Source:
                     if name == self.member:
                         self.site(path, name, clo, rewound, params, args, ops, steps)
                         return
-                    if name not in path.inlined and self.fits(body, path) and self.leads_back(name, path.inlined):
+                    if name not in path.inlined and self.fits(body, path):
                         # go on into the member's body on this path
                         inlined = path.inlined + (name,)
                         bound = self.site(path, name, clo, rewound, params, args, ops, steps)

@@ -28,11 +28,11 @@ application, the group member its name resolves to.  It is the one
 table of terms: the analyses, the checkers and the passes read it.
 term_fact folds each node's free variables once and keeps them, with
 the node's number, on the term itself; the interpreter's configuration
-keys read them there.  term_reads (and free_term_vars) gets a whole
-program's free variables and constants from one walk down the term
-that counts the names bound on the path and stores nothing, so facts
-are folded only below the nodes a run or a game keys.  An annotation
-(Annotated) is that table with one analysis fact per node in
+keys read them there.  term_reads is the one walk for what a whole
+program reads, its free variables and its constants: it goes down the
+term once, counts the names bound on the path and stores nothing, so
+facts are folded only below the nodes a run or a game keys.  An
+annotation (Annotated) is that table with one analysis fact per node in
 pre-order, which is also the sidecar format: one fact per line,
 "true"/"false" for booleans, "{x,y}" for variable sets.  The parser, the printer and every walk
 over terms or expressions loop on explicit stacks or over the table,
@@ -398,8 +398,8 @@ def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
     term object shared by two programs, as a pass's output shares
     subterms with its input, is neither walked again nor renumbered.
     Numbers are never reused, so two terms have the same number only if
-    they are the same object.  free_term_vars reads a whole program's
-    free variables without folding it (term_reads)."""
+    they are the same object.  term_reads reads a whole program's free
+    variables without folding it."""
     fact = t._fact
     if fact is None:
         order: list[Term] = []
@@ -470,29 +470,6 @@ def term_reads(t: Term) -> tuple[frozenset[str], frozenset[int]]:
             else:
                 exprs.append(e.arg)
     return frozenset(free), frozenset(consts)
-
-
-def free_term_vars(t: Term) -> frozenset[str]:
-    """Variables a whole program reads from its initial environment,
-    from term_reads' walk: no fact is folded."""
-    return term_reads(t)[0]
-
-
-def constants_of(*terms: Term) -> frozenset[int]:
-    out: set[int] = set()
-    stack: list = list(terms)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Term):
-            stack += term_children(e)
-            stack += term_exprs(e)
-        elif isinstance(e, Const):
-            out.add(e.value)
-        elif isinstance(e, Unop):
-            stack.append(e.arg)
-        elif isinstance(e, Binop):
-            stack += (e.left, e.right)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

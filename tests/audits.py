@@ -57,8 +57,8 @@ from il.syntax import (
     _digits_value,
     _error_at,
     _is_var,
-    free_term_vars,
     term_fact,
+    term_reads,
     wrap,
 )
 from il.tlive import infer_tlive
@@ -225,7 +225,7 @@ def generator_audit(t: Term) -> bool:
     for term, hit in zip(nodes.terms, nodes.callee):
         if isinstance(term, App) and (hit is None or len(hit[1].params) != len(term.args)):
             return False
-    return free_term_vars(t) <= {*VAR_NAMES, *INPUT_NAMES, *UNBOUND_NAMES}
+    return term_reads(t)[0] <= {*VAR_NAMES, *INPUT_NAMES, *UNBOUND_NAMES}
 
 
 def well_formed(t: Term) -> bool:

@@ -1026,7 +1026,7 @@ def test_group_loop_enters_its_segment_once_per_run(monkeypatch):
 def test_compiled_group_loops_agree_with_step_silent_at_every_fuel(n):
     # the first generated program whose compiled code goes on into
     # another member's body, with every segment compiled on its first
-    # entry; about one program in eighty does
+    # entry; about one program in seventeen does
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "HOT_ENTRIES", 1)
         inlined = _member_sites(mp)
@@ -1050,45 +1050,30 @@ def test_compiled_group_loops_agree_with_step_silent_at_every_fuel(n):
 
 
 @pytest.mark.parametrize(
-    "src, loops",
+    "src, sites",
     [
-        ("fun f(x) = g(x) and g(y) = y in f(1)", False),
-        ("fun f(x) = if x < 50 then g(x) else x and g(y) = h(y + 1) and h(z) = z * 2 in f(1)", False),
-        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = fun f(z) = z in f(y) in f(1)", False),
-        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = f(y, 1) in f(1)", False),
-        ("fun h(x) = x * 3 in fun f(x) = if x < 50 then let y = x + 1 in h(y) else x in f(1)", False),
-        ("fun f(x) = if x < 50 then f(x + 1) else g(x) and g(y) = y in f(1)", True),
+        ("fun f(x) = g(x) and g(y) = y in f(1)", ["g"]),
+        ("fun f(x) = if x < 50 then g(x) else x and g(y) = h(y + 1) and h(z) = z * 2 in f(1)", ["g", "h"]),
+        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = fun f(z) = z in f(y) in f(1)", ["g"]),
+        ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = f(y, 1) in f(1)", ["g"]),
+        ("fun h(x) = x * 3 in fun f(x) = if x < 50 then let y = x + 1 in h(y) else x in f(1)", []),
+        ("fun f(x) = if x < 50 then f(x + 1) else g(x) and g(y) = y in f(1)", ["g", "g"]),
     ],
 )
-def test_groups_without_a_cycle_back_compile_as_the_entry_alone(monkeypatch, src, loops):
-    # where no chain of applications from another member leads back to
-    # the entry (none at all, one hidden by an inner group, one of
-    # another arity, a one-member helper group), a segment compiles to
-    # the same source as with the entry's closure alone in its group: no
-    # member site, and a room local only where the entry applies itself
+def test_members_not_yet_gone_into_get_a_member_site(monkeypatch, src, sites):
+    # an application of another member of the entry's group goes on into
+    # its body wherever the path has not gone into it yet, whether or not
+    # it ever comes back to the entry: a helper with no application, one
+    # that applies a third member, one whose application of the entry is
+    # hidden by an inner group or of another arity, and one the loop
+    # exits into from both of its copies; h in an outer group is no
+    # member.  Each run agrees with the reference at every fuel
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
     inlined = _member_sites(monkeypatch)
-    sources = []
-    monkeypatch.setattr(semantics, "compile", lambda text, *rest: (sources.append(text), compile(text, *rest))[1], raising=False)
     c = conf(src)
     assert run_to_anchor(c, 10**4) == reference_anchor(c, 10**4)[0]
-    assert not inlined
-    groups = {}
-    for s in Nodes(c.term).terms:
-        if isinstance(s, Fun):
-            closures = semantics._group(s.defs, {})
-            groups.update((id(clo.body), closures) for _, clo in closures)
-    compiled = [s for s in Nodes(c.term).terms if isinstance(s._segment, Segment) and id(s) in groups]
-    assert compiled
-    rooms = []
-    for body in compiled:
-        closures = groups[id(body)]
-        sources.clear()
-        compile_segment(body, closures)
-        compile_segment(body, tuple((name, clo) for name, clo in closures if clo.body is body))
-        assert sources[0] == sources[1]
-        rooms.append("room" in sources[0])
-    assert any(rooms) == loops
+    assert inlined == sites
+    _every_fuel(c, 10**4)
 
 
 # -- resumes: the code after a system call runs on in the compiled
@@ -1505,16 +1490,45 @@ def test_segments_without_the_member_applied_past_a_call_get_no_new_site(monkeyp
     ],
 )
 def test_cycles_back_through_a_call_get_a_member_site(monkeypatch, src, end):
-    # a chain of applications back to the entry through a system call,
-    # in the other member's body or before it, counts: f's segment goes
-    # on into g's body, resolves calls past a site, and ends as the
-    # references do at every fuel
+    # a cycle back to the entry through a system call, in the other
+    # member's body or before it: f's segment goes on into g's body,
+    # resolves calls past a site, and ends as the references do at
+    # every fuel
     inlined = _member_sites(monkeypatch)
     sources = _sites_after_calls(monkeypatch)
     oracle = _PastSites(SeededOracle(2), sources)
     trace = _resolved_at_every_fuel(lambda: parse_program(src), {}, oracle, max_events=64)
     assert trace.events and isinstance(trace.outcome, end)
     assert "g" in inlined and sources and any(oracle.passed())
+
+
+@pytest.mark.parametrize(
+    "helper, sites",
+    [
+        # a system call
+        ("g(x) = let r = extern wr(x) in x + r", ["g", "g"]),
+        # a closure
+        ("g(x) = fun k(y) = y + x in k(x * 2)", ["g", "g"]),
+        # an application of a third member, which makes a system call
+        ("g(x) = h(x + 1) and h(y) = let r = extern wr(y) in y * r", ["g", "h", "g", "h"]),
+        # a body too large for the size bounds: the application stays an exit
+        ("g(x) = " + " + ".join(["x"] * 20), []),
+    ],
+)
+def test_helper_exits_agree_with_the_reference_at_every_fuel(monkeypatch, helper, sites):
+    # a loop that exits into a member that never comes back: on the first
+    # run both copies of f's segment go on into the helper where it
+    # fits, and every run agrees with the references at every fuel,
+    # without a resolver and with one
+    src = f"fun f(i, acc) = if i < 40 then f(i + 1, acc + i) else g(acc) and {helper} in f(0, 0)"
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    inlined = _member_sites(monkeypatch)
+    c = conf(src)
+    assert run_to_anchor(c, 10**4) == reference_anchor(c, 10**4)[0]
+    assert inlined == sites
+    _every_fuel(c, 10**4)
+    trace = _resolved_at_every_fuel(lambda: parse_program(src), {}, SeededOracle(4))
+    assert isinstance(trace.outcome, Terminated)
 
 
 def test_a_callee_body_that_is_the_focus_after_a_call_leaves_the_segment(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from audits import flatten, reference_parse, well_formed
 from il.harness import GenConfig, derive_seed, gen_program
+from il.reach import Rejection
 from il.syntax import (
     Annotated,
     App,
@@ -23,19 +24,21 @@ from il.syntax import (
     Unop,
     Var,
     _TOKEN_RE,
-    constants_of,
     eval_expr,
     eval_expr_list,
-    free_term_vars,
     free_vars,
     parse_program,
     parse_sidecar,
     print_program,
     sidecar_text,
+    term_exprs,
+    term_fact,
+    term_reads,
     term_size,
     truthy,
     wrap,
 )
+from il.transform import run_pass
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 RIGHT = "fun f(x) = if 9 < x then 1 else f(x + 1) in f(3)"
@@ -137,24 +140,52 @@ def test_free_vars_sufficiency():
     assert eval_expr(e, v1) == eval_expr(e, v2)
 
 
-def test_free_term_vars_respects_binders():
+def test_term_reads_free_variables_respect_binders():
     t = parse_program("let x = a in x + y")
-    assert free_term_vars(t) == {"a", "y"}
+    assert term_reads(t)[0] == {"a", "y"}
     t = parse_program("fun f(x) = x + b in f(c)")
-    assert free_term_vars(t) == {"b", "c"}
+    assert term_reads(t)[0] == {"b", "c"}
 
 
-def test_free_term_vars_of_a_deep_term():
+def test_term_reads_free_variables_of_a_deep_term():
     # a let chain far deeper than the recursion limit
     t = Exp(Var("v0"))
     for i in range(100_000):
         t = Let(f"v{i}", Var(f"v{i + 1}"), t)
-    assert free_term_vars(t) == {"v100000"}
+    assert term_reads(t)[0] == {"v100000"}
 
 
-def test_constants_of():
+def test_term_reads_constants():
     t = parse_program("let x = 3 + 4 in if x then 5 else 3")
-    assert constants_of(t) == {3, 4, 5}
+    assert term_reads(t)[1] == {3, 4, 5}
+
+
+def _constants(t):
+    """Every constant of t, from each node's expressions in its Nodes
+    table."""
+    out, stack = set(), [e for term in Nodes(t).terms for e in term_exprs(term)]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Const):
+            out.add(e.value)
+        elif isinstance(e, Unop):
+            stack.append(e.arg)
+        elif isinstance(e, Binop):
+            stack += (e.left, e.right)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000))
+def test_term_reads_agrees_with_the_folded_facts_and_every_node(n):
+    # on a generated program and its pass outputs: the free variables
+    # term_fact folds at the root, and the constants of every node
+    t = gen_program(GenConfig(seed=derive_seed(73, n)))
+    outs = [done[1] for done in (run_pass("uce", t), run_pass("dve", t)) if not isinstance(done, Rejection)]
+    for term in (t, *outs):
+        free, consts = term_reads(term)
+        assert free == set(term_fact(term)[1])
+        assert consts == _constants(term)
 
 
 # -- parsing

@@ -235,11 +235,11 @@ def test_inferred_annotations_always_accepted(n):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10_000))
 def test_root_fact_contains_only_free_vars(n):
-    from il.syntax import free_term_vars
+    from il.syntax import term_reads
 
     t = gen_program(GenConfig(seed=derive_seed(23, n)))
     at = infer_tlive(t)
-    assert at.facts[0] <= free_term_vars(t)
+    assert at.facts[0] <= term_reads(t)[0]
 
 
 # -- the worklist against the round-based inference it replaced
