@@ -58,8 +58,8 @@ which dead variable elimination may erase a crash but never invent
 behavior.
 
 Distinguished verdicts carry the shared event prefix, the probe
-choices down the failing path (replayable with ListOracle), and a
-description of the divergence.
+choices down the failing path (the call results that replay it, in
+order), and a description of the divergence.
 """
 from __future__ import annotations
 

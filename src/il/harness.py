@@ -188,16 +188,6 @@ def gen_program(cfg: GenConfig) -> Term:
     return t
 
 
-def initial_env(t: Term, rng: Random) -> dict[str, int]:
-    """Bind every free variable of t except the deliberately unbound
-    pool to a small random value."""
-    return _bind(term_reads(t)[0], rng)
-
-
-def _bind(free: frozenset[str], rng: Random) -> dict[str, int]:
-    return {v: rng.randrange(-9, 10) for v in sorted(free) if v not in UNBOUND_NAMES}
-
-
 def perturbed_env(env: dict[str, int], keep: frozenset[str], rng: Random) -> dict[str, int]:
     """Copy env, agreeing exactly on keep: every other binding changes."""
     out = dict(env)
@@ -356,10 +346,11 @@ def difftest(
         if isinstance(done, Rejection):
             return done
         ann, out = done
-        # initial_env(term, rng) and default_probes(term, out), with one walk of term
+        # small random values for term's free variables outside the unbound
+        # pool, and default_probes(term, out), with one walk of term
         free, consts = term_reads(term)
         rng = Random(seed ^ salt)
-        env = _bind(free, rng)
+        env = {v: rng.randrange(-9, 10) for v in sorted(free) if v not in UNBOUND_NAMES}
         pr = tuple(sorted({0, 1, *consts} | term_reads(out)[1]))
         left = Config((), env, term)
         if pass_name == "uce":

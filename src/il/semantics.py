@@ -6,29 +6,33 @@ application rewinds it by dropping every group more recent than the
 first group defining the callee, which is what makes recursion work
 without a call stack.  Silent steps cover binding, conditionals, group
 definition, and application.  System calls are the only observable
-transitions: step_silent evaluates a system call's arguments once,
-the Ready anchor holds them, and apply_extern resolves the call from
-that anchor with a result value supplied from outside the stepper, so
+transitions: a run evaluates a system call's arguments once, the
+Ready anchor holds them, and apply_extern resolves the call from that
+anchor with a result value supplied from outside the stepper, so
 execution is deterministic up to those results.  run_trace instead
 gives run_to_anchor a resolver, which supplies each result where the
 call is reached, so one run_to_anchor call runs a whole trace.
 
+step_silent (with Stepped, AtExtern, Terminal and result_of) is the
+reference semantics, one step at a time.  run_to_anchor and everything
+it calls reach none of them: the tests check runs against a plain loop
+over step_silent, and perfbench's tracer counts its calls.
+
 Configurations, events and anchors are immutable records: NamedTuple
 classes whose fields cannot be assigned and which equal only records
 of their own class, so Done(x) != Diverges(x) and no record equals a
-plain tuple.  Environments are plain dicts.  step_silent, the reference
-semantics, builds a fresh one at every let and application.
-run_to_anchor's cold loop applies the same rules in place over funs,
-env and term locals, and writes a segment's let-bound values into one
-private dict, copied from the entry environment at the segment's first
-let.  That dict is never one that something else holds: a fun's
-closures capture it, so the next let copies again; an application's
-fresh environment never becomes it, since Brent's check may have saved
-a configuration holding that environment; a resolved system call
-binds its result in a new dict, which Brent's check saves, so the next
-let copies again; and a Config is built from it only for an anchor,
-which ends the run.  So no dict that a caller, a closure or a Config
-holds is ever written.
+plain tuple.  Environments are plain dicts.  step_silent builds a
+fresh one at every let and application.  run_to_anchor's cold loop
+applies the same rules in place over funs, env and term locals, and
+writes a segment's let-bound values into one private dict, copied from
+the entry environment at the segment's first let.  That dict is never
+one that something else holds: a fun's closures capture it, so the
+next let copies again; an application's fresh environment never
+becomes it, since Brent's check may have saved a configuration holding
+that environment; a resolved system call binds its result in a new
+dict, which Brent's check saves, so the next let copies again; and a
+Config is built from it only for an anchor, which ends the run.  So no
+dict that a caller, a closure or a Config holds is ever written.
 
 Divergence.  Because silent stepping is a function of the configuration's
 content, a silent run that comes back to an equal configuration repeats
@@ -91,17 +95,20 @@ first step has more than INLINE_NODES expression nodes is never
 compiled: its entry term keeps _segment None and always runs cold.
 run_to_anchor runs compiled code only when the remaining fuel covers
 the most steps any path through the segment takes between its entry,
-its system calls, its sites (below) and its ends
-(longest), and otherwise runs the segment in the cold loop.  That loop
-makes step_silent's checks in its order, except that a system call
-takes no fuel, so it is resolved or anchored even with none left; with
-no fuel left anywhere else it asks step_silent for the anchor.  So
+its system calls, its sites (below) and its ends (longest), and
+otherwise runs the segment in the cold loop.  That loop decides every
+anchor itself, in step_silent's order: it evaluates a step (a let's
+value, a condition, or a callee, its arguments and its arity) and ends
+with Done where that is undefined or the focus is an expression; only
+then counts the step, ending with OutOfFuel at the configuration
+before it where no fuel is left; and then commits it.  A system call
+takes no fuel, so it is resolved or anchored even with none left.  So
 every anchor, OutOfFuel and Diverges included, comes at the same step
 with an equal configuration whichever way a segment runs, and Brent's
 check sees the same post-application configurations.  Either way a
 Config is built only for a Ready or OutOfFuel anchor, for the
-configurations Brent's check saves or compares, and for the one after a
-resolved call.
+configurations Brent's check saves or compares, and for the one after
+a resolved call.
 
 Loops.  In the paper's language a loop is a group of functions that
 apply each other, often a function that applies itself.  When an
@@ -293,6 +300,7 @@ def result_of(config: Config) -> Optional[int]:
 
 
 def step_silent(config: Config) -> Union[Stepped, AtExtern, Terminal]:
+    """One step of the reference semantics (see the module docstring)."""
     t = config.term
     if isinstance(t, Let):
         if isinstance(t.value, SysCall):
@@ -380,14 +388,6 @@ _BOT = Done(None)
 Resolver = Callable[[str, tuple[int, ...]], Optional[int]]
 
 
-def _stopped(config: Config) -> Anchor:
-    """The anchor at config when no fuel is left and its focus is not a
-    system call: OutOfFuel where step_silent would step, else Done."""
-    if step_silent(config).__class__ is Stepped:
-        return OutOfFuel(config)
-    return Done(result_of(config))
-
-
 def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None) -> Anchor:
     """Run silent steps (at most fuel of them) to the next anchor, or
     to the first repeat of a configuration's key (Diverges).
@@ -426,11 +426,8 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
             # let has copied it (see the module docstring)
             own = None
             while True:
+                # evaluate, count (a system call takes no fuel), commit
                 cls = term.__class__
-                # a system call takes no fuel
-                if remaining <= 0 and (cls is not Let or term.value.__class__ is not SysCall):
-                    return _stopped(Config(funs, env, term))
-                remaining -= 1
                 if cls is Let:
                     value = term.value
                     if value.__class__ is SysCall:
@@ -448,6 +445,8 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
                     v = eval_expr(value, env)
                     if v is None:
                         return _BOT
+                    if (remaining := remaining - 1) < 0:
+                        return OutOfFuel(Config(funs, env, term))
                     if env is not own:
                         env = own = dict(env)
                     env[term.var] = v
@@ -456,20 +455,26 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
                     v = eval_expr(term.cond, env)
                     if v is None:
                         return _BOT
+                    if (remaining := remaining - 1) < 0:
+                        return OutOfFuel(Config(funs, env, term))
                     term = term.then if v else term.orelse
                 elif cls is App:
                     hit = ctx_resolve(funs, term.fun)
                     if hit is None:
                         return _BOT
-                    clo, funs = hit
                     vals = eval_expr_list(term.args, env)
-                    if vals is None or len(vals) != len(clo.params):
+                    if vals is None or len(vals) != len(hit[0].params):
                         return _BOT
+                    if (remaining := remaining - 1) < 0:
+                        return OutOfFuel(Config(funs, env, term))
+                    clo, funs = hit
                     env = dict(clo.env)
                     env.update(zip(clo.params, vals))
                     term = clo.body
                     break
                 elif cls is Fun:
+                    if (remaining := remaining - 1) < 0:
+                        return OutOfFuel(Config(funs, env, term))
                     funs = (_group(term.defs, env),) + funs
                     own = None
                     term = term.cont
@@ -991,17 +996,6 @@ class SeededOracle:
         h = self._prefix.copy()
         h.update(key.encode())
         return int.from_bytes(h.digest(), "big", signed=True) % 19 - 9
-
-
-class ListOracle:
-    """Replays a fixed list of results; 0 past the end. Used to rerun
-    counterexample witnesses."""
-
-    def __init__(self, values: Sequence[int]):
-        self.values = tuple(values)
-
-    def __call__(self, index: int, action: str, args: tuple[int, ...]) -> int:
-        return self.values[index] if index < len(self.values) else 0
 
 
 def run_trace(config: Config, oracle: Oracle, fuel: int, max_events: int = 256) -> Trace:

@@ -1,9 +1,10 @@
 """Semantic audits of the analyses and the program generator, used by
-the harness and acceptance tests, and the references the parser and
-the game are tested against."""
+the harness and acceptance tests, the references the parser and the
+game are tested against, and the initial environments and replayed
+system-call results the tests run programs with."""
 
 from random import Random
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import il.harness
 from il.equiv import (
@@ -17,7 +18,7 @@ from il.equiv import (
     _judge,
     make_probes,
 )
-from il.harness import INPUT_NAMES, UNBOUND_NAMES, VAR_NAMES, initial_env, perturbed_env
+from il.harness import INPUT_NAMES, UNBOUND_NAMES, VAR_NAMES, perturbed_env
 from il.reach import infer_reach
 from il.semantics import (
     Config,
@@ -62,6 +63,22 @@ from il.syntax import (
     wrap,
 )
 from il.tlive import infer_tlive
+
+
+def initial_env(t: Term, rng: Random) -> dict[str, int]:
+    """Bind every free variable of t except the deliberately unbound
+    pool to a small random value, as a difftest trial does."""
+    return {v: rng.randrange(-9, 10) for v in sorted(term_reads(t)[0]) if v not in UNBOUND_NAMES}
+
+
+class ListOracle:
+    """Replays a fixed list of system-call results; 0 past the end."""
+
+    def __init__(self, values: Sequence[int]):
+        self.values = tuple(values)
+
+    def __call__(self, index: int, action: str, args: tuple[int, ...]) -> int:
+        return self.values[index] if index < len(self.values) else 0
 
 
 class _Frame:

@@ -7,7 +7,7 @@ import random
 import time
 from functools import lru_cache
 
-from audits import reach_audit, tlive_audit
+from audits import initial_env, reach_audit, tlive_audit
 from il.equiv import (
     Distinguished,
     EquivalentToDepth,
@@ -23,7 +23,6 @@ from il.harness import (
     difftest_dve,
     difftest_uce,
     gen_program,
-    initial_env,
 )
 from il.reach import infer_reach
 from il.semantics import Config, SeededOracle, run_trace, trace_text

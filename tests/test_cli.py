@@ -12,7 +12,8 @@ import pytest
 
 from il import cli, semantics
 from il.cli import main
-from il.harness import GenConfig, derive_seed, gen_program, initial_env
+from audits import initial_env
+from il.harness import GenConfig, derive_seed, gen_program
 from il.reach import infer_reach
 from il.syntax import is_var_name, parse_program, print_program, sidecar_text
 from il.tlive import infer_tlive

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audits import reference_config_key, reference_game, refereed
+from audits import ListOracle, initial_env, reference_config_key, reference_game, refereed
 
 from il import equiv, syntax
 from il.equiv import (
@@ -18,8 +18,8 @@ from il.equiv import (
     enumerate_traces,
     make_probes,
 )
-from il.harness import GenConfig, derive_seed, difftest, gen_program, initial_env, shrink_term
-from il.semantics import Closure, Config, Cutoff, Diverged, ListOracle, Terminated, config_key, run_trace
+from il.harness import GenConfig, derive_seed, difftest, gen_program, shrink_term
+from il.semantics import Closure, Config, Cutoff, Diverged, Terminated, config_key, run_trace
 from il.syntax import Let, Nodes, Var, parse_program, print_program, term_fact, term_size
 from il.transform import run_pass
 

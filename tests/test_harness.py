@@ -8,7 +8,7 @@ from hashlib import blake2b
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audits import generator_audit, reach_audit, tlive_audit, well_formed
+from audits import generator_audit, initial_env, reach_audit, tlive_audit, well_formed
 from il import harness
 from il.equiv import default_probes
 from il.harness import (
@@ -20,12 +20,11 @@ from il.harness import (
     difftest_dve,
     difftest_uce,
     gen_program,
-    initial_env,
     perturbed_env,
     shrink_term,
 )
 from il.semantics import SeededOracle
-from il.syntax import Cond, Const, Exp, Nodes, parse_program, print_program, term_fact, term_size
+from il.syntax import Cond, Const, Exp, Let, Nodes, parse_program, print_program, term_fact, term_size
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 
@@ -200,6 +199,13 @@ def test_summary_line_shape():
         assert field in s
 
 
+def test_difftest_reports_trials_whose_game_runs_out_of_fuel():
+    rep = difftest_uce(GenConfig(seed=0), 40, fuel=2)
+    assert " exhausted=20 " in rep.summary()
+    verdicts = [json.loads(rec.to_json())["verdict"] for rec in rep.records]
+    assert verdicts.count("exhausted:fuel") == 20
+
+
 def test_record_json_is_sorted_and_parseable():
     rep = difftest_uce(GenConfig(seed=2), trials=2)
     for rec in rep.records:
@@ -276,6 +282,15 @@ def test_shrink_preserves_failure():
 def test_shrink_keeps_term_when_nothing_smaller_fails():
     t = parse_program("3")
     assert shrink_term(t, lambda s: True) == t
+
+
+def test_shrink_stops_after_its_step_cap():
+    # each greedy step drops one let, and a shrink takes SHRINK_STEPS
+    t = Exp(Const(0))
+    for k in range(300):
+        t = Let(f"x{k}", Const(k), t)
+    assert term_size(t) == 301
+    assert term_size(shrink_term(t, lambda s: True)) == 301 - harness.SHRINK_STEPS == 101
 
 
 @settings(deadline=None, max_examples=30)

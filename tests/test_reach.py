@@ -196,6 +196,41 @@ def test_check_rejects_liveness_sets_as_reach_facts():
     assert str(rej) == "at <root>: Shape: the fact at <root> is not a bool"
 
 
+@pytest.mark.parametrize(
+    "src, path, rejection",
+    [
+        ("3", (), ((), "Reach-Root", "the root is not marked reachable")),
+        ("let x = 1 in 3", (0,), ((), "Reach-Let", "continuation bit False differs from node bit True")),
+        (
+            "fun f() = 1 in f()",
+            (0,),
+            ((1,), "Reach-App", "reachable application of 'f' whose body is not marked reachable"),
+        ),
+        ("if c then 1 else 2", (0,), ((), "Reach-Cond", "then-branch bit False differs from node bit True")),
+        ("if c then 1 else 2", (1,), ((), "Reach-Cond", "else-branch bit False differs from node bit True")),
+        ("fun f() = 1 in 3", (1,), ((), "Reach-Fun", "continuation bit False differs from node bit True")),
+    ],
+)
+def test_check_rejects_each_flipped_bit(src, path, rejection):
+    # one inferred bit flipped breaks one premise
+    at = infer_reach(parse_program(src))
+    assert check_reach({}, at) is None
+    facts = list(at.facts)
+    i = next(i for i in range(len(facts)) if at.nodes.path(i) == path)
+    facts[i] = not facts[i]
+    rej = check_reach({}, annotate(at.term, facts))
+    assert (rej.path, rej.rule, rej.detail) == rejection
+
+
+@pytest.mark.parametrize(
+    "facts, detail",
+    [((True,), "1 facts for a term with 2 nodes"), ((True, frozenset()), "the fact at 0 is not a bool")],
+)
+def test_check_rejects_a_malformed_annotation(facts, detail):
+    rej = check_reach({}, annotate(parse_program("let x = 1 in 3"), facts))
+    assert (rej.path, rej.rule, rej.detail) == ((), "Shape", detail)
+
+
 def test_inferred_left_figure_is_accepted():
     at = infer_reach(parse_program(LEFT))
     assert check_reach({}, at) is None

@@ -9,7 +9,8 @@ from hashlib import blake2b
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from il.harness import GenConfig, derive_seed, gen_program, initial_env
+from audits import ListOracle, initial_env
+from il.harness import GenConfig, derive_seed, gen_program
 from il import semantics
 from il.semantics import (
     AtExtern,
@@ -19,7 +20,6 @@ from il.semantics import (
     Diverges,
     Done,
     Event,
-    ListOracle,
     OutOfFuel,
     Ready,
     SeededOracle,
@@ -1747,6 +1747,47 @@ def test_cold_loop_anchors_loops_that_bind_lets_at_the_reference_step(monkeypatc
     assert isinstance(a, kind)
     for fuel in range(steps + 2):
         assert run_to_anchor(c, fuel) == reference_anchor(c, fuel)[0]
+
+
+@pytest.mark.parametrize(
+    "src, anchor",
+    [
+        ("let y = 1 in let x = y / 0 in x", Done(None)),
+        ("let y = 1 in if u then 1 else 2", Done(None)),
+        ("let y = 1 in g(y)", Done(None)),
+        ("fun f(x) = x in let y = 1 in f(y, y)", Done(None)),
+        ("let y = 1 in fun f(x) = x + y in 7", Done(7)),
+        ("let y = 1 in let r = extern rd(y) in r", Ready),
+        ("let y = 1 in let r = extern rd(u) in r", Done(None)),
+        ("let y = 1 in if y then fun f(x) = x + y in f(y) else 0", Done(2)),
+        ("fun f(x) = x + 1 in fun g() = 1 in f(2)", Done(3)),
+        ("let y = 1 in if y then 3 / 0 else 0", Done(None)),
+    ],
+)
+def test_cold_loop_stops_where_the_fuel_runs_out_as_the_reference_does(monkeypatch, src, anchor):
+    # at every fuel the step where it runs out is each step of the run
+    # in turn: an undefined let value, condition, callee or arity ends
+    # the run with Done at any fuel, a fun or a defined step is not
+    # taken without fuel (OutOfFuel, holding the caller's function
+    # context where an application rewinds it), and a system call
+    # takes none
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    c = conf(src)
+    a, steps = reference_anchor(c, 100)
+    assert a == anchor or a.__class__ is anchor
+    for fuel in range(steps + 2):
+        got = run_to_anchor(c, fuel)
+        assert got == reference_anchor(c, fuel)[0]
+        assert got.__class__ is OutOfFuel if fuel < steps else got == a
+    assert c.env == {}
+
+
+def test_cold_loop_resolves_a_system_call_with_no_fuel_left(monkeypatch):
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", math.inf)
+    trace = run_trace(conf("let r = extern rd() in let s = r + 1 in s"), SeededOracle(0), 0)
+    assert trace_text(trace) == "EVT rd()=8\nEND CUTOFF\n"
+    trace = run_trace(conf("let r = extern rd() in r"), SeededOracle(0), 0)
+    assert trace_text(trace) == "EVT rd()=8\nEND TERM 8\n"
 
 
 # -- records

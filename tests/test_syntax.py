@@ -465,6 +465,14 @@ def test_sidecar_roundtrip_sets():
     assert back.facts[1] == {"x"}
 
 
+@pytest.mark.parametrize("line", ["maybe", "{x", "True"])
+def test_sidecar_rejects_a_line_that_is_no_fact(line):
+    t = parse_program("let x = 1 in x")
+    with pytest.raises(ValueError) as err:
+        parse_sidecar(t, f"true\n{line}\n")
+    assert str(err.value) == f"sidecar line 2: cannot parse fact {line!r}"
+
+
 def test_sidecar_count_mismatch():
     t = parse_program("let x = a in x")
     with pytest.raises(ValueError):

@@ -223,6 +223,79 @@ def test_inferred_left_figure_is_accepted():
     assert check_tlive({}, {}, infer_tlive(parse_program(LEFT))) is None
 
 
+@pytest.mark.parametrize(
+    "src, path, change, rejection",
+    [
+        ("let x = 1 in x + y", (0,), "+q", ((), "TLive-Op", "continuation needs ['q'] beyond this node's set")),
+        (
+            "let x = extern rd(y) in x",
+            (0,),
+            "+q",
+            ((), "TLive-Call", "continuation needs ['q'] beyond this node's set"),
+        ),
+        (
+            "let x = extern rd(y) in x",
+            (),
+            "-y",
+            ((), "TLive-Call", "call arguments read ['y'] outside this node's set"),
+        ),
+        ("let x = y in x", (), "-y", ((), "TLive-Op", "bound expression reads ['y'] outside this node's set")),
+        ("x + y", (), "-y", ((), "TLive-Exp", "expression reads ['y'] outside this node's set")),
+        (
+            "fun f(x) = x in f(a)",
+            (1,),
+            "-a",
+            ((1,), "TLive-App", "argument for live parameter 'x' reads ['a'] outside this node's set"),
+        ),
+        ("if c then 1 else 2", (), "-c", ((), "TLive-Cond", "condition reads ['c'] outside this node's set")),
+        ("if c then x else y", (0,), "+q", ((), "TLive-Cond", "then-branch needs ['q'] beyond this node's set")),
+        ("if c then x else y", (1,), "+q", ((), "TLive-Cond", "else-branch needs ['q'] beyond this node's set")),
+        ("fun f(x) = x in f(a)", (1,), "+q", ((), "TLive-Fun", "continuation needs ['q'] beyond this node's set")),
+        ("fun f(x) = x in f(a)", (0,), "+q", ((), "TLive-Fun", "body of 'f' captures ['q'] outside this node's set")),
+    ],
+)
+def test_check_rejects_each_corrupted_premise(src, path, change, rejection):
+    # one variable added to or dropped from one inferred fact breaks one
+    # premise at one node: putting the variable into that node's set
+    # makes the annotation derivable again
+    at = infer_tlive(parse_program(src))
+    assert check_tlive({}, {}, at) is None
+    facts = list(at.facts)
+    i = next(i for i in range(len(facts)) if at.nodes.path(i) == path)
+    op, var = change
+    facts[i] = facts[i] | {var} if op == "+" else facts[i] - {var}
+    rej = check_tlive({}, {}, Annotated(at.nodes, tuple(facts)))
+    assert (rej.path, rej.rule, rej.detail) == rejection
+    j = next(j for j in range(len(facts)) if at.nodes.path(j) == rej.path)
+    facts[j] |= {var}
+    assert check_tlive({}, {}, Annotated(at.nodes, tuple(facts))) is None
+
+
+@pytest.mark.parametrize(
+    "src, zeta, lam, rejection",
+    [
+        ("f(1)", {}, {}, ((), "TLive-App", "application of unknown function 'f'")),
+        ("f(1)", {"f": ("x",)}, {}, ((), "TLive-App", "application of unknown function 'f'")),
+        (
+            "f(1)",
+            {"f": ("x", "y")},
+            {"f": frozenset()},
+            ((), "TLive-App", "arity mismatch: 1 arguments for 2 parameters"),
+        ),
+        ("fun f(x) = x in f(1, 2)", {}, {}, ((1,), "TLive-App", "arity mismatch: 2 arguments for 1 parameters")),
+    ],
+)
+def test_check_rejects_applications_its_contexts_cannot_derive(src, zeta, lam, rejection):
+    rej = check_tlive(zeta, lam, infer_tlive(parse_program(src)))
+    assert (rej.path, rej.rule, rej.detail) == rejection
+
+
+def test_check_rejects_an_annotation_one_fact_short():
+    at = infer_tlive(parse_program("let x = 1 in x"))
+    rej = check_tlive({}, {}, Annotated(at.nodes, at.facts[:1]))
+    assert (rej.path, rej.rule, rej.detail) == ((), "Shape", "1 facts for a term with 2 nodes")
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 10_000))
 def test_inferred_annotations_always_accepted(n):
