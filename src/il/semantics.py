@@ -144,11 +144,14 @@ such choice is local to the path being emitted, so a helper member that
 a loop exits into, and that never applies the entry, is gone into in
 line too.  The loop path keeps the parameters in locals, reads other
 free variables from the callee's environment, resolves each application
-once per function context, and builds an environment only where one
-escapes: a closure, a Ready, a cut, or an application that leaves the
-loop.  So a compiled loop, a cycle through several members and a loop
-that makes system calls included, comes back to run_to_anchor only at a
-possible repeat, when the fuel runs short, or where it leaves.
+and checks its arity and, at a site, the callee's body and parameters
+once per function context, compares a key value by value, the
+parameters' first, up to the first that differs, and builds an
+environment only where one escapes: a closure, a Ready, a cut, or an
+application that leaves the loop.  So a compiled loop, a cycle through
+several members and a loop that makes system calls included, comes
+back to run_to_anchor only at a possible repeat, when the fuel runs
+short, or where it leaves.
 """
 from __future__ import annotations
 
@@ -557,6 +560,7 @@ _HELPERS = {
     "_group": _group,
     "_wrap": wrap,
     "_div": _div,
+    "_UNSAVED": object(),  # a key value before any save: equals no value
 }
 
 
@@ -630,13 +634,14 @@ class _Source:
     Every site follows one rule.  It counts its steps into remaining
     first and goes on only where that covers room, the longest path's
     steps, and, before any system call on its path, where the values of
-    its body's free variables differ from that body's local in saved:
-    saved's values where saved's focus is the body, else None or the
-    values of an earlier save.  It counts the configuration, and where
-    Brent's save falls due it makes the save into the locals kept (the
-    saved configuration's function context, None until a site sets it,
-    the callee's closure, whose environment, parameters and body the
-    guard checked, and the parameters' values) and its body's local.
+    its body's free variables differ from that body's locals in saved,
+    one per variable: saved's values where saved's focus is the body,
+    else _UNSAVED or the values of an earlier save.  It counts the
+    configuration, and where Brent's save falls due it makes the save
+    into the locals kept (the saved configuration's function context,
+    None until a site sets it, the callee's closure, whose environment,
+    parameters and body the guard checked, and the parameters' values)
+    and its body's locals.
     Right after a call Brent's state is since 0 and power 1, so the
     first site after a call saves without comparing.  A return with no
     call on its path since its last site hands the kept configuration
@@ -767,29 +772,37 @@ class _Source:
         """Whether t's step may be emitted on path within the bounds."""
         return self.size < MAX_SIZE and not (isinstance(t, Cond) and path.indent >= MAX_NESTING) and _inlinable(t)
 
-    def key(self, body: Term, ops: dict, env: str) -> str:
-        """Source for the values of body's free variables in a
-        configuration whose focus is body: each its operand in ops or
-        else read from env."""
-        return _tuple([ops[v] if v in ops else f"{env}.get({self.const(v)})" for v in term_fact(body)[1]])
+    def key(self, body: Term, ops: dict, env: str) -> list:
+        """Body's locals in saved, each with the value of its free
+        variable in a configuration whose focus is body: its operand in
+        ops, these first, or else read from env.  A body with no free
+        variables has one local, and the value 0."""
+        kept, free = self.saved[id(body)][0], term_fact(body)[1]
+        pairs = [(s, ops[v]) for s, v in zip(kept, free) if v in ops]
+        pairs += [(s, f"{env}.get({self.const(v)})") for s, v in zip(kept, free) if v not in ops]
+        return pairs or [(kept[0], "0")]
 
-    def site(self, path: _Path, name: str, clo: str, rewound: str, params: str, args: str, ops: list, steps: int) -> list:
-        """Where an application of member name enters its body, go on
-        past the application: with the fuel covering the longest path
-        and, before any system call on the path, a key that differs from
-        saved's.  Count the configuration and make Brent's save where it
-        falls due.  The locals that then hold the member's parameters."""
+    def site(self, path: _Path, name: str, clo: str, rewound: str, params: str, args: str, ops: list, steps: int, same: str) -> list:
+        """Where an application of member name enters its body (where
+        same holds), go on past the application: with the fuel covering
+        the longest path and, before any system call on the path, a key
+        that differs from that body's locals in saved.  Count the
+        configuration and make Brent's save where it falls due.  The
+        locals that then hold the member's parameters."""
         formals, body = self.group[name]
         if name == self.member:
             self.loops, bound = True, self.params
         else:
             bound = [self.local() for _ in formals]
-        saved = self.saved.setdefault(id(body), (self.local(), body))[0]
+        self.saved.setdefault(id(body), ([self.local() for _ in term_fact(body)[1] or "0"], body))
         # the fuel is counted first, so the return where the guard
         # fails has no steps left to count
-        guard = f"(remaining := remaining - {steps}) >= room and {clo}.body is {self.const(body)} and {params} is {self.const(formals)}"
+        guard = f"(remaining := remaining - {steps}) >= room and {same}"
         if path.after is None:
-            guard += f" and {self.key(body, dict(zip(formals, ops)), f'{clo}.env')} != {saved}"
+            # the first value that differs decides, the parameters'
+            # before any read of the callee's environment
+            differ = " or ".join(f"{x} != {s}" for s, x in self.key(body, dict(zip(formals, ops)), f"{clo}.env"))
+            guard += f" and ({differ})"
         self.emit(path, f"if not ({guard}):")
         path.indent += 1
         self.longest = max(self.longest, steps)
@@ -801,7 +814,8 @@ class _Source:
         # the save, from the bound locals: binding may overwrite the
         # operands of the key compared above
         key = self.key(body, dict(zip(formals, bound)), self.cenv)
-        save = f"{', '.join(self.kept)}, {saved}, since, power = funs, {clo}, {_tuple(bound)}, {key}, 0"
+        targets, values = self.kept + [s for s, _ in key], [x for _, x in key]
+        save = f"{', '.join(targets)}, since, power = funs, {clo}, {_tuple(bound)}, {', '.join(values)}, 0"
         if path.after is None:
             self.emit(path, f"if (since := since + 1) == power: {save}, power * 2")
         else:
@@ -866,45 +880,47 @@ class _Source:
                 t = t.cont
             elif isinstance(t, App):
                 hit, clo, rewound, params = (self.local() for _ in range(4))
-                if self.looping:
-                    # resolved once per function context, which the
-                    # loop's applications mostly leave as it was
-                    cached = self.local()
-                    self.inits.append(f"{cached} = None")
-                    self.emit(path, f"if {path.funs} is not {cached}:")
-                    self.emit(path, f"    {cached}, {hit} = {path.funs}, _resolve({path.funs}, {self.const(t.fun)})")
-                else:
-                    self.emit(path, f"{hit} = _resolve({path.funs}, {self.const(t.fun)})")
-                self.emit(path, f"if {hit} is None: return _BOT")
-                ops = [self.operand(e, path) for e in t.args]
-                args = _tuple(ops)
-                self.emit(path, f"{clo}, {rewound} = {hit}")
-                self.emit(path, f"{params} = {clo}.params")
-                self.emit(path, f"if len({params}) != {len(t.args)}: return _BOT")
-                steps, name = path.steps + 1, t.fun
-                callee = self.group.get(name)
+                steps, name, callee = path.steps + 1, t.fun, self.group.get(t.fun)
                 # right after a call, a site saves without comparing: it
                 # stays an exit where the callee's body is the focus
                 # after the call, which only shared term objects allow
-                if (
-                    callee is not None
-                    and len(callee[0]) == len(ops)
-                    and name not in path.hidden
-                    and (path.after is None or callee[1] is not path.after[2])
-                ):
-                    formals, body = callee
-                    if name == self.member:
-                        self.site(path, name, clo, rewound, params, args, ops, steps)
-                        return
-                    if name not in path.inlined and self.fits(body, path):
-                        # go on into the member's body on this path
-                        inlined = path.inlined + (name,)
-                        bound = self.site(path, name, clo, rewound, params, args, ops, steps)
-                        path = _Path(path.indent, "funs", self.cenv, dict(zip(formals, bound)))
-                        path.inlined, t = inlined, body
-                        continue
-                self.apply(path, clo, rewound, params, args, steps)
-                return
+                site = callee is not None and len(callee[0]) == len(t.args) and name not in path.hidden
+                site = site and (path.after is None or callee[1] is not path.after[2])
+                site = site and (name == self.member or name not in path.inlined and self.fits(callee[1], path))
+                same = site and f"{clo}.body is {self.const(callee[1])} and {params} is {self.const(callee[0])}"
+                checks = [f"if {hit} is None: return _BOT", f"{clo}, {rewound} = {hit}", f"{params} = {clo}.params"]
+                checks.append(f"if len({params}) != {len(t.args)}: return _BOT")
+                if self.looping:
+                    # resolved and checked once per function context,
+                    # which the loop's applications mostly leave as it
+                    # was: a pass that finds it unchanged got here only
+                    # because the checks held, the arity's included
+                    cached = self.local()
+                    self.inits.append(f"{cached} = None")
+                    if site:
+                        same, test = self.local(), same
+                        checks.append(f"{same} = {test}")
+                    self.emit(path, f"if {path.funs} is not {cached}:")
+                    for line in [f"{cached}, {hit} = {path.funs}, _resolve({path.funs}, {self.const(name)})", *checks]:
+                        self.emit(path, "    " + line)
+                    checks = []
+                else:
+                    self.emit(path, f"{hit} = _resolve({path.funs}, {self.const(name)})")
+                    self.emit(path, checks.pop(0))
+                ops = [self.operand(e, path) for e in t.args]
+                for line in checks:
+                    self.emit(path, line)
+                args = _tuple(ops)
+                if not site:
+                    self.apply(path, clo, rewound, params, args, steps)
+                    return
+                bound = self.site(path, name, clo, rewound, params, args, ops, steps, same)
+                if name == self.member:
+                    return
+                # go on into the member's body on this path
+                inlined = path.inlined + (name,)
+                path = _Path(path.indent, "funs", self.cenv, dict(zip(callee[0], bound)))
+                path.inlined, t = inlined, callee[1]
             else:
                 self.leave(path, f"_new(_Done, ({self.operand(t.expr, path)},))", path.steps)
                 return
@@ -928,8 +944,11 @@ def compile_segment(t: Term, group: Group = ()) -> Optional[Segment]:
             # through to here: one iteration of the loop copy per pass
             src.lines, src.size, src.looping = [], 0, True
             src.path(t, _Path(0, "funs", src.cenv, dict(zip(src.group[src.member][0], src.params))))
-        start = [f"{saved} = {src.key(term, {}, 'saved.env')} if saved.term is {src.const(term)} else None" for saved, term in src.saved.values()]
-        start += [f"room = {src.longest}", f"{src.kept[0]} = None", *src.inits]
+        start = [f"room = {src.longest}", f"{src.kept[0]} = None", *src.inits]
+        for kept, term in src.saved.values():
+            key = src.key(term, {}, "saved.env")
+            start += [f"if saved.term is {src.const(term)}: {', '.join(s for s, _ in key)} = {', '.join(x for _, x in key)}"]
+            start += [f"else: {' = '.join(kept)} = _UNSAVED"]
         body = ["        " + line for line in start] + body
         if src.loops:
             body += ["        while True:"] + src.lines

@@ -1549,6 +1549,111 @@ def test_a_callee_body_that_is_the_focus_after_a_call_leaves_the_segment(monkeyp
     assert "g" not in inlined
 
 
+# -- what a loop checks once per function context, and Brent's key
+# compared value by value
+
+
+class _CountedEnv(dict):
+    """An environment that counts the calls of its get."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return dict.get(self, *args)
+
+
+def test_a_loop_reads_a_captured_variable_once_per_iteration():
+    # f's closure captures the counted environment: an iteration reads a
+    # once for i + a, and its guard compares the parameter first, which
+    # always differs from saved's, so it never reads a again
+    env = _CountedEnv(a=1)
+    t = parse_program("fun f(i) = if i < 10000 then f(i + a) else i in f(0)")
+    assert run_to_anchor(Config((), env, t), 10**6) == Done(10_000)
+    assert 9_000 < env.gets < 10_500
+
+
+def _segment_runs(t):
+    """A list that gets an item per run of a segment compiled so far on
+    a term of t, from here on."""
+    calls = []
+    for term in Nodes(t).terms:
+        if isinstance(term._segment, Segment):
+            term._segment.run = (lambda run: lambda *args: calls.append(1) or run(*args))(term._segment.run)
+    return calls
+
+
+def test_a_loop_entered_with_saved_parameters_stays_in_its_segment():
+    # inner is entered with k = 0 on every pass of outer, and Brent's
+    # saved configuration is mostly in inner's body: where k comes to
+    # saved's k, the closure's j differs, so the guard holds and the pass
+    # stays in inner's segment; two segment runs per pass of outer, and
+    # one for the last
+    t = parse_program(
+        "fun outer(j) = if j < 1000 then fun inner(k) = if k < 40 then inner(k + 1) else outer(j + 1)"
+        " in inner(0) else j in outer(0)"
+    )
+    assert run_to_anchor(Config((), {}, t), 10**6) == Done(1000)
+    calls = _segment_runs(t)
+    assert run_to_anchor(Config((), {}, t), 10**6) == Done(1000)
+    assert len(calls) == 2001
+
+
+def test_a_member_with_no_free_variables_is_gone_into_until_a_save_at_its_body(monkeypatch):
+    # f's loop exits into g, whose key is empty: it differs from saved's
+    # until a save at g's body, so f's segment goes on into g, and g's
+    # own segment finds the repeat; two segment runs in all
+    monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
+    t = parse_program("fun f(i) = if i < 100 then f(i + 1) else g() and g() = g() in f(0)")
+    a = run_to_anchor(Config((), {}, t), 10**4)
+    calls = _segment_runs(t)
+    assert run_to_anchor(Config((), {}, t), 10**4) == a and isinstance(a, Diverges)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "src, end",
+    [
+        # a hot loop that exits into a member with no free variables:
+        # its empty key differs until a save at its body, after which
+        # the repeat is found
+        ("fun f(i) = if i < 100 then f(i + 1) else g() and g() = g() in f(0)", Diverges),
+        # inner entered with k = 0 on every pass of outer, with another
+        # j in its closure: equal parameters, a closure value that
+        # differs
+        (
+            "fun outer(j) = if j < 6 then fun inner(k) = if k < 5 then inner(k + 1) else outer(j + 1)"
+            " in inner(0) else j in outer(0)",
+            Done(6),
+        ),
+        # a repeat that inner's segment finds, Brent's save having
+        # fallen at k = 1: its key's closure value and parameter differ
+        # from each other, so a value compared with another's saved
+        # local misses it
+        ("fun outer(j) = fun inner(k) = if k < 2 then inner(k + 1) else outer(j * 0 + 7) in inner(0) in outer(3)", Diverges),
+        # a group defined on every pass: the function context changes
+        # each time, so each pass resolves and checks its applications
+        # again
+        ("fun f(i) = fun h(x) = x + i in if i < 40 then f(i + 1) else h(i) in f(0)", Done(80)),
+    ],
+)
+def test_per_context_checks_and_keys_agree_with_the_reference_at_every_fuel(src, end):
+    # with every segment compiled on its first entry and at the default
+    # HOT_ENTRIES: without a resolver up to twice the reference's steps,
+    # as a repeat that compiled code misses is found a period later with
+    # an equal configuration, and with a resolver
+    for hot in (1, semantics.HOT_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "HOT_ENTRIES", hot)
+            c = conf(src)
+            a, steps = reference_anchor(c, 10**4)
+            for f in range(2 * steps + 2):
+                assert run_to_anchor(c, f) == reference_anchor(c, f)[0]
+            assert any(_loops(s._segment) for s in Nodes(c.term).terms)
+    assert a == end if isinstance(end, Done) else isinstance(a, end)
+    _resolved_at_every_fuel(lambda: parse_program(src), {}, SeededOracle(4))
+
+
 # -- cycles through several members that make system calls: every site
 # after a call makes Brent's save, so the cycle stays in one segment
 
