@@ -13,7 +13,8 @@ same point, which keeps game verdicts and trace-set equality aligned.
 The game memoizes each pair of configurations and depth under the
 configurations' keys (semantics.config_key): what their futures can
 read, not their whole environments, so pairs that differ only in
-variables never read again share an entry.  The keys are built from
+variables never read again, or named only in a branch that a closed
+condition decides against, share an entry.  The keys are built from
 facts kept on the terms and closures they describe, so a game folds
 only terms no earlier run or game has keyed.  run_to_anchor's repeat
 check compares the same keys, so a memo hit returns exactly what
@@ -24,12 +25,9 @@ successor's key, so every probe gives the same pair of keys, and every
 probe after the first would only hit the first one's entry.  The game
 therefore feeds only the first probe to such a pair of pending calls;
 the verdict and the witness are the ones exploring every probe gives.
-"Reads" is syntactic: the continuation names the result anywhere, so
-a result named only in a branch a constant condition excludes still
-makes the game feed every probe.  Skipping such branches would play
-13,175 game nodes instead of 15,281 in one round of perfbench's game
-workload at seed 4242, with the same outputs, but it needs a second
-fact cached per term, and an uncached walk made the round no faster.
+A continuation reads the result where the result is in its read set
+(syntax.term_fact), the fact its key is built from: a result named
+only in a branch that a closed condition decides against is not read.
 A node is keyed only while some open node explores more than one
 probe: below nodes that explore one probe each, the tree is a path
 whose depth falls at every node, so no key can come back.  That holds

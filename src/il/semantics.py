@@ -45,14 +45,17 @@ contains an application step; only the configurations right after an
 application are compared.  Those form a deterministic sequence of their
 own, so Brent's method applies to it unchanged.  Configurations are
 compared by what their future can read (config_key): the focused
-term's number and the values of its free variables, and per closure its
-name and its own key (Closure.key): its body's number, its parameters
-and the values of the body's free variables that are not parameters.
-Numbers and free variables are kept on the terms (syntax.term_fact), a
-closure's key on the closure, so no table is built per run or per game
-and no key holds an id().  Two configurations equal in that projection
-run alike forever, so a repeat of it is a silent loop even where a
-variable never read again still changes.  The game's memo uses the
+term's number and the values of its read set, and per closure its name
+and its own key (Closure.key): its body's number, its parameters and
+the values of the body's read set that are not parameters.  A term's
+read set is its free variables, less those named only in a branch that
+a closed condition decides against (syntax.term_fact): such a condition
+decides alike in every run, so no run reads them.  Numbers and read
+sets are kept on the terms, a closure's key on the closure, so no table
+is built per run or per game and no key holds an id().  Two
+configurations equal in that projection run alike forever, so a repeat
+of it is a silent loop even where a variable never read again, or read
+only in a branch no run takes, still changes.  The game's memo uses the
 same keys.  Fuel still bounds every run, and a loop that never repeats
 a key, such as a counter, still runs out of fuel.  A resolved system
 call starts the fuel and the check over from the configuration right
@@ -122,7 +125,7 @@ member site), into that member's body inline, on the same path, with
 that member's parameters in locals of their own.  Every site follows
 one rule.  Its guard holds where the callee's body and parameters are
 that member's, the remaining fuel covers the longest path and, before
-any system call on the path, the values of the body's free variables
+any system call on the path, the values of the body's read set
 differ from those kept for that body.  Where saved's focus is that
 body they are saved's, so the keys differ; elsewhere the foci differ,
 and values kept from an earlier save can only send the run back to
@@ -131,7 +134,7 @@ holds, the site counts the post-application configuration, and where
 Brent's save falls due it makes the save itself, keeping the saved
 configuration's function context, the callee's closure (its
 environment, parameters and body), the parameters' values and the
-body's free variables' values in locals; a Config is built from them
+values of the body's read set in locals; a Config is built from them
 only where the segment returns.  Right after a call Brent's state is
 known when the code is compiled (since 0, power 1): the first site after
 a call saves without comparing, as its focus, the callee's body, is not
@@ -200,22 +203,33 @@ class Closure:
     @property
     def key(self) -> tuple:
         """What the closure's body can read: its number, the parameters,
-        and the values (None for unbound) of its free variables that are
-        not parameters, in sorted order."""
+        and the values (None for unbound) of the variables in its read
+        set (syntax.term_fact) that are not parameters, in sorted order."""
         key = self._key
         if key is None:
-            number, free = term_fact(self.body)
-            key = (number, self.params, tuple(self.env.get(v) for v in free if v not in self.params))
+            number, reads = term_fact(self.body)
+            key = (number, self.params, tuple(self.env.get(v) for v in reads if v not in self.params))
             _setattr(self, "_key", key)
         return key
 
 
-Group = tuple[tuple[str, Closure], ...]
+Group = Sequence[tuple[str, Closure]]
 FunContext = tuple[Group, ...]  # most recent group first
+
+_object_new = object.__new__
 
 
 def _group(defs: tuple, env: Env) -> Group:
-    return tuple((d.name, Closure(env, d.params, d.body)) for d in defs)
+    """The group defs define under env, as a list: each closure is made
+    with object.__new__ and given its fields as its __dict__, which is
+    what the frozen dataclass's __init__ would do, at about half the
+    cost."""
+    group = []
+    for d in defs:
+        clo = _object_new(Closure)
+        _setattr(clo, "__dict__", {"env": env, "params": d.params, "body": d.body})
+        group.append((d.name, clo))
+    return group
 
 
 def ctx_resolve(ctx: FunContext, name: str) -> Optional[tuple[Closure, FunContext]]:
@@ -258,16 +272,18 @@ class Config(NamedTuple):
 
 def config_key(c: Config) -> tuple:
     """What c's future reads, as a hashable key: the focus's number, the
-    values of its free variables (None for unbound) in sorted order, and
-    per closure in the function context its name and key.  Two
-    configurations with equal keys step to configurations with equal
+    values of the variables in its read set (syntax.term_fact; None for
+    unbound) in sorted order, and per closure in the function context
+    its name and key.  A variable named only in a branch that a closed
+    condition decides against is not in the read set: no run reads it.
+    Two configurations with equal keys step to configurations with equal
     keys, reach the same anchor kind after the same number of steps, and
     have the same events."""
     funs, env, term = c
-    number, free = term_fact(term)
+    number, reads = term_fact(term)
     if funs:
         funs = tuple([tuple([(name, clo.key) for name, clo in g]) for g in funs])
-    return (number, tuple(map(env.get, free)), funs)
+    return (number, tuple(map(env.get, reads)), funs)
 
 
 # -- one silent step
@@ -486,8 +502,8 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
             applied = True
         if applied:
             # keys differ whenever the focus does, so only an equal
-            # focus needs them; and they differ whenever a bound free
-            # variable of saved changes, which is cheaper to test first
+            # focus needs them; and they differ whenever a bound variable
+            # of saved's read set changes, which is cheaper to test first
             config = None
             if term is saved.term:
                 if saved_key is None:
@@ -634,7 +650,7 @@ class _Source:
     Every site follows one rule.  It counts its steps into remaining
     first and goes on only where that covers room, the longest path's
     steps, and, before any system call on its path, where the values of
-    its body's free variables differ from that body's locals in saved,
+    its body's read set differ from that body's locals in saved,
     one per variable: saved's values where saved's focus is the body,
     else _UNSAVED or the values of an earlier save.  It counts the
     configuration, and where Brent's save falls due it makes the save
@@ -773,13 +789,13 @@ class _Source:
         return self.size < MAX_SIZE and not (isinstance(t, Cond) and path.indent >= MAX_NESTING) and _inlinable(t)
 
     def key(self, body: Term, ops: dict, env: str) -> list:
-        """Body's locals in saved, each with the value of its free
-        variable in a configuration whose focus is body: its operand in
-        ops, these first, or else read from env.  A body with no free
-        variables has one local, and the value 0."""
-        kept, free = self.saved[id(body)][0], term_fact(body)[1]
-        pairs = [(s, ops[v]) for s, v in zip(kept, free) if v in ops]
-        pairs += [(s, f"{env}.get({self.const(v)})") for s, v in zip(kept, free) if v not in ops]
+        """Body's locals in saved, each with the value of a variable of
+        its read set in a configuration whose focus is body: its operand
+        in ops, these first, or else read from env.  A body with an empty
+        read set has one local, and the value 0."""
+        kept, reads = self.saved[id(body)][0], term_fact(body)[1]
+        pairs = [(s, ops[v]) for s, v in zip(kept, reads) if v in ops]
+        pairs += [(s, f"{env}.get({self.const(v)})") for s, v in zip(kept, reads) if v not in ops]
         return pairs or [(kept[0], "0")]
 
     def site(self, path: _Path, name: str, clo: str, rewound: str, params: str, args: str, ops: list, steps: int, same: str) -> list:

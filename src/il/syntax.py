@@ -26,24 +26,27 @@ walk: each node's term, parent and children (a function group's
 children are its member bodies, then its continuation) and, for an
 application, the group member its name resolves to.  It is the one
 table of terms: the analyses, the checkers and the passes read it.
-term_fact folds each node's free variables once and keeps them, with
-the node's number, on the term itself; the interpreter's configuration
-keys read them there.  term_reads is the one walk for what a whole
-program reads, its free variables and its constants: it goes down the
-term once, counts the names bound on the path and stores nothing, so
-facts are folded only below the nodes a run or a game keys.  An
-annotation (Annotated) is that table with one analysis fact per node in
-pre-order, which is also the sidecar format: one fact per line,
-"true"/"false" for booleans, "{x,y}" for variable sets.  The parser, the printer and every walk
-over terms or expressions loop on explicit stacks or over the table,
-so no walk recurses.
+term_fact folds each node's read set once and keeps it, with the
+node's number, on the term itself; the interpreter's configuration keys
+read it there.  The read set is the free variables, except that a
+conditional whose condition evaluates under the empty environment reads
+only what its taken branch reads.  term_reads is the one walk for what
+a whole program reads from outside, all its free variables and its
+constants: it goes down the term once, counts the names bound on the
+path and stores nothing, so facts are folded only below the nodes a run
+or a game keys.  An annotation (Annotated) is that table with one
+analysis fact per node in pre-order, which is also the sidecar format:
+one fact per line, "true"/"false" for booleans, "{x,y}" for variable
+sets.  The parser, the printer and every walk over terms or
+expressions loop on explicit stacks or over the table, so no walk
+recurses.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Values
@@ -197,7 +200,7 @@ class Term:
     entered the segment that starts at this term, then that segment's
     compiled code, or None when the segment's first step is too large
     to inline and it always runs interpreted.  _fact is term_fact's
-    (number, free variables)."""
+    (number, read set)."""
 
     __slots__ = ()
     _segment: Any = 0
@@ -366,40 +369,51 @@ def term_exprs(t: Term) -> tuple[Expr, ...]:
     return ()
 
 
-def node_free_vars(t: Term, kids: Sequence[Iterable[str]]) -> set[str]:
-    """t's free variables, given its children's in term_children order.
-    This and term_reads' walk are the two statements of the scoping
-    rule for variables: a let binds its variable in its body, and a
-    group's definitions bind their parameters."""
-    out = set(free_vars_list(term_exprs(t)))
-    if isinstance(t, Let):
-        out.update(v for v in kids[0] if v != t.var)
-    elif isinstance(t, Cond):
-        out.update(kids[0], kids[1])
-    elif isinstance(t, Fun):
-        out.update(kids[-1])
-        for d, body in zip(t.defs, kids):
-            out.update(v for v in body if v not in d.params)
-    return out
+def read_children(t: Term) -> tuple[tuple[Term, tuple[str, ...]], ...]:
+    """The children whose read sets t's read set takes in, each with the
+    names t binds in it; t's read set is theirs less those names, and
+    the free variables of t's own expressions.  This and term_reads'
+    walk are the two statements of the scoping rule for variables: a let
+    binds its variable in its body, and a group's definitions bind their
+    parameters.  A conditional whose condition evaluates under the empty
+    environment takes in only the branch it decides: eval_expr is
+    strict, so that condition has no variable and decides alike in every
+    run."""
+    if type(t) is Let:
+        return ((t.body, (t.var,)),)
+    if type(t) is Cond:
+        v = eval_expr(t.cond, {})
+        if v is None:
+            return ((t.then, ()), (t.orelse, ()))
+        return ((t.then if truthy(v) else t.orelse, ()),)
+    if type(t) is Fun:
+        return (*[(d.body, d.params) for d in t.defs], (t.cont, ()))
+    return ()
 
 
 _numbers = count()
 
 
 def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
-    """t's number and its free variables in sorted order, kept on t.
+    """t's number and its read set in sorted order, kept on t.
 
-    A term without a fact is walked on an explicit stack in pre-order,
-    descending only into subterms without a fact, and the nodes walked
-    are folded through node_free_vars in reverse pre-order (children
-    follow their parent): each node without a fact gets the next number
-    and its free variables.  A term with a fact has one on every node
-    below it, so a caller folds only the subterms it asks about, and a
-    term object shared by two programs, as a pass's output shares
-    subterms with its input, is neither walked again nor renumbered.
-    Numbers are never reused, so two terms have the same number only if
-    they are the same object.  term_reads reads a whole program's free
-    variables without folding it."""
+    The read set is what a run from t can read: its free variables, less
+    those only a branch that a closed condition decides against names
+    (read_children).  A term without a fact is walked on an explicit
+    stack in pre-order, descending only into the children read_children
+    names that have no fact, and the nodes walked are folded in reverse
+    pre-order (children follow their parent): each node without a fact
+    gets the next number and its read set.  The walk keeps only the
+    terms, and the fold asks read_children again, as tuples kept for
+    every node would make the cyclic collector scan them.  A term with a fact has one
+    on every node below it that its read set takes in, so a caller folds
+    only the subterms it asks about, a branch decided against is folded
+    only if something asks about it, and a term object shared by two
+    programs, as a pass's output shares subterms with its input, is
+    neither walked again nor renumbered.  Numbers are never reused, so
+    two terms have the same number only if they are the same object.
+    term_reads reads a whole program's free variables without folding
+    it."""
     fact = t._fact
     if fact is None:
         order: list[Term] = []
@@ -407,11 +421,13 @@ def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
         while stack:
             term = stack.pop()
             order.append(term)
-            stack += [k for k in reversed(term_children(term)) if k._fact is None]
+            stack += [k for k, _ in reversed(read_children(term)) if k._fact is None]
         for term in reversed(order):
             if term._fact is None:  # an object met twice is folded once
-                free = node_free_vars(term, [k._fact[1] for k in term_children(term)])
-                _setattr(term, "_fact", (next(_numbers), tuple(sorted(free))))
+                reads = set(free_vars_list(term_exprs(term)))
+                for k, bound in read_children(term):
+                    reads.update(v for v in k._fact[1] if v not in bound)
+                _setattr(term, "_fact", (next(_numbers), tuple(sorted(reads))))
         fact = t._fact
     return fact
 
@@ -424,7 +440,7 @@ def term_reads(t: Term) -> tuple[frozenset[str], frozenset[int]]:
     variables bound on the path from the root and collects every other
     variable an expression reads; it stores nothing on the terms.  A
     let's value is read before its variable is bound, and a definition's
-    parameters are bound in its body only, as node_free_vars states."""
+    parameters are bound in its body only, as read_children states."""
     free: set[str] = set()
     consts: set[int] = set()
     bound: dict[str, int] = {}  # variable -> binders of it on the path

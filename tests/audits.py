@@ -1,7 +1,8 @@
 """Semantic audits of the analyses and the program generator, used by
-the harness and acceptance tests, the references the parser and the
-game are tested against, and the initial environments and replayed
-system-call results the tests run programs with."""
+the harness and acceptance tests, the references the parser, the game
+and the folded read sets are tested against, and the initial
+environments and replayed system-call results the tests run programs
+with."""
 
 from random import Random
 from typing import Any, Callable, Optional, Sequence, Union
@@ -58,11 +59,41 @@ from il.syntax import (
     _digits_value,
     _error_at,
     _is_var,
+    eval_expr,
+    free_vars,
+    free_vars_list,
     term_fact,
     term_reads,
+    truthy,
     wrap,
 )
 from il.tlive import infer_tlive
+
+
+def reference_free(t: Term, decide: bool = False) -> frozenset[str]:
+    """A term's free variables by plain structural recursion.  With
+    decide, its read set, as syntax.term_fact folds it: a conditional
+    whose condition evaluates under the empty environment contributes
+    only its taken branch's."""
+    if isinstance(t, Let):
+        own = free_vars_list(t.value.args) if isinstance(t.value, SysCall) else free_vars(t.value)
+        return own | (reference_free(t.body, decide) - {t.var})
+    if isinstance(t, Cond):
+        v = eval_expr(t.cond, {}) if decide else None
+        if v is not None:
+            return reference_free(t.then if truthy(v) else t.orelse, decide)
+        return free_vars(t.cond) | reference_free(t.then, decide) | reference_free(t.orelse, decide)
+    if isinstance(t, Fun):
+        out = reference_free(t.cont, decide)
+        for d in t.defs:
+            out |= reference_free(d.body, decide) - set(d.params)
+        return out
+    return free_vars_list(t.args) if isinstance(t, App) else free_vars(t.expr)
+
+
+def reference_reads(t: Term) -> frozenset[str]:
+    """A term's read set by plain structural recursion (reference_free)."""
+    return reference_free(t, decide=True)
 
 
 def initial_env(t: Term, rng: Random) -> dict[str, int]:

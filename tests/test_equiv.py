@@ -227,6 +227,24 @@ def test_keys_tell_apart_what_the_future_reads(one, other):
     assert config_key(keyed(*one)) != config_key(keyed(*other))
 
 
+def test_keys_skip_what_only_a_branch_decided_against_reads():
+    # the continuation names a only where 0 decides against it, and g's
+    # body names c only where 1 < 0 does: neither is read, b and d are
+    t = parse_program("fun g(x) = if 1 < 0 then c else x + d in let y = extern r() in if 0 then g(a) else g(y + b)")
+
+    def keys(env, captured):
+        clo = Closure(captured, ("x",), t.defs[0].body)
+        return config_key(Config(((("g", clo),),), env, t.cont)), clo.key
+
+    base = keys({"a": 1, "b": 2}, {"c": 5, "d": 6})
+    assert keys({"a": 7, "b": 2}, {"c": 5, "d": 6}) == base
+    assert keys({"a": 1, "b": 2}, {"c": 9, "d": 6}) == base
+    assert keys({"a": 1, "b": 2}, {"d": 6}) == base
+    assert keys({"a": 1, "b": 3}, {"c": 5, "d": 6})[0] != base[0]
+    other = keys({"a": 1, "b": 2}, {"c": 5, "d": 7})
+    assert other[0] != base[0] and other[1] != base[1]
+
+
 def test_keys_fold_a_shared_subterm_before_its_later_parent():
     # pass outputs share subterm objects with their input, so the right
     # side's parent of a shared node is numbered after the node itself
@@ -437,8 +455,11 @@ LIVE_LOOP = "fun f() = let r = extern rd() in if r then f() else f() in f()"
         ("let r = extern rd() in r * 0", "let r = extern rd() in 0", 1, 2 * 3),  # the left reads r
         ("let r = extern rd() in 0", "let r = extern rd() in r * 0", 1, 2 * 3),  # the right reads r
         (LIVE_LOOP, LIVE_LOOP, 1, 2 * 3),
+        # r is named only where 0 decides against it, and read where 1 decides for it
+        ("let r = extern rd() in if 0 then r else 1",) * 2 + (1, 2 * 1),
+        ("let r = extern rd() in if 1 then r else 1",) * 2 + (1, 2 * 3),
     ],
-    ids=["neither-reads", "left-reads", "right-reads", "both-read"],
+    ids=["neither-reads", "left-reads", "right-reads", "both-read", "decided-against", "decided-for"],
 )
 def test_a_result_neither_side_reads_is_probed_once(monkeypatch, left, right, depth, applied):
     calls = []

@@ -8,7 +8,7 @@ from hashlib import blake2b
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audits import generator_audit, initial_env, reach_audit, tlive_audit, well_formed
+from audits import generator_audit, initial_env, reach_audit, reference_free, tlive_audit, well_formed
 from il import harness
 from il.equiv import default_probes
 from il.harness import (
@@ -24,7 +24,7 @@ from il.harness import (
     shrink_term,
 )
 from il.semantics import SeededOracle
-from il.syntax import Cond, Const, Exp, Let, Nodes, parse_program, print_program, term_fact, term_size
+from il.syntax import Cond, Const, Exp, Let, Nodes, parse_program, print_program, term_size
 
 LEFT = "fun f(x, y) = if 9 < x then 1 else f(x + 1, y) in f(3, 2)"
 
@@ -76,10 +76,11 @@ def test_derive_seed_is_stable_and_spread():
 
 
 def exact_env(t) -> bool:
-    # initial_env binds exactly the free variables term_fact folds, less
-    # the unbound pool: an extra or missing key shifts every later draw
+    # initial_env binds exactly the free variables, branches a closed
+    # condition decides against included, less the unbound pool: an
+    # extra or missing key shifts every later draw
     env = initial_env(t, random.Random(0))
-    return set(env) == set(term_fact(t)[1]) - set(UNBOUND_NAMES) and all(-9 <= v <= 9 for v in env.values())
+    return set(env) == reference_free(t) - set(UNBOUND_NAMES) and all(-9 <= v <= 9 for v in env.values())
 
 
 def shrink_candidates(t) -> list:
@@ -167,6 +168,19 @@ def test_a_trial_folds_no_fact_on_a_branch_its_game_never_keys(monkeypatch, pass
     assert rep.equivalent == 1
     assert t.orelse.body._fact is not None
     excluded = Nodes(t.then).terms
+    assert len(excluded) == 2 and all(n._fact is None for n in excluded)
+
+
+@pytest.mark.parametrize("pass_name", ["uce", "dve"])
+def test_a_trial_folds_no_fact_on_a_branch_decided_against_below_a_call(monkeypatch, pass_name):
+    # the game keys the call's continuation, and that fold skips the
+    # branch its closed condition decides against
+    t = parse_program("let r = extern rd(a) in if 0 then let y = a + r in y else r + b")
+    monkeypatch.setattr(harness, "gen_program", lambda cfg: t)
+    rep = difftest(pass_name, GenConfig(seed=0), trials=1)
+    assert rep.equivalent == 1
+    assert t.body._fact is not None
+    excluded = Nodes(t.body.then).terms
     assert len(excluded) == 2 and all(n._fact is None for n in excluded)
 
 

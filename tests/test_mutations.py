@@ -2,13 +2,14 @@
 
 import pytest
 
+import il.reach
 import il.tlive
 import il.transform
 from audits import refereed
 from il.equiv import Distinguished
-from il.harness import GenConfig, difftest_dve, difftest_uce
+from il.harness import GenConfig, derive_seed, difftest_dve, difftest_uce, gen_program
 from il.reach import Rejection, check_reach, infer_reach
-from il.syntax import Annotated, Fun, Nodes, parse_program
+from il.syntax import Annotated, Cond, Fun, Nodes, parse_program, print_program, term_fact
 from il.tlive import check_tlive
 
 BUDGET = 500
@@ -52,6 +53,25 @@ def test_uce_folding_the_wrong_branch_is_caught(monkeypatch):
     assert rec is not None
     assert rec.verdict == "distinguished"
     assert any(isinstance(v, Distinguished) for v in seen)
+
+
+def test_the_wrong_branch_mutant_leaves_the_read_sets_alone(monkeypatch):
+    # term_fact decides a closed condition itself, so the planted
+    # static_branch above moves no configuration key: fresh copies of 100
+    # generated programs fold the same read sets under it
+    def read_sets(t):
+        copy = parse_program(print_program(t))
+        term_fact(copy)
+        return [n._fact and n._fact[1] for n in Nodes(copy).terms]
+
+    programs = [gen_program(GenConfig(seed=derive_seed(75, n))) for n in range(100)]
+    real = [read_sets(t) for t in programs]
+    for module in (il.reach, il.transform):
+        sb = module.static_branch
+        monkeypatch.setattr(module, "static_branch", lambda e, sb=sb: None if sb(e) is None else not sb(e))
+    assert [read_sets(t) for t in programs] == real
+    # the mutant is live: it flips some program's closed condition
+    assert any(il.reach.static_branch(n.cond) is not None for t in programs for n in Nodes(t).terms if isinstance(n, Cond))
 
 
 def test_tlive_skipping_context_extension_is_caught(monkeypatch):

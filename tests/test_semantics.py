@@ -9,7 +9,7 @@ from hashlib import blake2b
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audits import ListOracle, initial_env
+from audits import ListOracle, initial_env, reference_free, reference_reads
 from il.harness import GenConfig, derive_seed, gen_program
 from il import semantics
 from il.semantics import (
@@ -51,8 +51,6 @@ from il.syntax import (
     Nodes,
     SysCall,
     Var,
-    free_vars,
-    free_vars_list,
     parse_program,
     term_children,
     term_fact,
@@ -542,21 +540,6 @@ def test_projected_repeat_check_agrees_with_full_equality(n):
             _, c = apply_extern(a, oracle(i, a.action, a.args))
 
 
-def _reference_free(t):
-    """A term's free variables by plain structural recursion."""
-    if isinstance(t, Let):
-        own = free_vars_list(t.value.args) if isinstance(t.value, SysCall) else free_vars(t.value)
-        return own | (_reference_free(t.body) - {t.var})
-    if isinstance(t, Cond):
-        return free_vars(t.cond) | _reference_free(t.then) | _reference_free(t.orelse)
-    if isinstance(t, Fun):
-        out = _reference_free(t.cont)
-        for d in t.defs:
-            out |= _reference_free(d.body) - set(d.params)
-        return out
-    return free_vars_list(t.args) if isinstance(t, App) else free_vars(t.expr)
-
-
 def _subterms(t):
     yield t
     for c in term_children(t):
@@ -567,6 +550,7 @@ def test_term_facts_give_each_term_object_one_number_across_programs():
     # A pass's output shares subterm objects with its input.  Facts are
     # kept for the input and then each output, each after one of its
     # own subterms, as a run keys a closure body before its program.
+    # Each read set is the reference's, and within the free variables.
     sharing = 0
     for n in range(200):
         t = gen_program(GenConfig(seed=derive_seed(71, n)))
@@ -576,9 +560,10 @@ def test_term_facts_give_each_term_object_one_number_across_programs():
             term_fact(random.Random(n).choice(list(_subterms(root))))
             term_fact(root)
             for s in _subterms(root):
-                k, free = term_fact(s)
+                k, reads = term_fact(s)
                 assert index.setdefault(id(s), k) == k
-                assert free == tuple(sorted(_reference_free(s)))
+                assert reads == tuple(sorted(reference_reads(s)))
+                assert set(reads) <= reference_free(s)
         assert len(set(index.values())) == len(index)
         inputs = {id(s) for s in _subterms(t)}
         sharing += any(id(s) in inputs for out in outs for s in _subterms(out) if s is not t)
@@ -798,9 +783,12 @@ def _loop_segment(t):
 
 def _every_fuel(c, fuel=10**5):
     """The reference anchor of c with fuel, checked against
-    run_to_anchor at every fuel up to one past its steps."""
+    run_to_anchor at every fuel up to one past twice its steps: a repeat
+    that compiled code misses is found a period later with an equal
+    configuration, so a late Diverges shows only at fuels past the
+    reference's steps."""
     a, steps = reference_anchor(c, fuel)
-    for f in range(steps + 2):
+    for f in range(2 * steps + 2):
         assert run_to_anchor(c, f) == reference_anchor(c, f)[0]
     return a
 
@@ -1639,19 +1627,37 @@ def test_a_member_with_no_free_variables_is_gone_into_until_a_save_at_its_body(m
 )
 def test_per_context_checks_and_keys_agree_with_the_reference_at_every_fuel(src, end):
     # with every segment compiled on its first entry and at the default
-    # HOT_ENTRIES: without a resolver up to twice the reference's steps,
-    # as a repeat that compiled code misses is found a period later with
-    # an equal configuration, and with a resolver
+    # HOT_ENTRIES, without a resolver and with one
     for hot in (1, semantics.HOT_ENTRIES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(semantics, "HOT_ENTRIES", hot)
             c = conf(src)
-            a, steps = reference_anchor(c, 10**4)
-            for f in range(2 * steps + 2):
-                assert run_to_anchor(c, f) == reference_anchor(c, f)[0]
+            a = _every_fuel(c, 10**4)
             assert any(_loops(s._segment) for s in Nodes(c.term).terms)
     assert a == end if isinstance(end, Done) else isinstance(a, end)
     _resolved_at_every_fuel(lambda: parse_program(src), {}, SeededOracle(4))
+
+
+def test_a_variable_named_only_in_a_branch_decided_against_is_not_in_the_key():
+    # g's body names i only where 0 decides against it, so g's closures
+    # over i = 1 and i = 0 have one key and the run repeats at its sixth
+    # step, four before the whole configuration does; compiled on first
+    # entry, at the default HOT_ENTRIES and never compiled
+    src = "fun f(i) = fun g() = if 0 then i else f(0) in g() in f(1)"
+    for hot in (1, semantics.HOT_ENTRIES, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "HOT_ENTRIES", hot)
+            c = conf(src)
+            assert isinstance(_every_fuel(c, 10**4), Diverges)
+            assert [type(run_to_anchor(c, f)) for f in (5, 6)] == [OutOfFuel, Diverges]
+    # test_projected_repeat_check_agrees_with_full_equality's rule
+    for fuel in range(20):
+        a, ref = run_to_anchor(c, fuel), full_equality_anchor(c, fuel)
+        assert isinstance(a, Diverges) == (fuel >= 6) and isinstance(ref, Diverges) == (fuel >= 10)
+        if isinstance(a, Diverges):
+            assert isinstance(full_equality_anchor(c, 8 * fuel), Diverges)
+        else:
+            assert isinstance(ref, OutOfFuel) and a == ref
 
 
 # -- cycles through several members that make system calls: every site

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from audits import flatten, reference_parse, well_formed
+from audits import flatten, reference_free, reference_parse, reference_reads, well_formed
 from il.harness import GenConfig, derive_seed, gen_program
 from il.reach import Rejection
 from il.syntax import (
@@ -178,13 +178,15 @@ def _constants(t):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10_000))
 def test_term_reads_agrees_with_the_folded_facts_and_every_node(n):
-    # on a generated program and its pass outputs: the free variables
-    # term_fact folds at the root, and the constants of every node
+    # on a generated program and its pass outputs: the free variables of
+    # the plain recursion, which hold the read set term_fact folds at the
+    # root, and the constants of every node
     t = gen_program(GenConfig(seed=derive_seed(73, n)))
     outs = [done[1] for done in (run_pass("uce", t), run_pass("dve", t)) if not isinstance(done, Rejection)]
     for term in (t, *outs):
         free, consts = term_reads(term)
-        assert free == set(term_fact(term)[1])
+        assert free == reference_free(term)
+        assert reference_reads(term) == set(term_fact(term)[1]) <= free
         assert consts == _constants(term)
 
 
