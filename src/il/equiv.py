@@ -17,8 +17,10 @@ variables never read again, or named only in a branch that a closed
 condition decides against, share an entry.  The keys are built from
 facts kept on the terms and closures they describe, so a game folds
 only terms no earlier run or game has keyed.  run_to_anchor's repeat
-check compares the same keys, so a memo hit returns exactly what
-running the pair would.
+check compares keys of the same kind, at a member body over fewer
+variables (semantics.loop_reads), so configurations with equal keys
+run to the same anchors, and a memo hit returns exactly what running
+the pair would.
 
 A result that neither side's continuation reads is not in either
 successor's key, so every probe gives the same pair of keys, and every
@@ -39,15 +41,16 @@ explicit stacks, so their depth is not bounded by Python's recursion
 limit.
 
 Silent divergence is decided, not cut off: run_to_anchor returns a
-Diverges anchor when a silent run repeats a configuration (see
-il.semantics for why comparing post-application configurations is
-enough).  A silent infinite loop is one observable behaviour, so two
-diverging sides are equivalent, and a side that diverges while the
-other terminates or waits at a system call is distinguished.  Only a
-run that exhausts its fuel, such as a loop that never repeats a
-configuration, leaves the game inconclusive.  enumerate_traces ends a
-diverging run with Diverged and a fuel-exhausted one with Cutoff, so
-trace-set equality keeps matching the game's verdict.
+Diverges anchor when a silent run repeats what it observes (see
+il.semantics for why comparing post-application configurations, by
+what their group can observe, is enough).  A silent infinite loop is
+one observable behaviour, so two diverging sides are equivalent, and a
+side that diverges while the other terminates or waits at a system
+call is distinguished.  Only a run that exhausts its fuel, such as a
+loop that observes a counter, leaves the game inconclusive.
+enumerate_traces ends a diverging run with Diverged and a
+fuel-exhausted one with Cutoff, so trace-set equality keeps matching
+the game's verdict.
 
 The similarity variant adds one asymmetric rule: when the left side
 reaches a terminal configuration with an undefined result, the pair is

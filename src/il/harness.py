@@ -11,14 +11,13 @@ Every trial records its own seed, so any reported trial replays
 byte-for-byte; a distinguished trial is shrunk to a locally minimal
 failing program before it is reported.
 
-Outside its game a trial walks its program four times: gen_program
-counts its nodes after the draw, run_pass numbers it in one Nodes
-table, one term_reads walk gives the free variables its initial
-environment binds and the constants among its probes, and the record
-counts its nodes; a second term_reads walk gives the output's
-constants.
-None of these folds term_fact, so the game folds facts only below the
-nodes it keys.
+Outside its game a trial walks its program three times: run_pass
+numbers it in one Nodes table, one term_reads walk gives the free
+variables its initial environment binds and the constants among its
+probes, and the record counts its nodes; a second term_reads walk
+gives the output's constants.  gen_program's redraw check counts at
+most four nodes of each draw.  None of these folds term_fact, so the
+game folds facts only below the nodes it keys.
 """
 from __future__ import annotations
 
@@ -48,6 +47,7 @@ from .syntax import (
     Unop,
     Var,
     print_program,
+    term_children,
     term_reads,
     term_size,
     wrap,
@@ -182,7 +182,12 @@ def gen_program(cfg: GenConfig) -> Term:
     term = _generator(Random(cfg.seed), cfg)
     t = term(cfg.max_depth, (), ())
     for _ in range(8):
-        if term_size(t) >= 4 or cfg.max_depth == 0:
+        # a draw is tiny below 4 nodes: count up to 4, no further
+        n, stack = 0, [t]
+        while stack and n < 4:
+            n += 1
+            stack += term_children(stack.pop())
+        if n >= 4 or cfg.max_depth == 0:
             break
         t = term(cfg.max_depth, (), ())
     return t

@@ -55,12 +55,28 @@ sets are kept on the terms, a closure's key on the closure, so no table
 is built per run or per game and no key holds an id().  Two
 configurations equal in that projection run alike forever, so a repeat
 of it is a silent loop even where a variable never read again, or read
-only in a branch no run takes, still changes.  The game's memo uses the
-same keys.  Fuel still bounds every run, and a loop that never repeats
-a key, such as a counter, still runs out of fuel.  A resolved system
-call starts the fuel and the check over from the configuration right
-after it (saved, with since 0 and power 1), as a fresh run from there
-would.  A compiled loop (below) makes this check itself wherever it
+only in a branch no run takes, still changes.  The game's memo uses
+these keys.  Brent's check keys a configuration that an application
+entered by fewer values (loop_reads): its focus is the body of a member
+of the group funs[0], and of the body's read set only the variables the
+body can observe count (syntax.group_live, a true liveness over the
+group's bodies that keeps every value an expression with "/" divides,
+and every argument to a function the group does not define).  The
+parameters are bound and the closure's key holds the values of the
+other variables the body reads, so two such configurations with equal
+keys step alike, reach the same anchors and come back to member bodies
+with equal keys.  So a counter that only feeds itself, such as
+fun f(x) = f(x + 1), repeats its key within one period and is a silent
+loop.  The fact is kept on the group's Fun term, which each closure
+names (Closure._fun), and folded when a run first comes back to a body
+of that group.  Where saved is not a post-application configuration
+(power is still 1: a run's start, or right after a call) it is keyed by
+its read set.  Fuel still bounds every run, and a loop that never
+repeats a key, such as a counter read by a condition, a division or a
+closure, still runs out of fuel.  A resolved system call starts the
+fuel and the check over from the configuration right after it (saved,
+with since 0 and power 1), as a fresh run from there would.  A compiled
+loop (below) makes this check itself, with the same keys, wherever it
 can tell that the keys differ, and makes Brent's saves itself.
 
 Compiled segments.  A segment is the code from an entry term up to the
@@ -123,18 +139,20 @@ the way hides it, is a site: at the member's own, the code goes on in a
 second copy of the segment, the loop path; at another member's (a
 member site), into that member's body inline, on the same path, with
 that member's parameters in locals of their own.  Every site follows
-one rule.  Its guard holds where the callee's body and parameters are
-that member's, the remaining fuel covers the longest path and, before
-any system call on the path, the values of the body's read set
-differ from those kept for that body.  Where saved's focus is that
-body they are saved's, so the keys differ; elsewhere the foci differ,
-and values kept from an earlier save can only send the run back to
-run_to_anchor.  Where the guard
-holds, the site counts the post-application configuration, and where
-Brent's save falls due it makes the save itself, keeping the saved
-configuration's function context, the callee's closure (its
-environment, parameters and body), the parameters' values and the
-values of the body's read set in locals; a Config is built from them
+one rule.  Its guard holds where the callee's body, parameters and
+group (Closure._fun) are that member's, the remaining fuel covers the
+longest path and, before any system call on the path, the values that
+key the body (loop_reads, one local each) differ from those kept for
+that body.  Where saved's focus is that body they are saved's, taken
+with the same variables, so the keys differ: a saved keyed by other
+variables has a key of another length or another function context.
+Elsewhere the foci differ, and values kept from an earlier save can
+only send the run back to run_to_anchor.  Where the guard holds, the
+site counts the post-application configuration, and where Brent's save
+falls due it makes the save itself, keeping the saved configuration's
+function context, the callee's closure (its environment, parameters
+and body), the parameters' values and the values that key the body in
+locals; a Config is built from them
 only where the segment returns.  Right after a call Brent's state is
 known when the code is compiled (since 0, power 1): the first site after
 a call saves without comparing, as its focus, the callee's body, is not
@@ -180,6 +198,7 @@ from .syntax import (
     _setattr,
     eval_expr,
     eval_expr_list,
+    group_live,
     term_exprs,
     term_fact,
     truthy,
@@ -192,13 +211,16 @@ Env = dict[str, int]
 @dataclass(frozen=True)
 class Closure:
     """Captured environment, parameter list, and body. Not recursive by
-    itself; recursion comes from context rewinding.  _key, kept on the
-    closure once asked for, is not a field."""
+    itself; recursion comes from context rewinding.  Two attributes are
+    not fields: _key, kept on the closure once asked for, and _fun, the
+    Fun term whose group made the closure (None for one made otherwise),
+    whose group_live fact loop_reads reads."""
 
     env: Env
     params: tuple[str, ...]
     body: Term
     _key = None
+    _fun = None
 
     @property
     def key(self) -> tuple:
@@ -219,15 +241,15 @@ FunContext = tuple[Group, ...]  # most recent group first
 _object_new = object.__new__
 
 
-def _group(defs: tuple, env: Env) -> Group:
-    """The group defs define under env, as a list: each closure is made
-    with object.__new__ and given its fields as its __dict__, which is
-    what the frozen dataclass's __init__ would do, at about half the
-    cost."""
+def _group(fun: Fun, env: Env) -> Group:
+    """The group fun defines under env, as a list in the order of its
+    definitions: each closure is made with object.__new__ and given its
+    fields, and _fun, as its __dict__, which is what the frozen
+    dataclass's __init__ would do, at about half the cost."""
     group = []
-    for d in defs:
+    for d in fun.defs:
         clo = _object_new(Closure)
-        _setattr(clo, "__dict__", {"env": env, "params": d.params, "body": d.body})
+        _setattr(clo, "__dict__", {"env": env, "params": d.params, "body": d.body, "_fun": fun})
         group.append((d.name, clo))
     return group
 
@@ -270,7 +292,7 @@ class Config(NamedTuple):
     term: Term
 
 
-def config_key(c: Config) -> tuple:
+def config_key(c: Config, reads: Optional[Sequence[str]] = None) -> tuple:
     """What c's future reads, as a hashable key: the focus's number, the
     values of the variables in its read set (syntax.term_fact; None for
     unbound) in sorted order, and per closure in the function context
@@ -278,12 +300,36 @@ def config_key(c: Config) -> tuple:
     condition decides against is not in the read set: no run reads it.
     Two configurations with equal keys step to configurations with equal
     keys, reach the same anchor kind after the same number of steps, and
-    have the same events."""
+    have the same events.  With reads, the values of those variables
+    stand for the read set's (Brent's check passes loop_reads)."""
     funs, env, term = c
-    number, reads = term_fact(term)
+    number, own = term_fact(term)
     if funs:
         funs = tuple([tuple([(name, clo.key) for name, clo in g]) for g in funs])
-    return (number, tuple(map(env.get, reads)), funs)
+    return (number, tuple(map(env.get, own if reads is None else reads)), funs)
+
+
+def loop_reads(c: Config, applied: bool) -> tuple[str, ...]:
+    """The variables whose values Brent's check keys c by: where an
+    application entered c (applied), so that its focus is the body of a
+    member of funs[0] that a Fun term's group made, the variables that
+    body can observe (syntax.group_live); else its read set.  Two keys
+    with equal function contexts' keys were taken with the same
+    variables, as group_live depends only on the definitions that those
+    keys name; and a key of an observed set smaller than the read set
+    has fewer values than one of the read set."""
+    funs, _, term = c
+    if applied and funs:
+        for i, (_, clo) in enumerate(funs[0]):
+            if clo.body is term:
+                return _member_reads(clo._fun, i, term)
+    return term_fact(term)[1]
+
+
+def _member_reads(fun: Optional[Fun], i: int, body: Term) -> tuple[str, ...]:
+    """loop_reads where an application of the i-th closure of a group,
+    made by fun (or otherwise, None), entered body."""
+    return term_fact(body)[1] if fun is None else group_live(fun)[i]
 
 
 # -- one silent step
@@ -346,7 +392,7 @@ def step_silent(config: Config) -> Union[Stepped, AtExtern, Terminal]:
             return _TERMINAL
         return Stepped(Config(config.funs, config.env, t.then if truthy(v) else t.orelse))
     if isinstance(t, Fun):
-        return Stepped(Config((_group(t.defs, config.env),) + config.funs, config.env, t.cont))
+        return Stepped(Config((_group(t, config.env),) + config.funs, config.env, t.cont))
     return _TERMINAL  # expression focus
 
 
@@ -384,8 +430,8 @@ class OutOfFuel(NamedTuple):
 
 @_record
 class Diverges(NamedTuple):
-    """The silent run reached config twice: it loops forever without
-    an observable action."""
+    """The silent run reached config's key twice (loop_reads): it loops
+    forever without an observable action."""
 
     config: Config
 
@@ -494,7 +540,7 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
                 elif cls is Fun:
                     if (remaining := remaining - 1) < 0:
                         return OutOfFuel(Config(funs, env, term))
-                    funs = (_group(term.defs, env),) + funs
+                    funs = (_group(term, env),) + funs
                     own = None
                     term = term.cont
                 else:
@@ -503,15 +549,18 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
         if applied:
             # keys differ whenever the focus does, so only an equal
             # focus needs them; and they differ whenever a bound variable
-            # of saved's read set changes, which is cheaper to test first
+            # that saved is keyed by changes, which is cheaper to test
+            # first.  saved is a post-application configuration once a
+            # save has doubled power
             config = None
             if term is saved.term:
                 if saved_key is None:
-                    saved_key = config_key(saved)
-                    bound = {v: x for v, x in zip(term_fact(term)[1], saved_key[1]) if x is not None}.items()
+                    reads = loop_reads(saved, power > 1)
+                    saved_key = config_key(saved, reads)
+                    bound = {v: x for v, x in zip(reads, saved_key[1]) if x is not None}.items()
                 if bound <= env.items():
                     config = _new(Config, (funs, env, term))
-                    if config_key(config) == saved_key:
+                    if config_key(config, loop_reads(config, True)) == saved_key:
                         return Diverges(config)
             since += 1
             if since == power:
@@ -671,12 +720,14 @@ class _Source:
         self.locals = 0
         self.longest = 0
         self.entry, self.member, self.group = entry, None, {}
-        for name, clo in group:
+        # name -> (params, body, the Fun term that made the closure, its
+        # position in the group), which give the key at its body
+        for i, (name, clo) in enumerate(group):
             if self.member is None and clo.body is entry:
-                self.member, self.group[name] = name, (clo.params, entry)
+                self.member, self.group[name] = name, (clo.params, entry, clo._fun, i)
             else:
-                self.group.setdefault(name, (clo.params, clo.body))
-        self.saved: dict[int, tuple] = {}  # id(body) -> (local, body) per body a site enters
+                self.group.setdefault(name, (clo.params, clo.body, clo._fun, i))
+        self.saved: dict[int, tuple] = {}  # id(body) -> (locals, body, reads) per body a site enters
         self.loops, self.looping = False, False
         self.inits: list[str] = []  # locals the prologue sets to None
         if self.member is None:
@@ -789,11 +840,11 @@ class _Source:
         return self.size < MAX_SIZE and not (isinstance(t, Cond) and path.indent >= MAX_NESTING) and _inlinable(t)
 
     def key(self, body: Term, ops: dict, env: str) -> list:
-        """Body's locals in saved, each with the value of a variable of
-        its read set in a configuration whose focus is body: its operand
-        in ops, these first, or else read from env.  A body with an empty
-        read set has one local, and the value 0."""
-        kept, reads = self.saved[id(body)][0], term_fact(body)[1]
+        """Body's locals in saved, each with the value of a variable that
+        a configuration an application entered body by is keyed by
+        (loop_reads): its operand in ops, these first, or else read from
+        env.  A body keyed by no variable has one local, and the value 0."""
+        kept, _, reads = self.saved[id(body)]
         pairs = [(s, ops[v]) for s, v in zip(kept, reads) if v in ops]
         pairs += [(s, f"{env}.get({self.const(v)})") for s, v in zip(kept, reads) if v not in ops]
         return pairs or [(kept[0], "0")]
@@ -805,12 +856,15 @@ class _Source:
         that differs from that body's locals in saved.  Count the
         configuration and make Brent's save where it falls due.  The
         locals that then hold the member's parameters."""
-        formals, body = self.group[name]
+        formals, body, fun, i = self.group[name]
         if name == self.member:
             self.loops, bound = True, self.params
         else:
             bound = [self.local() for _ in formals]
-        self.saved.setdefault(id(body), ([self.local() for _ in term_fact(body)[1] or "0"], body))
+        if id(body) not in self.saved:
+            # the guard checks the closure's body, parameters and _fun
+            reads = _member_reads(fun, i, body)
+            self.saved[id(body)] = ([self.local() for _ in reads or "0"], body, reads)
         # the fuel is counted first, so the return where the guard
         # fails has no steps left to count
         guard = f"(remaining := remaining - {steps}) >= room and {same}"
@@ -890,7 +944,7 @@ class _Source:
                 t = t.orelse
             elif isinstance(t, Fun):
                 env, funs = self.environment(path), self.local()
-                self.emit(path, f"{funs} = (_group({self.const(t.defs)}, {env}),) + {path.funs}")
+                self.emit(path, f"{funs} = (_group({self.const(t)}, {env}),) + {path.funs}")
                 path.funs, path.hidden = funs, path.hidden.union(d.name for d in t.defs)
                 path.steps += 1
                 t = t.cont
@@ -903,7 +957,10 @@ class _Source:
                 site = callee is not None and len(callee[0]) == len(t.args) and name not in path.hidden
                 site = site and (path.after is None or callee[1] is not path.after[2])
                 site = site and (name == self.member or name not in path.inlined and self.fits(callee[1], path))
-                same = site and f"{clo}.body is {self.const(callee[1])} and {params} is {self.const(callee[0])}"
+                same = site and (
+                    f"{clo}.body is {self.const(callee[1])} and {params} is {self.const(callee[0])}"
+                    f" and {clo}._fun is {self.const(callee[2])}"
+                )
                 checks = [f"if {hit} is None: return _BOT", f"{clo}, {rewound} = {hit}", f"{params} = {clo}.params"]
                 checks.append(f"if len({params}) != {len(t.args)}: return _BOT")
                 if self.looping:
@@ -961,7 +1018,7 @@ def compile_segment(t: Term, group: Group = ()) -> Optional[Segment]:
             src.lines, src.size, src.looping = [], 0, True
             src.path(t, _Path(0, "funs", src.cenv, dict(zip(src.group[src.member][0], src.params))))
         start = [f"room = {src.longest}", f"{src.kept[0]} = None", *src.inits]
-        for kept, term in src.saved.values():
+        for kept, term, _ in src.saved.values():
             key = src.key(term, {}, "saved.env")
             start += [f"if saved.term is {src.const(term)}: {', '.join(s for s, _ in key)} = {', '.join(x for _, x in key)}"]
             start += [f"else: {' = '.join(kept)} = _UNSAVED"]

@@ -44,6 +44,7 @@ recurses.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
@@ -194,20 +195,24 @@ def eval_expr_list(es: Sequence[Expr], env: Mapping[str, int]) -> Optional[tuple
 class Term:
     """Base class for IL terms.
 
-    Two attributes are kept on a term but are not fields, so equality,
+    Three attributes are kept on a term but are not fields, so equality,
     hashing and printing never see them.  _segment belongs to the
     interpreter (semantics.run_to_anchor): how often execution has
     entered the segment that starts at this term, then that segment's
     compiled code, or None when the segment's first step is too large
     to inline and it always runs interpreted.  _fact is term_fact's
-    (number, read set)."""
+    (number, read set).  _live, kept on a Fun term only, is group_live's
+    observed sets of its members' bodies: on the group and not on the
+    bodies, as a pass's output shares bodies with its input under
+    another group."""
 
     __slots__ = ()
     _segment: Any = 0
     _fact: Any = None
+    _live: Any = None
 
 
-_setattr = object.__setattr__  # terms are frozen; _segment and _fact are not fields
+_setattr = object.__setattr__  # terms are frozen; _segment, _fact and _live are not fields
 
 
 @dataclass(frozen=True)
@@ -430,6 +435,128 @@ def term_fact(t: Term) -> tuple[int, tuple[str, ...]]:
                 _setattr(term, "_fact", (next(_numbers), tuple(sorted(reads))))
         fact = t._fact
     return fact
+
+
+def _divides(e: Expr) -> bool:
+    """Whether e has a division: the one operator that can be undefined
+    where all its names are bound."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is Binop:
+            if e.op == "/":
+                return True
+            stack += (e.left, e.right)
+        elif type(e) is Unop:
+            stack.append(e.arg)
+    return False
+
+
+def _observed(body: Term, kept: Mapping[str, tuple[bool, ...]]) -> tuple[set[str], set[str]]:
+    """The variables of body's read set that a run from body can observe,
+    given which parameters of each member of its group are observed
+    (kept, one flag per parameter), and the members it applies with
+    their arity.  One walk in pre-order over what read_children takes
+    in, with the names that the groups on the way define, folded in
+    reverse pre-order: each node pops its children's sets off a stack.
+
+    A node observes the free variables of its own expressions and its
+    children's sets less the names it binds there, except that:
+      - an application of a member of the group, with the member's
+        arity and not hidden by a group on the way, observes only its
+        arguments to kept parameters and those that contain "/";
+      - a pure let observes its value only where its body observes its
+        variable or the value contains "/"."""
+    order: list[tuple[Term, frozenset[str], tuple]] = []
+    stack: list[tuple[Term, frozenset[str]]] = [(body, frozenset())]
+    while stack:
+        term, hidden = stack.pop()
+        kids = read_children(term)
+        order.append((term, hidden, kids))
+        if type(term) is Fun:
+            hidden = hidden.union(d.name for d in term.defs)
+        stack += [(k, hidden) for k, _ in reversed(kids)]
+    done: list[set[str]] = []
+    applied: set[str] = set()
+    for term, hidden, kids in reversed(order):
+        sets = [done.pop() for _ in kids]
+        seen: set[str] = set()
+        for s, (_, bound) in zip(sets, kids):
+            seen.update(v for v in s if v not in bound)
+        cls = type(term)
+        if cls is App:
+            flags = None if term.fun in hidden else kept.get(term.fun)
+            if flags is None or len(flags) != len(term.args):
+                seen.update(free_vars_list(term.args))
+            else:
+                applied.add(term.fun)
+                for flag, e in zip(flags, term.args):
+                    if flag or _divides(e):
+                        seen.update(free_vars(e))
+        elif cls is Let and type(term.value) is not SysCall:
+            if term.var in sets[0] or _divides(term.value):
+                seen.update(free_vars(term.value))
+        else:
+            seen.update(free_vars_list(term_exprs(term)))
+        done.append(seen)
+    return done[0], applied
+
+
+def group_live(t: Fun) -> tuple[tuple[str, ...], ...]:
+    """Per definition of t's group, in order, the variables of its body's
+    read set that a run entering that body by an application can
+    observe, in sorted order; kept on t.
+
+    The least fixpoint over the group's bodies of _observed, from no
+    parameter observed, where a parameter is observed once its body
+    observes it: a worklist folds each body once, and again when a
+    member it applies gets another parameter observed.  An argument to
+    a function the group does not define is observed, so the fact
+    depends on the definitions alone.  Where two members share one body
+    object, that body's set is its whole read set, so the set never
+    depends on the member a run entered by.
+
+    This is true liveness made to preserve definedness: a variable left
+    out is only passed on to parameters left out, through expressions
+    without "/", so over configurations at a member body, with equal
+    function contexts' keys (every parameter is bound, and the closure's
+    key holds the values of the other variables it reads), runs that
+    differ only in the values of variables left out step alike, with the
+    same anchors, and come back to member bodies in that same relation."""
+    live = t._live
+    if live is None:
+        defs = t.defs
+        shared = Counter(id(d.body) for d in defs)
+        # an application resolves to the first member of its name
+        first: dict[str, int] = {}
+        for i, d in enumerate(defs):
+            first.setdefault(d.name, i)
+        kept = {name: (False,) * len(defs[i].params) for name, i in first.items()}
+        sets: list[set[str]] = [set()] * len(defs)
+        users: dict[str, set[int]] = {name: set() for name in first}  # member -> bodies that apply it
+        todo = list(range(len(defs)))
+        queued = [True] * len(defs)
+        while todo:
+            i = todo.pop()
+            queued[i] = False
+            d = defs[i]
+            if shared[id(d.body)] > 1:
+                sets[i] = set(term_fact(d.body)[1])
+            else:
+                sets[i], applied = _observed(d.body, kept)
+                for name in applied:
+                    users[name].add(i)
+            if first[d.name] == i:
+                flags = tuple(p in sets[i] for p in d.params)
+                if flags != kept[d.name]:
+                    kept[d.name] = flags
+                    for u in users[d.name]:
+                        if not queued[u]:
+                            queued[u] = True
+                            todo.append(u)
+        live = tuple(tuple(sorted(s)) for s in sets)
+        _setattr(t, "_live", live)
+    return live
 
 
 def term_reads(t: Term) -> tuple[frozenset[str], frozenset[int]]:

@@ -120,10 +120,15 @@ def test_run_env_flag(files, capsys):
 
 
 def test_run_cutoff(files, capsys):
-    path = files("d.il", "fun f(x) = f(x + 1) in f(0)")
+    path = files("d.il", "fun f(x) = if x < 0 then 0 else f(x + 1) in f(0)")
     code, out, _ = run_cli(capsys, "run", path, "--fuel", "40")
     assert code == 0
     assert out == "END CUTOFF\n"
+    # a counter that only feeds itself repeats its key
+    path = files("e.il", "fun f(x) = f(x + 1) in f(0)")
+    code, out, _ = run_cli(capsys, "run", path, "--fuel", "40")
+    assert code == 0
+    assert out == "END DIVERGE\n"
 
 
 def test_run_silent_loop_ends_diverge(files, capsys):
@@ -298,10 +303,14 @@ def test_check_out_of_range_probe_is_wrapped(files, capsys):
 
 
 def test_check_exhausted_exits_2(files, capsys):
-    l, r = files("a.il", "fun f(x) = f(x + 1) in f(0)"), files("b.il", "3")
+    l, r = files("a.il", "fun f(x) = if x < 0 then 0 else f(x + 1) in f(0)"), files("b.il", "3")
     code, out, _ = run_cli(capsys, "check", l, r, "--fuel", "30")
     assert code == 2
     assert out == "EXHAUSTED fuel\n"
+    # a counter that only feeds itself is decided: it diverges silently
+    l = files("c.il", "fun f(x) = f(x + 1) in f(0)")
+    code, out, _ = run_cli(capsys, "check", l, r, "--fuel", "30")
+    assert (code, out) == (1, "DISTINGUISHED left side diverges silently while the other does not\n")
 
 
 def test_check_both_diverging_equivalent(files, capsys):
@@ -430,7 +439,9 @@ def test_run_output_digest_is_pinned(files, capsys, monkeypatch):
     # on the programs above and 200 generated programs, with segments
     # compiled at the default threshold and on their first entry; the
     # digest is the one the interpreter gave before every loop site made
-    # Brent's save itself
+    # Brent's save itself, except that where the loop programs' f(i, n)
+    # reaches f(i, n * 0) at --fuel 3, its key now leaves out n, which
+    # only feeds itself, so that run ends END DIVERGE, not END CUTOFF
     programs = PINNED_PROGRAMS + LOOP_PROGRAMS + [print_program(gen_program(GenConfig(seed=derive_seed(0, i)))) for i in range(200)]
     paths = [files(f"p{i}.il", src) for i, src in enumerate(programs)]
     flags = ((), ("--fuel", "0"), ("--fuel", "3"), ("--fuel", "40"), ("--max-events", "1"), ("--max-events", "5"))
@@ -441,7 +452,7 @@ def test_run_output_digest_is_pinned(files, capsys, monkeypatch):
             for extra in flags:
                 code, out, _ = run_cli(capsys, "run", path, *extra)
                 h.update(f"{code}\0{out}\0".encode())
-        assert h.hexdigest() == "eadb17e1b0d9bd9ede165d18b0cb5e8c", hot
+        assert h.hexdigest() == "1dcad25b8cf110482b0394777b66a147", hot
 
 
 def _distinguished_pair(j):

@@ -151,14 +151,18 @@ def test_probe_dependent_divergence_found():
 
 
 def test_fuel_exhaustion_reported():
-    v = check_bisim(conf("fun f(x) = f(x + 1) in f(0)"), conf("3"), depth=4, probes=(0, 1), fuel=50)
+    v = check_bisim(conf(COUNTER), conf("3"), depth=4, probes=(0, 1), fuel=50)
     assert v == Exhausted("fuel")
+    # a counter that only feeds itself is decided: it diverges silently
+    v = check_bisim(conf(FEEDING), conf("3"), depth=4, probes=(0, 1), fuel=50)
+    assert isinstance(v, Distinguished)
 
 
 # -- silent divergence
 
 LOOP = "fun f() = f() in f()"
-COUNTER = "fun f(x) = f(x + 1) in f(0)"  # never repeats: runs out of fuel
+COUNTER = "fun f(x) = if x < 0 then 0 else f(x + 1) in f(0)"  # never repeats its key: runs out of fuel
+FEEDING = "fun f(x) = f(x + 1) in f(0)"  # its key leaves out x, which only feeds itself: repeats
 
 
 def test_both_sides_diverging_equivalent():
@@ -197,6 +201,8 @@ def test_diverging_against_out_of_fuel_exhausted():
     for game in (check_bisim, check_sim):
         assert game(conf(LOOP), conf(COUNTER), depth=4, probes=(0, 1), fuel=100) == Exhausted("fuel")
         assert game(conf(COUNTER), conf(LOOP), depth=4, probes=(0, 1), fuel=100) == Exhausted("fuel")
+        assert game(conf(LOOP), conf(FEEDING), depth=4, probes=(0, 1), fuel=100) == EquivalentToDepth(4)
+        assert game(conf(FEEDING), conf(LOOP), depth=4, probes=(0, 1), fuel=100) == EquivalentToDepth(4)
 
 
 # the continuation reads a and y, and g's body reads c besides its parameter
@@ -359,9 +365,11 @@ def test_enumerate_two_rounds():
 
 
 def test_enumerate_fuel_cutoff():
-    ts = enumerate_traces(conf("fun f(x) = f(x + 1) in f(0)"), depth=2, probes=(0, 1), fuel=20)
+    ts = enumerate_traces(conf(COUNTER), depth=2, probes=(0, 1), fuel=20)
     (tr,) = ts
     assert tr.outcome == Cutoff()
+    (tr,) = enumerate_traces(conf(FEEDING), depth=2, probes=(0, 1), fuel=20)
+    assert tr.outcome == Diverged()
 
 
 def test_enumerate_divergence():

@@ -9,7 +9,7 @@ from audits import refereed
 from il.equiv import Distinguished
 from il.harness import GenConfig, derive_seed, difftest_dve, difftest_uce, gen_program
 from il.reach import Rejection, check_reach, infer_reach
-from il.syntax import Annotated, Cond, Fun, Nodes, parse_program, print_program, term_fact
+from il.syntax import Annotated, Cond, Fun, Nodes, group_live, parse_program, print_program, term_fact
 from il.tlive import check_tlive
 
 BUDGET = 500
@@ -72,6 +72,32 @@ def test_the_wrong_branch_mutant_leaves_the_read_sets_alone(monkeypatch):
     assert [read_sets(t) for t in programs] == real
     # the mutant is live: it flips some program's closed condition
     assert any(il.reach.static_branch(n.cond) is not None for t in programs for n in Nodes(t).terms if isinstance(n, Cond))
+
+
+def test_the_planted_mutants_leave_the_group_facts_alone(monkeypatch):
+    # group_live folds its own liveness, so neither planted static_branch
+    # nor the tlive._fact mutant below moves a fact that Brent's check
+    # keys by: fresh copies of 100 generated programs fold the same facts
+    # under all three
+    def group_facts(t):
+        return [group_live(n) for n in Nodes(parse_program(print_program(t))).terms if isinstance(n, Fun)]
+
+    programs = [gen_program(GenConfig(seed=derive_seed(76, n))) for n in range(100)]
+    real = [group_facts(t) for t in programs]
+    for module in (il.reach, il.transform):
+        sb = module.static_branch
+        monkeypatch.setattr(module, "static_branch", lambda e, sb=sb: None if sb(e) is None else not sb(e))
+    fact = il.tlive._fact
+    monkeypatch.setattr(il.tlive, "_fact", lambda term, kids, callee: fact(term, kids, None))
+    assert [group_facts(t) for t in programs] == real
+    # some fact leaves a variable of its body's read set out
+    assert any(
+        live != term_fact(d.body)[1]
+        for t in programs
+        for n in Nodes(t).terms
+        if isinstance(n, Fun)
+        for d, live in zip(n.defs, group_live(n))
+    )
 
 
 def test_tlive_skipping_context_extension_is_caught(monkeypatch):

@@ -31,6 +31,7 @@ from il.semantics import (
     compile_segment,
     config_key,
     ctx_resolve,
+    loop_reads,
     result_of,
     run_to_anchor,
     run_trace,
@@ -51,6 +52,7 @@ from il.syntax import (
     Nodes,
     SysCall,
     Var,
+    group_live,
     parse_program,
     term_children,
     term_fact,
@@ -247,8 +249,12 @@ def test_anchor_ready_exposes_pending_call():
 
 
 def test_anchor_out_of_fuel_on_divergence():
-    a = run_to_anchor(conf("fun f(x) = f(x + 1) in f(0)"), 50)
+    # a counter that its condition reads never repeats its key
+    a = run_to_anchor(conf("fun f(x) = if x < 0 then 0 else f(x + 1) in f(0)"), 50)
     assert isinstance(a, OutOfFuel)
+    # one that only feeds itself is keyed without its counter
+    a = run_to_anchor(conf("fun f(x) = f(x + 1) in f(0)"), 50)
+    assert isinstance(a, Diverges)
 
 
 @pytest.mark.parametrize(
@@ -348,9 +354,12 @@ def test_trace_oracle_changes_results_not_shape():
 
 
 def test_trace_cutoff_on_fuel():
-    tr = run_trace(conf("fun f(x) = f(x + 1) in f(0)"), ListOracle([]), fuel=50)
+    tr = run_trace(conf("fun f(x) = if x < 0 then 0 else f(x + 1) in f(0)"), ListOracle([]), fuel=50)
     assert tr.events == ()
     assert tr.outcome == Cutoff()
+    tr = run_trace(conf("fun f(x) = f(x + 1) in f(0)"), ListOracle([]), fuel=50)
+    assert tr.events == ()
+    assert tr.outcome == Diverged()
 
 
 def test_trace_ends_diverged_after_events():
@@ -439,12 +448,14 @@ def test_generated_programs_run_without_crashing(n):
         assert all(isinstance(v, int) for v in ev.args)
 
 
-@settings(deadline=None, max_examples=50)
+@settings(deadline=None, max_examples=100)
 @given(st.integers(0, 10_000))
 def test_diverges_config_repeats_silently(n):
     # from a Diverges anchor's configuration, silent steps alone come
-    # back to an equal configuration; 20 programs per example, since
-    # about one generated program in twenty loops silently
+    # back to a post-application configuration with an equal key, and
+    # run on silently for 10^5 steps or to an equal configuration; 20
+    # programs per example, 2,000 in all, since about one generated
+    # program in twenty loops silently
     import random
 
     for k in range(20):
@@ -460,14 +471,17 @@ def test_diverges_config_repeats_silently(n):
         if not isinstance(a, Diverges):
             continue
         c = a.config
+        key = config_key(c, loop_reads(c, True))
         for _ in range(2000):
+            applied = isinstance(c.term, App)
             step = step_silent(c)
             assert isinstance(step, Stepped)
             c = step.config
-            if c == a.config:
+            if applied and config_key(c, loop_reads(c, True)) == key:
                 break
         else:
-            raise AssertionError("no repeat within 2000 silent steps")
+            raise AssertionError("no repeat of the key within 2000 silent steps")
+        assert _silent_from(a.config)
 
 
 def full_equality_anchor(config, fuel):
@@ -494,31 +508,63 @@ def full_equality_anchor(config, fuel):
                 saved, since, power = config, 0, power * 2
 
 
+def _silent_from(config, steps=10**5):
+    """Whether step_silent takes steps more steps from config with no
+    terminal (an undefined result included) and no pending call, or
+    comes back to an equal configuration first, which repeats forever."""
+    return isinstance(full_equality_anchor(config, steps), (OutOfFuel, Diverges))
+
+
+@pytest.mark.parametrize(
+    "src, end",
+    [
+        # n only feeds itself, through one construct each
+        ("fun f(n) = let m = n + 1 in f(m) in f(0)", Diverges),
+        ("fun f(n) = let m = 1 in f(n + m) in f(0)", Diverges),
+        ("fun f(n) = if 1 then f(n + 1) else 0 in f(0)", Diverges),
+        ("fun f(n) = if 0 then 0 else f(n + 1) in f(0)", Diverges),
+        ("fun f(n) = fun g() = f(n + 1) in g() in f(0)", Diverges),
+        ("fun f(n) = fun g() = f(n + 1) and h() = g() in h() in f(0)", Diverges),
+        # n is observed, through one construct each
+        ("fun f(n) = if n < 0 then 0 else f(n + 1) in f(0)", OutOfFuel),
+        ("fun f(n) = let m = 10 / n in f(n + 1) in f(1)", OutOfFuel),
+        ("fun f(n) = g(1 / n, n + 1) and g(d, m) = f(m) in f(1)", OutOfFuel),
+        ("fun f(n) = fun g() = n in f(n + 1) in f(0)", OutOfFuel),
+    ],
+)
+def test_projected_repeat_check_sees_every_read_of_a_counter(src, end):
+    # each loop reads its counter n through one construct only: where
+    # the construct only passes n on to itself the key leaves n out and
+    # repeats, and where it may observe n, a projection that missed
+    # that read would report a false repeat
+    c = conf(src)
+    assert isinstance(full_equality_anchor(c, 300), OutOfFuel)
+    assert isinstance(run_to_anchor(c, 300), end)
+
+
+@pytest.mark.parametrize("hot", [1, semantics.HOT_ENTRIES, math.inf])
 @pytest.mark.parametrize(
     "src",
     [
-        "fun f(n) = let m = n + 1 in f(m) in f(0)",
-        "fun f(n) = let m = 1 in f(n + m) in f(0)",
-        "fun f(n) = if 1 then f(n + 1) else 0 in f(0)",
-        "fun f(n) = if 0 then 0 else f(n + 1) in f(0)",
-        "fun f(n) = fun g() = f(n + 1) in g() in f(0)",
-        "fun f(n) = fun g() = f(n + 1) and h() = g() in h() in f(0)",
+        "fun f(x) = let y = 10 / x in f(x - 1) in f(3)",
+        "fun f(x) = g(1 / x, x - 1) and g(d, m) = f(m) in f(3)",
     ],
 )
-def test_projected_repeat_check_sees_every_read_of_a_counter(src):
-    # each loop reads its counter n through one construct only, so a
-    # projection that missed that read would report a false repeat
-    c = conf(src)
-    assert isinstance(full_equality_anchor(c, 300), OutOfFuel)
-    assert isinstance(run_to_anchor(c, 300), OutOfFuel)
+def test_a_dead_value_that_divides_keeps_its_counter_in_the_key(src, hot):
+    # y and d are dead, but their values divide by the counter, so the
+    # key keeps it and the run reaches the division by zero, in compiled
+    # code and cold, at every fuel, as the reference does
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", hot)
+        assert _every_fuel(conf(src), 200) == Done(None)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10_000))
 def test_projected_repeat_check_agrees_with_full_equality(n):
     # The projection may only decide earlier: a Ready or Done anchor is
-    # the reference's, a projected Diverges is a whole-configuration
-    # repeat given more fuel, and a reference Diverges is projected too.
+    # the reference's, a projected Diverges is a silent divergence
+    # (_silent_from), and a reference Diverges is projected too.
     import random
 
     for k in range(10):
@@ -532,7 +578,7 @@ def test_projected_repeat_check_agrees_with_full_equality(n):
             if isinstance(ref, Diverges):
                 assert isinstance(a, Diverges)
             if isinstance(a, Diverges):
-                assert isinstance(full_equality_anchor(c, 8 * 500), Diverges)
+                assert _silent_from(a.config)
             elif not isinstance(a, OutOfFuel):
                 assert a == ref
             if not isinstance(a, Ready):
@@ -593,9 +639,12 @@ for _name, _test in list(globals().items()):
 def reference_anchor(config, fuel, saved=None, since=0, power=1, states=None):
     """run_to_anchor as a plain step_silent loop with the same repeat
     check, from Brent's state (saved, since, power), by default a run's
-    start; also the silent steps it took.  states, where given, gets the
-    run's state at the start and after each step, before that step's
-    check: (config, applied, remaining, saved, since, power)."""
+    start; also the silent steps it took.  The check compares
+    config_key over loop_reads' variables: the observed set of a member
+    body for a post-application configuration (saved once power has
+    doubled), else the read set.  states, where given, gets the run's
+    state at the start and after each step, before that step's check:
+    (config, applied, remaining, saved, since, power)."""
     remaining, saved_key = fuel, None
     if saved is None:
         saved = config
@@ -616,8 +665,8 @@ def reference_anchor(config, fuel, saved=None, since=0, power=1, states=None):
             states.append((config, applied, remaining, saved, since, power))
         if applied:
             if saved_key is None:
-                saved_key = config_key(saved)
-            if config_key(config) == saved_key:
+                saved_key = config_key(saved, loop_reads(saved, power > 1))
+            if config_key(config, loop_reads(config, True)) == saved_key:
                 return Diverges(config), fuel - remaining
             since += 1
             if since == power:
@@ -828,7 +877,8 @@ def test_compiled_loops_agree_with_step_silent_at_every_fuel(n):
         ("fun f(n) = f(n * 0) in f(5)", Diverges),
         ("fun f(n) = let n = n * 0 in let m = n + 1 in f(n) in f(5)", Diverges),
         ("fun f(y, w, z) = let y = 1 - !y in f(z, z, y) in f(3, 0, 0)", Diverges),
-        ("fun f(i, k) = f(i + k, k) in f(0, 3)", OutOfFuel),
+        ("fun f(i, k) = f(i + k, k) in f(0, 3)", Diverges),
+        ("fun f(i, k) = if i < 0 then k else f(i + k, k) in f(0, 3)", OutOfFuel),
         ("fun f(n) = let n = n + 1 in if n < 60 then f(n) else n in f(0)", Done(60)),
         ("let n = 5 in fun f(i) = if i < n then f(i + 1) else i * n in f(0)", Done(25)),
         ("fun f(i) = if i < 9 then f(i + 1) else fun f(j) = j * 100 in f(i) in f(0)", Done(900)),
@@ -926,7 +976,8 @@ def _member_sites(monkeypatch):
         ("fun f(i) = if i < 3 then g(i + 1) else g(0) and g(i) = f(i) in f(0)", Diverges),
         ("fun f(i) = if i < 2 then g(i + 1) else g(0) and g(i) = f(i) in f(0)", Diverges),
         ("fun f(i) = g(i * 0) and g(i) = h(i) and h(k) = f(k) in f(5)", Diverges),
-        ("fun f(i, k) = g(i + k, k) and g(i, k) = f(i, k) in f(0, 3)", OutOfFuel),
+        ("fun f(i, k) = g(i + k, k) and g(i, k) = f(i, k) in f(0, 3)", Diverges),
+        ("fun f(i, k) = g(i + k, k) and g(i, k) = if i < 0 then k else f(i, k) in f(0, 3)", OutOfFuel),
         ("fun f(i) = if i < 40 then g(i + 1) else i and g(i) = if i < 20 then h(i) else f(i + 1) and h(k) = f(k + 1) in f(0)", Done(40)),
         ("let n = 5 in fun f(i) = if i < n * 7 then g(i + 1) else i * n and g(j) = f(j) in f(0)", Done(175)),
         ("fun f(i) = if i < 30 then g(i + 1) else i and g(j) = fun h() = j in if j < 30 then f(j) else let x = extern w(j) in x in f(0)", Ready),
@@ -1537,6 +1588,34 @@ def test_a_callee_body_that_is_the_focus_after_a_call_leaves_the_segment(monkeyp
     assert "g" not in inlined
 
 
+@pytest.mark.parametrize("hot", [1, semantics.HOT_ENTRIES, math.inf])
+def test_a_body_shared_by_two_groups_is_keyed_by_each_groups_fact(hot):
+    # A pass's output shares member bodies with its input under another
+    # group: uce folds g's decided branch, and keeps f's body and the
+    # branch it takes.  In dead, q's and g's definitions are observed's
+    # own objects, and only f differs: there it passes its parameter
+    # on, so g's m and q's n are left out of the keys, where observed's
+    # f reads k in its condition.  dead's f is too large to inline, so
+    # each pass of its loop enters q's body, whose segment was compiled
+    # under observed's group and must not key g's body by m there: z
+    # puts Brent's saves at g's body.
+    # Every anchor is the reference's at every fuel
+    t = parse_program("fun f(n) = g(n + 1) and g(m) = if 0 then m else f(m) in f(0)")
+    out = run_pass("uce", t)[1]
+    assert out is not t and out.defs[0].body is t.defs[0].body and out.defs[1].body is t.defs[1].body.orelse
+    observed = parse_program("fun q(n) = g(n + 1) and g(m) = f(m) and f(k) = if k < 0 then 0 else q(k) and z() = q(0) in z()")
+    q, g, _, z = observed.defs
+    k = Var("k")
+    for _ in range(semantics.INLINE_NODES):
+        k = Binop("+", k, Const(0))
+    dead = Fun((q, g, FunDef("f", ("k",), App("q", (k,))), z), observed.cont)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", hot)
+        ends = [type(_every_fuel(Config((), {}, p), 200)) for p in (t, out, observed, dead, observed, t)]
+    assert ends == [Diverges, Diverges, OutOfFuel, Diverges, OutOfFuel, Diverges]
+    assert [group_live(p)[1] for p in (t, out, observed, dead)] == [(), (), ("m",), ()]
+
+
 # -- what a loop checks once per function context, and Brent's key
 # compared value by value
 
@@ -1846,7 +1925,8 @@ def test_cold_loop_resumes_one_ready_twice_independently(monkeypatch):
     "src, kind",
     [
         ("fun f(n) = let n = n * 0 in let m = n + 1 in f(n) in f(5)", Diverges),
-        ("fun f(n) = let n = n + 1 in let m = n in f(m) in f(0)", OutOfFuel),
+        ("fun f(n) = let n = n + 1 in let m = n in f(m) in f(0)", Diverges),
+        ("fun f(n) = let n = n + 1 in let m = n in if m < 0 then 0 else f(m) in f(0)", OutOfFuel),
     ],
 )
 def test_cold_loop_anchors_loops_that_bind_lets_at_the_reference_step(monkeypatch, src, kind):
