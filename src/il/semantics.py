@@ -13,10 +13,13 @@ execution is deterministic up to those results.  run_trace instead
 gives run_to_anchor a resolver, which supplies each result where the
 call is reached, so one run_to_anchor call runs a whole trace.
 
-step_silent (with Stepped, AtExtern, Terminal and result_of) is the
-reference semantics, one step at a time.  run_to_anchor and everything
-it calls reach none of them: the tests check runs against a plain loop
-over step_silent, and perfbench's tracer counts its calls.
+step_silent (with Stepped, AtExtern and Terminal, the three outcomes
+it returns) is the reference semantics, one step at a time.
+run_to_anchor and everything it calls reach none of them: the tests
+check runs against a plain loop over step_silent, with the rest of that
+loop's vocabulary (result_of) in tests/audits.py.  They stay in this
+module because perfbench's tracer wraps il.semantics.step_silent on
+every start of its run workload and counts its calls.
 
 Configurations, events and anchors are immutable records: NamedTuple
 classes whose fields cannot be assigned and which equal only records
@@ -30,7 +33,7 @@ one that something else holds: a fun's closures capture it, so the
 next let copies again; an application's fresh environment never
 becomes it, since Brent's check may have saved a configuration holding
 that environment; a resolved system call binds its result in a new
-dict, which Brent's check saves, so the next let copies again; and a
+dict, which nothing else holds, so it becomes the private dict; and a
 Config is built from it only for an anchor, which ends the run.  So no
 dict that a caller, a closure or a Config holds is ever written.
 
@@ -43,7 +46,9 @@ returns a Diverges anchor.  Binding, conditionals and group definition
 each step into a strict subterm of the focus, so every silent cycle
 contains an application step; only the configurations right after an
 application are compared.  Those form a deterministic sequence of their
-own, so Brent's method applies to it unchanged.  Configurations are
+own, so Brent's method applies to it unchanged: its first element is
+saved without a comparison, and until then saved is _UNSET, a
+configuration whose focus is no term.  Configurations are
 compared by what their future can read (config_key): the focused
 term's number and the values of its read set, and per closure its name
 and its own key (Closure.key): its body's number, its parameters and
@@ -69,15 +74,17 @@ with equal keys.  So a counter that only feeds itself, such as
 fun f(x) = f(x + 1), repeats its key within one period and is a silent
 loop.  The fact is kept on the group's Fun term, which each closure
 names (Closure._fun), and folded when a run first comes back to a body
-of that group.  Where saved is not a post-application configuration
-(power is still 1: a run's start, or right after a call) it is keyed by
-its read set.  Fuel still bounds every run, and a loop that never
+of that group.  Fuel still bounds every run, and a loop that never
 repeats a key, such as a counter read by a condition, a division or a
 closure, still runs out of fuel.  A resolved system call starts the
-fuel and the check over from the configuration right after it (saved,
-with since 0 and power 1), as a fresh run from there would.  A compiled
-loop (below) makes this check itself, with the same keys, wherever it
-can tell that the keys differ, and makes Brent's saves itself.
+fuel and the check over (saved _UNSET, since 0 and power 1), as a fresh
+run from the configuration after it would.  Neither a run's start nor
+the configuration after a call is ever compared: every program the
+parser, the generator, the passes and the shrinker build is a tree, so
+no member body is a root or a let's body, and such a configuration
+never has the focus of a post-application one.  A compiled loop
+(below) makes this check itself, with the same keys, wherever it can
+tell that the keys differ, and makes Brent's saves itself.
 
 Compiled segments.  A segment is the code from an entry term up to the
 next application or leaf: the term a run starts from (the root, or the
@@ -85,6 +92,11 @@ body after a system-call let that apply_extern resumes) or the body an
 application enters.  A segment entered HOT_ENTRIES times (entries by an
 application or from a cut count; a run's start does not) is compiled
 into one Python function and kept on its entry term (Term._segment).
+Where an application entered the segment, the function takes the
+parameters of its callee from the entry environment; where one is
+unbound (a run that starts at the body, or a body that a group whose
+parameter has another name shares) it returns None having run no step,
+and run_to_anchor runs the segment cold.
 The function runs the segment's Let, Cond and Fun steps with let-bound
 values in locals, builds an environment only where a configuration
 needs one (a closure, a Ready anchor, the callee's environment, a cut,
@@ -125,9 +137,8 @@ takes no fuel, so it is resolved or anchored even with none left.  So
 every anchor, OutOfFuel and Diverges included, comes at the same step
 with an equal configuration whichever way a segment runs, and Brent's
 check sees the same post-application configurations.  Either way a
-Config is built only for a Ready or OutOfFuel anchor, for the
-configurations Brent's check saves or compares, and for the one after
-a resolved call.
+Config is built only for a Ready or OutOfFuel anchor and for the
+configurations Brent's check saves or compares.
 
 Loops.  In the paper's language a loop is a group of functions that
 apply each other, often a function that applies itself.  When an
@@ -135,36 +146,34 @@ application entered the segment being compiled, its callee's group,
 funs[0], gives the segment its member (the closure whose body is the
 entry term) and the names, parameters and bodies of the other members.
 An application of a member with its arity, where no group defined on
-the way hides it, is a site: at the member's own, the code goes on in a
-second copy of the segment, the loop path; at another member's (a
-member site), into that member's body inline, on the same path, with
-that member's parameters in locals of their own.  Every site follows
-one rule.  Its guard holds where the callee's body, parameters and
-group (Closure._fun) are that member's, the remaining fuel covers the
-longest path and, before any system call on the path, the values that
-key the body (loop_reads, one local each) differ from those kept for
-that body.  Where saved's focus is that body they are saved's, taken
-with the same variables, so the keys differ: a saved keyed by other
-variables has a key of another length or another function context.
-Elsewhere the foci differ, and values kept from an earlier save can
-only send the run back to run_to_anchor.  Where the guard holds, the
+the way hides it, is a site: at the member's own (a loop site), the
+code goes on at the top of the segment, whose code is one loop from
+its first pass; at another member's (a member site), into that
+member's body inline, on the same path, with that member's parameters
+in locals of their own.  Every site follows one rule.  Its guard holds
+where the callee's body, parameters and group (Closure._fun) are that
+member's, the remaining fuel covers the longest path and, before any
+system call on the path, the values that key the body (loop_reads, one
+local each) differ from those kept for that body.  Where saved's focus
+is that body they are saved's, taken with the same variables, so the
+keys differ: a saved keyed by other variables has a key of another
+length or another function context.  Elsewhere the foci differ, and
+values kept from an earlier save can only send the run back to
+run_to_anchor.  Where the guard holds, the
 site counts the post-application configuration, and where Brent's save
 falls due it makes the save itself, keeping the saved configuration's
 function context, the callee's closure (its environment, parameters
 and body), the parameters' values and the values that key the body in
-locals; a Config is built from them
-only where the segment returns.  Right after a call Brent's state is
-known when the code is compiled (since 0, power 1): the first site after
-a call saves without comparing, as its focus, the callee's body, is not
-the focus right after the call that Brent's check compares it with.
-Where it is, which only shared term objects allow, the application
-leaves the segment.  A member gets a member site where the path has not
-gone into it yet and its body's first step fits the size bounds;
-elsewhere the application leaves the segment as any other does.  Every
+locals; a Config is built from them only where the segment returns.
+Right after a call Brent's state is known when the code is compiled
+(_UNSET, since 0, power 1): the first site after a call saves without
+comparing.  A member gets a member site where the path has not gone
+into it yet and its body's first step fits the size bounds; elsewhere
+the application leaves the segment as any other does.  Every
 such choice is local to the path being emitted, so a helper member that
 a loop exits into, and that never applies the entry, is gone into in
-line too.  The loop path keeps the parameters in locals, reads other
-free variables from the callee's environment, resolves each application
+line too.  The loop keeps the parameters in locals, reads other free
+variables from the callee's environment, resolves each application
 and checks its arity and, at a site, the callee's body and parameters
 once per function context, compares a key value by value, the
 parameters' first, up to the first that differs, and builds an
@@ -309,21 +318,16 @@ def config_key(c: Config, reads: Optional[Sequence[str]] = None) -> tuple:
     return (number, tuple(map(env.get, own if reads is None else reads)), funs)
 
 
-def loop_reads(c: Config, applied: bool) -> tuple[str, ...]:
-    """The variables whose values Brent's check keys c by: where an
-    application entered c (applied), so that its focus is the body of a
-    member of funs[0] that a Fun term's group made, the variables that
-    body can observe (syntax.group_live); else its read set.  Two keys
-    with equal function contexts' keys were taken with the same
-    variables, as group_live depends only on the definitions that those
-    keys name; and a key of an observed set smaller than the read set
-    has fewer values than one of the read set."""
+def loop_reads(c: Config) -> tuple[str, ...]:
+    """The variables whose values Brent's check keys c by, a
+    configuration an application entered: its focus is the body of a
+    member of funs[0], and the variables that body can observe
+    (syntax.group_live) count.  Two keys with equal function contexts'
+    keys were taken with the same variables, as group_live depends only
+    on the definitions that those keys name."""
     funs, _, term = c
-    if applied and funs:
-        for i, (_, clo) in enumerate(funs[0]):
-            if clo.body is term:
-                return _member_reads(clo._fun, i, term)
-    return term_fact(term)[1]
+    i, clo = next((i, clo) for i, (_, clo) in enumerate(funs[0]) if clo.body is term)
+    return _member_reads(clo._fun, i, term)
 
 
 def _member_reads(fun: Optional[Fun], i: int, body: Term) -> tuple[str, ...]:
@@ -353,15 +357,6 @@ class Terminal:
 
 
 _TERMINAL = Terminal()
-
-
-def result_of(config: Config) -> Optional[int]:
-    """The result of a terminal configuration: defined only for an
-    expression focus whose evaluation succeeds."""
-    t = config.term
-    if isinstance(t, Exp):
-        return eval_expr(t.expr, config.env)
-    return None
 
 
 def step_silent(config: Config) -> Union[Stepped, AtExtern, Terminal]:
@@ -448,6 +443,11 @@ def apply_extern(ready: Ready, result: int) -> tuple[Event, Config]:
 
 _BOT = Done(None)
 
+# Brent's saved before the first post-application configuration of a
+# run, or since its last resolved call: its focus is no term, so no
+# configuration repeats it
+_UNSET = Config((), {}, None)
+
 # resolve(action, args): a system call's result, or None to leave the
 # call pending as a Ready anchor
 Resolver = Callable[[str, tuple[int, ...]], Optional[int]]
@@ -470,17 +470,17 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
     remaining = fuel
     # Brent's cycle finder over the post-application configurations:
     # saved is compared with each of them and replaced by the current
-    # one when since reaches power, which then doubles.  Starting from
-    # the initial configuration is sound, since it is on the path too.
-    saved = config
-    saved_key = None
-    since = 0
-    power = 1
+    # one when since reaches power, which then doubles.  Until the first
+    # save, saved is _UNSET, whose focus is no term.
+    saved, saved_key, since, power = _UNSET, None, 0, 1
     # a run's start is not counted as an entry
     seg = term._segment
     while True:
-        if seg.__class__ is Segment and seg.longest <= remaining:
-            out = seg.run(funs, env, fuel, remaining, saved, since, power, resolve)
+        if (
+            seg.__class__ is Segment
+            and seg.longest <= remaining
+            and (out := seg.run(funs, env, fuel, remaining, saved, since, power, resolve)) is not None
+        ):
             if out.__class__ is not tuple:
                 return out
             if out[5] is not saved:
@@ -501,11 +501,9 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
                             return _BOT
                         if resolve is None or (result := resolve(value.action, args)) is None:
                             return _new(Ready, (value.action, args, _new(Config, (funs, env, term))))
-                        # saved holds the new environment, so the next
-                        # let copies it
-                        env, term, own = {**env, term.var: result}, term.body, None
-                        remaining = fuel
-                        saved, saved_key, since, power = _new(Config, (funs, env, term)), None, 0, 1
+                        env = own = {**env, term.var: result}
+                        term, remaining = term.body, fuel
+                        saved, saved_key, since, power = _UNSET, None, 0, 1
                         continue
                     v = eval_expr(value, env)
                     if v is None:
@@ -550,17 +548,16 @@ def run_to_anchor(config: Config, fuel: int, resolve: Optional[Resolver] = None)
             # keys differ whenever the focus does, so only an equal
             # focus needs them; and they differ whenever a bound variable
             # that saved is keyed by changes, which is cheaper to test
-            # first.  saved is a post-application configuration once a
-            # save has doubled power
+            # first
             config = None
             if term is saved.term:
                 if saved_key is None:
-                    reads = loop_reads(saved, power > 1)
+                    reads = loop_reads(saved)
                     saved_key = config_key(saved, reads)
                     bound = {v: x for v, x in zip(reads, saved_key[1]) if x is not None}.items()
                 if bound <= env.items():
                     config = _new(Config, (funs, env, term))
-                    if config_key(config, loop_reads(config, True)) == saved_key:
+                    if config_key(config, loop_reads(config)) == saved_key:
                         return Diverges(config)
             since += 1
             if since == power:
@@ -598,9 +595,12 @@ class Segment:
     step reached with the run's state there, the saves its sites made
     included, before Brent's check of it: (funs, env, term, applied,
     remaining, saved, since, power), after an application when applied
-    is true, else at a new entry where the code was cut.  longest is the
-    most silent steps any path through it takes from its entry, a system
-    call or a site to the next of these or an end."""
+    is true, else at a new entry where the code was cut.  The code of a
+    body that an application entered returns None, having run no step,
+    where env leaves a parameter of its member unbound; run_to_anchor
+    then runs the segment cold.  longest is the most silent steps any path
+    through it takes from its entry, a system call or a site to the next
+    of these or an end."""
 
     __slots__ = ("longest", "run")
 
@@ -625,6 +625,7 @@ _HELPERS = {
     "_group": _group,
     "_wrap": wrap,
     "_div": _div,
+    "_UNSET": _UNSET,
     "_UNSAVED": object(),  # a key value before any save: equals no value
 }
 
@@ -656,19 +657,18 @@ class _Path:
     environment built and the environment that variables neither bound
     nor read so far are read from (base), the operand of each variable
     read or bound so far (scope) and the bound ones not yet in that
-    environment (pending); after, the source of the configuration right
-    after the last system call, the entries of the environment it builds
-    and its focus, or None before any call and past a site: a path with
-    an after returns that configuration as saved, with since 0, power 1
-    and the fuel counted from the call; inlined, the group members whose
-    bodies the path has gone on into; hidden, the names defined by the
-    groups made since the entry or the last member site."""
+    environment (pending); after, whether a system call is on the path
+    since its entry or its last site: such a path returns saved _UNSET,
+    since 0 and power 1, and the fuel counted from the call; inlined,
+    the group members whose bodies the path has gone on into; hidden,
+    the names defined by the groups made since the entry or the last
+    member site."""
 
     __slots__ = ("indent", "steps", "funs", "env", "base", "scope", "pending", "after", "inlined", "hidden")
 
     def __init__(self, indent: int, funs: str, env: str, scope: dict) -> None:
         self.indent, self.steps, self.funs, self.env, self.base = indent, 0, funs, env, env
-        self.scope, self.pending, self.after = dict(scope), dict(scope), None
+        self.scope, self.pending, self.after = dict(scope), dict(scope), False
         self.inlined, self.hidden = (), frozenset()
 
     def branch(self) -> "_Path":
@@ -685,16 +685,15 @@ class _Source:
 
     When an application entered the segment, group is the callee's group
     and member the name of the callee, the member whose body is the
-    entry term.  An application of the member that no group defined on
-    the way hides gets a loop site, and one of another member a member
-    site where this path has not gone into that member yet and its body
-    fits the bounds.
-    The entry copy runs from the segment's entry environment; where a
-    loop site's guard holds it falls through into the loop copy, which
-    holds the parameters in the locals params and reads other free
-    variables from the callee's environment (cenv).  Where a member
-    site's guard holds, the path goes on into that member's body in the
-    same way, on locals of its own.
+    entry term.  The code is then one loop, run from its first pass: it
+    holds the member's parameters in the locals params and reads other
+    free variables from the callee's environment (cenv), which the
+    prologue takes, with the parameters, from the entry environment.
+    An application of the member that no group defined on the way hides
+    gets a loop site, where the path goes on at the loop's top, and one
+    of another member a member site where this path has not gone into
+    that member yet and its body fits the bounds, where the path goes on
+    into that member's body in the same way, on locals of its own.
 
     Every site follows one rule.  It counts its steps into remaining
     first and goes on only where that covers room, the longest path's
@@ -707,8 +706,8 @@ class _Source:
     None until a site sets it, the callee's closure, whose environment,
     parameters and body the guard checked, and the parameters' values)
     and its body's locals.
-    Right after a call Brent's state is since 0 and power 1, so the
-    first site after a call saves without comparing.  A return with no
+    Right after a call Brent's state is _UNSET, since 0 and power 1, so
+    the first site after a call saves without comparing.  A return with no
     call on its path since its last site hands the kept configuration
     back as saved where a site made it."""
 
@@ -728,14 +727,15 @@ class _Source:
             else:
                 self.group.setdefault(name, (clo.params, clo.body, clo._fun, i))
         self.saved: dict[int, tuple] = {}  # id(body) -> (locals, body, reads) per body a site enters
-        self.loops, self.looping = False, False
         self.inits: list[str] = []  # locals the prologue sets to None
         if self.member is None:
-            self.group = {}
+            self.group, self.margin = {}, " " * 8
         else:
+            # the loop's body is one level deeper, in its while
             self.params = [self.local() for _ in self.group[self.member][0]]
             self.cenv = self.local()
             self.kept = [self.local() for _ in range(3)]
+            self.margin = " " * 12
 
     def const(self, obj: Any) -> str:
         key = obj if type(obj) is str else id(obj)
@@ -750,7 +750,7 @@ class _Source:
         return f"v{self.locals - 1}"
 
     def emit(self, path: _Path, line: str, size: int = 1) -> None:
-        self.lines.append("    " * (path.indent + 2 + self.looping) + line)
+        self.lines.append(self.margin + "    " * path.indent + line)
         self.size += size
 
     def leave(self, path: _Path, value: str, steps: int, size: int = 1) -> None:
@@ -762,9 +762,9 @@ class _Source:
         path's steps since its entry, its last site or its last system
         call."""
         saved, brent, size = "saved", "since, power", 1
-        if path.after is not None:
-            (saved, size, _), brent = path.after, "0, 1"
-        elif self.looping or path.inlined:
+        if path.after:
+            saved, brent = "_UNSET", "0, 1"
+        elif self.member is not None:
             # past a site: the save a site made, if any
             funs_, clo, values = self.kept
             config = f"_new(_Config, ({funs_}, {{**{clo}.env, **dict(zip({clo}.params, {values}))}}, {clo}.body))"
@@ -858,7 +858,7 @@ class _Source:
         locals that then hold the member's parameters."""
         formals, body, fun, i = self.group[name]
         if name == self.member:
-            self.loops, bound = True, self.params
+            bound = self.params
         else:
             bound = [self.local() for _ in formals]
         if id(body) not in self.saved:
@@ -868,7 +868,7 @@ class _Source:
         # the fuel is counted first, so the return where the guard
         # fails has no steps left to count
         guard = f"(remaining := remaining - {steps}) >= room and {same}"
-        if path.after is None:
+        if not path.after:
             # the first value that differs decides, the parameters'
             # before any read of the callee's environment
             differ = " or ".join(f"{x} != {s}" for s, x in self.key(body, dict(zip(formals, ops)), f"{clo}.env"))
@@ -886,12 +886,11 @@ class _Source:
         key = self.key(body, dict(zip(formals, bound)), self.cenv)
         targets, values = self.kept + [s for s, _ in key], [x for _, x in key]
         save = f"{', '.join(targets)}, since, power = funs, {clo}, {_tuple(bound)}, {', '.join(values)}, 0"
-        if path.after is None:
+        if not path.after:
             self.emit(path, f"if (since := since + 1) == power: {save}, power * 2")
         else:
-            # the first post-application configuration since the call:
-            # its focus is not the one right after the call, which
-            # Brent's check compares it with, and it is saved
+            # the first post-application configuration since the call,
+            # which saved _UNSET cannot equal: it is saved
             self.emit(path, f"{save}, 2")
         return bound
 
@@ -900,7 +899,7 @@ class _Source:
         first step is always emitted, so every cut is at least one step
         or one system call in and run_to_anchor makes progress."""
         while True:
-            if (path.steps or path.after is not None) and not self.fits(t, path):
+            if (path.steps or path.after) and not self.fits(t, path):
                 self.result(path, path.funs, self.environment(path), self.const(t), False, path.steps)
                 return
             if isinstance(t, Let):
@@ -922,9 +921,7 @@ class _Source:
                     # steps count from 0, and the first step may be cut
                     self.emit(path, "remaining = fuel", 0)
                     path.scope[t.var] = path.pending[t.var] = v
-                    path.steps, t = 0, t.body
-                    config = f"_new(_Config, ({path.funs}, {self.env_source(path)}, {self.const(t)}))"
-                    path.after = (config, 1 + len(path.pending), t)
+                    path.steps, path.after, t = 0, True, t.body
                     continue
                 v = self.operand(t.value, path)
                 path.scope[t.var] = path.pending[t.var] = v
@@ -951,11 +948,7 @@ class _Source:
             elif isinstance(t, App):
                 hit, clo, rewound, params = (self.local() for _ in range(4))
                 steps, name, callee = path.steps + 1, t.fun, self.group.get(t.fun)
-                # right after a call, a site saves without comparing: it
-                # stays an exit where the callee's body is the focus
-                # after the call, which only shared term objects allow
                 site = callee is not None and len(callee[0]) == len(t.args) and name not in path.hidden
-                site = site and (path.after is None or callee[1] is not path.after[2])
                 site = site and (name == self.member or name not in path.inlined and self.fits(callee[1], path))
                 same = site and (
                     f"{clo}.body is {self.const(callee[1])} and {params} is {self.const(callee[0])}"
@@ -963,7 +956,7 @@ class _Source:
                 )
                 checks = [f"if {hit} is None: return _BOT", f"{clo}, {rewound} = {hit}", f"{params} = {clo}.params"]
                 checks.append(f"if len({params}) != {len(t.args)}: return _BOT")
-                if self.looping:
+                if self.member is not None:
                     # resolved and checked once per function context,
                     # which the loop's applications mostly leave as it
                     # was: a pass that finds it unchanged got here only
@@ -1002,29 +995,34 @@ class _Source:
 def compile_segment(t: Term, group: Group = ()) -> Optional[Segment]:
     """Compile the segment that starts at t, the code after its system
     calls included, and keep it on t.  group is the callee's group when
-    an application entered t: its members give the segment's sites.  A
+    an application entered t: its members give the segment's sites, and
+    the code is one loop, whose prologue takes the callee's parameters
+    from the entry environment and returns None where one is unbound.  A
     first step whose expressions do not inline leaves t cold for good:
     _segment None, which is returned."""
     if not _inlinable(t):
         _setattr(t, "_segment", None)
         return None
     src = _Source(t, group)
-    src.path(t, _Path(0, "funs", "env", {}))
-    body = src.lines
-    if src.saved:
-        if src.loops:
-            # where a loop site's guard holds, the entry copy falls
-            # through to here: one iteration of the loop copy per pass
-            src.lines, src.size, src.looping = [], 0, True
-            src.path(t, _Path(0, "funs", src.cenv, dict(zip(src.group[src.member][0], src.params))))
-        start = [f"room = {src.longest}", f"{src.kept[0]} = None", *src.inits]
+    if src.member is None:
+        src.path(t, _Path(0, "funs", "env", {}))
+        start = []
+    else:
+        params = src.group[src.member][0]
+        src.path(t, _Path(0, "funs", src.cenv, dict(zip(params, src.params))))
+        # the parameters from the entry environment, where it binds them
+        start = [f"{p} = env.get({src.const(x)})" for p, x in zip(src.params, params)]
+        if params:
+            start.append(f"if {' or '.join(f'{p} is None' for p in src.params)}: return None")
+        start += [f"{src.cenv} = env", f"{src.kept[0]} = None", *src.inits]
+        if src.saved:
+            start.append(f"room = {src.longest}")
         for kept, term, _ in src.saved.values():
             key = src.key(term, {}, "saved.env")
             start += [f"if saved.term is {src.const(term)}: {', '.join(s for s, _ in key)} = {', '.join(x for _, x in key)}"]
             start += [f"else: {' = '.join(kept)} = _UNSAVED"]
-        body = ["        " + line for line in start] + body
-        if src.loops:
-            body += ["        while True:"] + src.lines
+        start.append("while True:")
+    body = ["        " + line for line in start] + src.lines
     lines = ["def make(k):"]
     if src.consts:
         lines.append("    " + "".join(f"c{i}, " for i in range(len(src.consts))) + "= k")

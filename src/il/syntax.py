@@ -943,10 +943,17 @@ def _expr_str(e: Expr) -> str:
     return "".join(out)
 
 
+MAX_INDENT = 64  # columns print_program indents a line at most
+
+
 def print_program(t: Term) -> str:
     """Deterministic pretty-printer; parse_program inverts it exactly.
     A conditional is on one line when it and its indent fit in 72
-    columns; lets and groups break lines.  One-line widths (None: breaks
+    columns; lets and groups break lines.  Each nested term is indented
+    two columns more, up to MAX_INDENT columns, so the text stays linear
+    in the term however deep it nests.  The one-line rule reads the true
+    indent; past the cap that is no different, as 8 columns are fewer
+    than the shortest conditional takes.  One-line widths (None: breaks
     lines) are folded in reverse pre-order, then text appended in order."""
     order: list[Term] = []
     stack: list = [t]
@@ -971,12 +978,13 @@ def print_program(t: Term) -> str:
         widths.append(width[k])
     out: list[str] = []
     stack = [0]  # text to append, or the indent of the next term in pre-order
+    cap = MAX_INDENT
     for k, u in enumerate(order):
         ind = stack.pop()
         while type(ind) is str:
             out.append(ind)
             ind = stack.pop()
-        pad = "\n" + " " * ind
+        pad = "\n" + " " * (ind if ind < cap else cap)
         if type(u) is Exp or type(u) is App:
             out.append(text[k])
         elif type(u) is Let:
@@ -985,13 +993,18 @@ def print_program(t: Term) -> str:
             out.append(f"let {u.var} = {v} in{pad}")
             stack.append(ind)
         elif type(u) is Cond:
-            inline = width[k] is not None and width[k] + ind <= 72
-            out.append(f"if {text[k]} then" + (" " if inline else f"{pad}  "))
-            stack += (ind + 2, " else " if inline else f"{pad}else{pad}  ", ind + 2)
+            if width[k] is not None and width[k] + ind <= 72:
+                out.append(f"if {text[k]} then ")
+                stack += (ind + 2, " else ", ind + 2)
+            else:
+                inner = "\n" + " " * (ind + 2 if ind + 2 < cap else cap)
+                out.append(f"if {text[k]} then{inner}")
+                stack += (ind + 2, f"{pad}else{inner}", ind + 2)
         else:
+            inner = "\n" + " " * (ind + 2 if ind + 2 < cap else cap)
             parts: list = []
             for g, d in enumerate(u.defs):
-                parts += (f"{pad}and " if g else "fun ") + f"{d.name}({', '.join(d.params)}) ={pad}  ", ind + 2
+                parts += (f"{pad}and " if g else "fun ") + f"{d.name}({', '.join(d.params)}) ={inner}", ind + 2
             parts += f"{pad}in{pad}", ind
             stack += reversed(parts)
     out += reversed(stack)

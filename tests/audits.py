@@ -102,6 +102,16 @@ def initial_env(t: Term, rng: Random) -> dict[str, int]:
     return {v: rng.randrange(-9, 10) for v in sorted(term_reads(t)[0]) if v not in UNBOUND_NAMES}
 
 
+def result_of(config: Config) -> Optional[int]:
+    """The result of a terminal configuration of the reference semantics
+    (il.semantics.step_silent): defined only for an expression focus
+    whose evaluation succeeds."""
+    t = config.term
+    if isinstance(t, Exp):
+        return eval_expr(t.expr, config.env)
+    return None
+
+
 class ListOracle:
     """Replays a fixed list of system-call results; 0 past the end."""
 

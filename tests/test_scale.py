@@ -207,9 +207,8 @@ COMMANDS = {
 
 
 def chain_text(t):
-    """t's text with its chain of else branches on one line.  Printed,
-    each link of the chain would indent two columns more, so n links
-    would take n^2 bytes."""
+    """t's text with its chain of else branches on one line, a form
+    print_program does not produce, so parse prints it anew."""
     parts = []
     while isinstance(t, Cond):
         parts.append(f"if {print_program(Exp(t.cond))} then {print_program(t.then)} else ")
@@ -235,10 +234,13 @@ TEXTS = {
     "typical_group": lambda: group_text(typical_group(N // 14)),
 }
 
-# Their printed forms take n^2 bytes, so parse and optimize, which print
-# the program, take them at 2000 and 1000 nested conditionals, past the
-# recursive printer's limit of about 990 nested terms.
-QUADRATIC = {"nested_conds": lambda: nested_conds(2000), "typical_group": lambda: typical_group(1000)}
+# The two shapes whose terms nest deepest, at sizes past the recursive
+# printer's limit of about 990 nested terms, for an exact round trip.
+DEEP_SHAPES = {"nested_conds": lambda: nested_conds(2000), "typical_group": lambda: typical_group(1000)}
+
+# print_program indents no line past MAX_INDENT columns, so a printed
+# term takes at most this many bytes per node, counting expression nodes
+BYTES_PER_NODE = 128
 
 
 # 10^5 silent steps are more than check's default fuel of 10^4, and
@@ -247,14 +249,18 @@ EXHAUSTED = {"nested_lets": "EXHAUSTED fuel\n"}
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))
-def test_every_subcommand_at_scale(name, tmp_path, capsys):
+def test_every_subcommand_at_scale(name, tmp_path, capsys, monkeypatch):
     assert sys.getrecursionlimit() <= 1000
     text = TEXTS[name]()
     path = tmp_path / "p.il"
     path.write_text(text)
+    # parse, the first command, hands over the term it parsed; only its
+    # node count is kept, as a live copy slows the cyclic collector
+    # through the other commands
+    parsed = []
+    parse = cli._parse_file
+    monkeypatch.setattr(cli, "_parse_file", lambda name: parsed.append(parse(name)) or parsed[-1])
     for command, argv in COMMANDS.items():
-        if command in ("parse", "optimize") and name in QUADRATIC:
-            continue
         code = main([*argv, str(path), str(path)] if command == "check" else [*argv, str(path)])
         out, err = capsys.readouterr()
         assert err == ""
@@ -262,8 +268,15 @@ def test_every_subcommand_at_scale(name, tmp_path, capsys):
             assert (code, out) == (2, EXHAUSTED[name])
             continue
         assert (command, code) == (command, 0)
-        if command == "parse" and out != text + "\n":  # text is not in printed form
-            assert flatten(parse_program(out)) == flatten(parse_program(text))
+        if command == "parse":
+            monkeypatch.undo()
+            source = flatten(parsed.pop())
+            if out != text + "\n":  # text is not in printed form
+                assert flatten(parse_program(out)) == source
+            nodes = len(source)
+            del source
+        if command in ("parse", "optimize"):
+            assert len(out) <= BYTES_PER_NODE * nodes
 
 
 def test_run_once_through_nested_lets(tmp_path, capsys):
@@ -276,7 +289,7 @@ def test_run_once_through_nested_lets(tmp_path, capsys):
 
 
 def test_run_a_counter_of_a_million_iterations(tmp_path, capsys):
-    # the loop's body compiles with a loop path, so the iterations run
+    # the loop's body compiles with a loop site, so the iterations run
     # in its segment, which returns to run_to_anchor once per Brent
     # save, 15 times
     text, value = corpus.counter_loop(10**6, 7, 3)
@@ -305,9 +318,9 @@ def test_run_a_hot_chain_of_three_thousand_system_calls(tmp_path, capsys, monkey
     assert capsys.readouterr() == (out, "")
 
 
-@pytest.mark.parametrize("name", sorted(QUADRATIC))
+@pytest.mark.parametrize("name", sorted(DEEP_SHAPES))
 def test_parse_and_optimize_deep_conditionals(name, tmp_path, capsys):
-    t = QUADRATIC[name]()
+    t = DEEP_SHAPES[name]()
     text = print_program(t)
     assert flatten(parse_program(text)) == flatten(t)
     path = tmp_path / "p.il"
@@ -317,3 +330,15 @@ def test_parse_and_optimize_deep_conditionals(name, tmp_path, capsys):
     assert main(["optimize", "--uce", "--dve", str(path)]) == 0
     optimized = dve({}, {}, infer_tlive(uce(infer_reach(t))))
     assert capsys.readouterr() == (print_program(optimized) + "\n", "")
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SHAPES))
+def test_deep_shapes_print_linear_and_parse_back_at_full_size(name):
+    # SHAPES' full sizes nest 50,000 conditionals and 7,142 group
+    # members: each printed form parses back to its term and takes at
+    # most BYTES_PER_NODE bytes per node
+    t = SHAPES[name]()
+    text = print_program(t)
+    nodes = flatten(t)
+    assert flatten(parse_program(text)) == nodes
+    assert len(text) <= BYTES_PER_NODE * len(nodes)

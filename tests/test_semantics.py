@@ -9,8 +9,8 @@ from hashlib import blake2b
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audits import ListOracle, initial_env, reference_free, reference_reads
-from il.harness import GenConfig, derive_seed, gen_program
+from audits import ListOracle, initial_env, reference_free, reference_reads, result_of
+from il.harness import GenConfig, derive_seed, gen_program, shrink_term
 from il import semantics
 from il.semantics import (
     AtExtern,
@@ -32,7 +32,6 @@ from il.semantics import (
     config_key,
     ctx_resolve,
     loop_reads,
-    result_of,
     run_to_anchor,
     run_trace,
     step_silent,
@@ -54,6 +53,7 @@ from il.syntax import (
     Var,
     group_live,
     parse_program,
+    print_program,
     term_children,
     term_fact,
     wrap,
@@ -471,13 +471,13 @@ def test_diverges_config_repeats_silently(n):
         if not isinstance(a, Diverges):
             continue
         c = a.config
-        key = config_key(c, loop_reads(c, True))
+        key = config_key(c, loop_reads(c))
         for _ in range(2000):
             applied = isinstance(c.term, App)
             step = step_silent(c)
             assert isinstance(step, Stepped)
             c = step.config
-            if applied and config_key(c, loop_reads(c, True)) == key:
+            if applied and config_key(c, loop_reads(c)) == key:
                 break
         else:
             raise AssertionError("no repeat of the key within 2000 silent steps")
@@ -636,18 +636,16 @@ for _name, _test in list(globals().items()):
         setattr(TestAnchorsAndTracesAtEveryThreshold, _name, staticmethod(_test))
 
 
-def reference_anchor(config, fuel, saved=None, since=0, power=1, states=None):
+def reference_anchor(config, fuel, saved=semantics._UNSET, since=0, power=1, states=None):
     """run_to_anchor as a plain step_silent loop with the same repeat
     check, from Brent's state (saved, since, power), by default a run's
-    start; also the silent steps it took.  The check compares
-    config_key over loop_reads' variables: the observed set of a member
-    body for a post-application configuration (saved once power has
-    doubled), else the read set.  states, where given, gets the run's
-    state at the start and after each step, before that step's check:
-    (config, applied, remaining, saved, since, power)."""
+    start, where saved is _UNSET, which no configuration repeats; also
+    the silent steps it took.  The check compares config_key over
+    loop_reads' variables, the observed set of a member body.  states,
+    where given, gets the run's state at the start and after each step,
+    before that step's check: (config, applied, remaining, saved, since,
+    power)."""
     remaining, saved_key = fuel, None
-    if saved is None:
-        saved = config
     if states is not None:
         states.append((config, False, remaining, saved, since, power))
     while True:
@@ -664,10 +662,11 @@ def reference_anchor(config, fuel, saved=None, since=0, power=1, states=None):
         if states is not None:
             states.append((config, applied, remaining, saved, since, power))
         if applied:
-            if saved_key is None:
-                saved_key = config_key(saved, loop_reads(saved, power > 1))
-            if config_key(config, loop_reads(config, True)) == saved_key:
-                return Diverges(config), fuel - remaining
+            if saved is not semantics._UNSET:
+                if saved_key is None:
+                    saved_key = config_key(saved, loop_reads(saved))
+                if config_key(config, loop_reads(config)) == saved_key:
+                    return Diverges(config), fuel - remaining
             since += 1
             if since == power:
                 saved, saved_key, since, power = config, None, 0, power * 2
@@ -817,7 +816,7 @@ def test_a_later_step_over_the_inline_bound_cuts_the_segment(monkeypatch):
 
 
 def _loops(seg):
-    """Whether seg is a Segment with guarded applications, a loop path
+    """Whether seg is a Segment with guarded applications, a loop site
     or a member site: only that code keeps the steps of its longest
     path in a local."""
     return isinstance(seg, Segment) and "room" in seg.run.__code__.co_varnames
@@ -1096,7 +1095,7 @@ def test_compiled_group_loops_agree_with_step_silent_at_every_fuel(n):
         ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = fun f(z) = z in f(y) in f(1)", ["g"]),
         ("fun f(x) = if x < 50 then g(x + 1) else x and g(y) = f(y, 1) in f(1)", ["g"]),
         ("fun h(x) = x * 3 in fun f(x) = if x < 50 then let y = x + 1 in h(y) else x in f(1)", []),
-        ("fun f(x) = if x < 50 then f(x + 1) else g(x) and g(y) = y in f(1)", ["g", "g"]),
+        ("fun f(x) = if x < 50 then f(x + 1) else g(x) and g(y) = y in f(1)", ["g"]),
     ],
 )
 def test_members_not_yet_gone_into_get_a_member_site(monkeypatch, src, sites):
@@ -1105,8 +1104,9 @@ def test_members_not_yet_gone_into_get_a_member_site(monkeypatch, src, sites):
     # it ever comes back to the entry: a helper with no application, one
     # that applies a third member, one whose application of the entry is
     # hidden by an inner group or of another arity, and one the loop
-    # exits into from both of its copies; h in an outer group is no
-    # member.  Each run agrees with the reference at every fuel
+    # exits into, once, as f's segment is one copy of its loop; h in an
+    # outer group is no member.  Each run agrees with the reference at
+    # every fuel
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
     inlined = _member_sites(monkeypatch)
     c = conf(src)
@@ -1332,7 +1332,7 @@ def _sites_after_calls(monkeypatch):
     site = semantics._Source.site
 
     def spy(self, path, *rest):
-        if path.after is not None:
+        if path.after:
             sources.append(self)
         return site(self, path, *rest)
 
@@ -1424,8 +1424,8 @@ def _resolved_at_every_fuel(build, env, oracle, fuel=120, max_events=8):
 )
 def test_loops_past_calls_agree_with_the_reference_at_every_fuel(monkeypatch, src, end, past):
     # the segment saves the first post-application configuration after
-    # a call itself, with the fuel counted from the call, and goes on in
-    # its loop copy; at every fuel the run ends as the references do
+    # a call itself, with the fuel counted from the call, and goes on
+    # round its loop; at every fuel the run ends as the references do
     sources = _sites_after_calls(monkeypatch)
     oracle = _PastSites(SeededOracle(6), sources)
     trace = _resolved_at_every_fuel(lambda: parse_program(src), {}, oracle, max_events=64)
@@ -1436,7 +1436,7 @@ def test_loops_past_calls_agree_with_the_reference_at_every_fuel(monkeypatch, sr
 @pytest.mark.parametrize("max_events", [70, 71])
 def test_max_events_reached_past_a_site_after_a_call_cuts_off_at_that_event(monkeypatch, max_events):
     # the cap falls on a read (70) or on the write after it (71) in an
-    # iteration that the loop copy entered past a call
+    # iteration that the loop entered past a call
     sources = _sites_after_calls(monkeypatch)
     oracle = _PastSites(SeededOracle(8), sources)
     trace = _resolved_at_every_fuel(lambda: _extern_loop(45), {}, oracle, max_events=max_events)
@@ -1545,20 +1545,20 @@ def test_cycles_back_through_a_call_get_a_member_site(monkeypatch, src, end):
     "helper, sites",
     [
         # a system call
-        ("g(x) = let r = extern wr(x) in x + r", ["g", "g"]),
+        ("g(x) = let r = extern wr(x) in x + r", ["g"]),
         # a closure
-        ("g(x) = fun k(y) = y + x in k(x * 2)", ["g", "g"]),
+        ("g(x) = fun k(y) = y + x in k(x * 2)", ["g"]),
         # an application of a third member, which makes a system call
-        ("g(x) = h(x + 1) and h(y) = let r = extern wr(y) in y * r", ["g", "h", "g", "h"]),
+        ("g(x) = h(x + 1) and h(y) = let r = extern wr(y) in y * r", ["g", "h"]),
         # a body too large for the size bounds: the application stays an exit
         ("g(x) = " + " + ".join(["x"] * 20), []),
     ],
 )
 def test_helper_exits_agree_with_the_reference_at_every_fuel(monkeypatch, helper, sites):
     # a loop that exits into a member that never comes back: on the first
-    # run both copies of f's segment go on into the helper where it
-    # fits, and every run agrees with the references at every fuel,
-    # without a resolver and with one
+    # run f's segment goes on into the helper where it fits, and every
+    # run agrees with the references at every fuel, without a resolver
+    # and with one
     src = f"fun f(i, acc) = if i < 40 then f(i + 1, acc + i) else g(acc) and {helper} in f(0, 0)"
     monkeypatch.setattr(semantics, "HOT_ENTRIES", 1)
     inlined = _member_sites(monkeypatch)
@@ -1570,12 +1570,13 @@ def test_helper_exits_agree_with_the_reference_at_every_fuel(monkeypatch, helper
     assert isinstance(trace.outcome, Terminated)
 
 
-def test_a_callee_body_that_is_the_focus_after_a_call_leaves_the_segment(monkeypatch):
+def test_a_callee_body_that_is_the_focus_after_a_call_is_gone_into(monkeypatch):
     # g's body is the very term right after f's system call, as shared
-    # term objects allow: Brent's check compares g's post-application
-    # configuration with the one right after the call, here with an
-    # equal key, so f's segment leaves at the application of g instead
-    # of going on into g's body with a save that compares nothing
+    # term objects allow.  Brent's saved right after a call is _UNSET,
+    # not that configuration, so g's application is a member site like
+    # any other: f's segment goes on into g's body, saves there, and the
+    # run repeats at g's second application, at every fuel as the
+    # references do
     def build():
         i = Var("i")
         x = Cond(Binop("<", i, Const(9)), App("g", (i,)), App("f", (Binop("+", i, Const(1)),)))
@@ -1585,7 +1586,7 @@ def test_a_callee_body_that_is_the_focus_after_a_call_leaves_the_segment(monkeyp
     inlined = _member_sites(monkeypatch)
     trace = _resolved_at_every_fuel(build, {}, SeededOracle(1))
     assert len(trace.events) == 1 and trace.outcome == Diverged()
-    assert "g" not in inlined
+    assert "g" in inlined
 
 
 @pytest.mark.parametrize("hot", [1, semantics.HOT_ENTRIES, math.inf])
@@ -1828,10 +1829,10 @@ _CONTRACT_PROGRAMS = [
 @given(st.one_of(st.sampled_from(_CONTRACT_PROGRAMS), st.integers(0, 10_000)), st.data())
 def test_segments_hand_back_a_state_the_reference_passes_through(program, data):
     # a compiled segment's run called directly at a configuration on a
-    # program's path, from any state Brent's check can hold there:
-    # saved a configuration up to there, power a power of two up to 64,
-    # since below it, the remaining fuel from the segment's longest path
-    # up and the run's fuel up from there.  With a resolver and without,
+    # program's path, from any state Brent's check can hold there: saved
+    # _UNSET or a post-application configuration up to there, power a
+    # power of two up to 64, since below it, the remaining fuel from the
+    # segment's longest path up and the run's fuel up from there.  With a resolver and without,
     # the state it hands back is one the reference passes through from
     # that state, and an anchor it returns is the reference's
     with pytest.MonkeyPatch.context() as mp:
@@ -1852,7 +1853,7 @@ def test_segments_hand_back_a_state_the_reference_passes_through(program, data):
             raise AssertionError("no generated program ran a compiled segment")
     i = data.draw(st.sampled_from(entries))
     entry, seg = path[i][0], path[i][0].term._segment
-    saved = path[data.draw(st.integers(0, i))][0]
+    saved = data.draw(st.sampled_from([semantics._UNSET] + [c for c, applied, *_ in path[: i + 1] if applied]))
     power = 2 ** data.draw(st.integers(0, 6))
     since = data.draw(st.integers(0, power - 1))
     remaining = data.draw(st.integers(seg.longest, seg.longest + 20))
@@ -1869,6 +1870,82 @@ def test_segments_hand_back_a_state_the_reference_passes_through(program, data):
             assert (Config(funs, env, term), applied, *brent) in states
         else:
             assert out == a
+
+
+def _none_runs(term):
+    """A list that gets, from here on, whether each run of term's
+    compiled segment returned None."""
+    seg, nones = term._segment, []
+    run = seg.run
+
+    def noted(*args):
+        out = run(*args)
+        nones.append(out is None)
+        return out
+
+    seg.run = noted
+    return nones
+
+
+def test_a_member_body_entered_with_a_parameter_unbound_runs_cold():
+    # f's body, compiled as f's loop, entered where its parameter j is
+    # unbound: its code returns None, having run no step, so the segment
+    # runs cold up to the application of f, and the loop runs compiled
+    # from there.  Three ways in: a run's start at the body under f's
+    # group, a second group g(i, k) sharing the body, where j is free and
+    # bound only where an outer let binds it, and a shrink candidate that
+    # hoists the body to the root, where f is unbound too.  Every anchor
+    # is the reference's at every fuel
+    i, j = Var("i"), Var("j")
+    body = Cond(Binop("<", i, Const(30)), App("f", (Binop("+", i, Const(1)), i)), Exp(j))
+    f = Fun((FunDef("f", ("i", "j"), body),), App("f", (Const(0), Const(0))))
+
+    def under_g(*rest):
+        return Fun(f.defs, *rest, Fun((FunDef("g", ("i", "k"), body),), App("g", (Const(0), Const(5)))))
+
+    candidates = []
+    shrink_term(f, lambda cand: candidates.append(cand) or False)
+    hoisted = next(cand for cand in candidates if cand is body)
+    starts = [
+        (Config(step_silent(Config((), {}, f)).config.funs, {"i": 0}, body), True, Done(29)),
+        (Config((), {}, under_g()), True, Done(29)),
+        (Config((), {}, Let("j", Const(7), under_g())), False, Done(29)),
+        (Config((), {"i": 0}, hoisted), True, Done(None)),
+        (Config((), {"i": 0, "j": 1}, hoisted), False, Done(None)),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "HOT_ENTRIES", 1)
+        assert run_to_anchor(Config((), {}, f), 1000) == Done(29) and _loops(body._segment)
+        nones = _none_runs(body)
+        for c, cold, end in starts:
+            nones.clear()
+            assert run_to_anchor(c, 1000) == end and nones[0] == cold
+            assert _every_fuel(c, 1000) == end
+
+
+def _a_tree(t):
+    """Whether no term object occurs twice in t, and no member body is
+    t itself or a let's body."""
+    terms = Nodes(t).terms
+    bodies = {id(d.body) for s in terms if isinstance(s, Fun) for d in s.defs}
+    lets = {id(s.body) for s in terms if isinstance(s, Let)}
+    return len({id(s) for s in terms}) == len(terms) and id(t) not in bodies and not bodies & lets
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 10_000))
+def test_every_program_built_is_a_tree(n):
+    # Brent's check compares neither a run's start nor the configuration
+    # after a call (saved _UNSET), and no anchor moves for it only
+    # because neither ever has a member body in focus: the generator,
+    # the parser, both passes and the shrinker's candidates build trees,
+    # whose member bodies are neither roots nor lets' bodies
+    t = gen_program(GenConfig(seed=derive_seed(24, n)))
+    programs = [t, parse_program(print_program(t))]
+    programs += [done[1] for done in (run_pass("uce", t), run_pass("dve", t)) if not isinstance(done, Rejection)]
+    for p in list(programs):
+        shrink_term(p, lambda cand: programs.append(cand) or False)
+    assert all(_a_tree(p) for p in programs)
 
 
 # -- the cold loop, which runs every segment that is not compiled

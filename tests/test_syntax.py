@@ -9,6 +9,7 @@ from audits import flatten, reference_free, reference_parse, reference_reads, we
 from il.harness import GenConfig, derive_seed, gen_program
 from il.reach import Rejection
 from il.syntax import (
+    MAX_INDENT,
     Annotated,
     App,
     Binop,
@@ -389,6 +390,39 @@ def test_roundtrip_generated_corpus():
     for i in range(1000):
         t = gen_program(replace(cfg, seed=derive_seed(3, i)))
         assert parse_program(print_program(t)) == t
+
+
+def _indent(text):
+    """The most columns any line of text is indented."""
+    return max(len(line) - len(line.lstrip(" ")) for line in text.split("\n"))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10**6), st.integers(0, 40))
+def test_printed_programs_parse_back_below_and_past_the_indent_cap(seed, depth):
+    # a generated program nested depth conditionals deep, alternately in
+    # their then and else branches, so that from about 30 levels its
+    # lines would be indented past MAX_INDENT: the printed text parses
+    # back to the same term and no line is indented past the cap
+    t = gen_program(GenConfig(seed=derive_seed(23, seed)))
+    for k in range(depth):
+        leaf = Exp(Const(k))
+        t = Cond(Var("a"), t, leaf) if k % 2 else Cond(Var("a"), leaf, t)
+    text = print_program(t)
+    assert flatten(parse_program(text)) == flatten(t)
+    assert _indent(text) <= MAX_INDENT
+
+
+def test_lines_past_the_indent_cap_keep_the_cap():
+    # 60 nested conditionals: below the cap each level indents two
+    # columns more, from the cap on every line stays at it
+    t = Exp(Var("x"))
+    for k in range(60):
+        t = Cond(Binop("<", Var("a"), Const(k)), Exp(Const(k)), Let("y", Const(k), t))
+    text = print_program(t)
+    assert parse_program(text) == t
+    indents = [len(line) - len(line.lstrip(" ")) for line in text.split("\n")]
+    assert max(indents) == MAX_INDENT and indents.count(MAX_INDENT) > 40
 
 
 def test_well_formed_on_parsed():
